@@ -24,6 +24,7 @@ from topocorr.experiment import (
     run_experiment,
     run_negtype_suite,
     run_parameter_correlation,
+    summary_for,
 )
 from topocorr.metrics import parse_metric_spec, pairwise_matrix
 from topocorr.models import ModelSpec, generate as generate_sample
@@ -37,7 +38,6 @@ from topocorr.serialize import (
     matrix_from_csv,
     matrix_to_csv,
 )
-from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram
 
 
 def _write(out, text):
@@ -66,7 +66,7 @@ def cli():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--index", type=int, default=0, show_default=True,
               help="Sample index within the seeded batch.")
-@click.option("--max-dim", type=int, default=2, show_default=True)
+@click.option("--max-dim", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--max-radius", type=float, default=1.0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def generate_cmd(kind, n, gamma, seed, index, max_dim, max_radius, out):
@@ -82,7 +82,8 @@ def generate_cmd(kind, n, gamma, seed, index, max_dim, max_radius, out):
 
 @cli.command("persist")
 @click.argument("complex_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--degree", type=int, default=None, help="Keep only this homology degree.")
+@click.option("--degree", type=click.IntRange(min=0), default=None,
+              help="Keep only this homology degree.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def persist_cmd(complex_file, degree, out):
     """Compute the persistence diagram of a filtered complex file."""
@@ -98,7 +99,7 @@ def persist_cmd(complex_file, degree, out):
 @click.argument("diagram_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(["landscape", "betti", "euler"]),
               default="landscape", show_default=True)
-@click.option("--degree", type=int, default=1, show_default=True)
+@click.option("--degree", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def summarize_cmd(diagram_file, kind, degree, out):
     """Derive a landscape or Betti/Euler curve from a diagram CSV."""
@@ -106,14 +107,8 @@ def summarize_cmd(diagram_file, kind, degree, out):
         diagram = diagram_from_csv(_read(diagram_file))
     except (ParseError, ValueError) as exc:
         raise ConfigurationError(f"{diagram_file}: {exc}") from exc
-    if kind == "landscape":
-        text = landscape_to_text(landscape_from_diagram(diagram.restrict(degree)))
-    elif kind == "betti":
-        text = curve_to_csv(betti_curve(diagram, degree))
-    else:
-        curves = [betti_curve(diagram, k) for k in range(max(diagram.degrees() or [0]) + 1)]
-        text = curve_to_csv(euler_curve(curves))
-    _write(out, text)
+    write = landscape_to_text if kind == "landscape" else curve_to_csv
+    _write(out, write(summary_for(kind, diagram, degree)))
 
 
 @cli.command("distmat")
@@ -121,7 +116,7 @@ def summarize_cmd(diagram_file, kind, degree, out):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--metric", required=True,
               help="Metric spec, e.g. wasserstein:p=2 or landscape:p=inf.")
-@click.option("--degree", type=int, default=1, show_default=True)
+@click.option("--degree", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def distmat_cmd(diagram_files, metric, degree, out):
     """Pairwise distance matrix of a metric over diagram CSV files."""
@@ -136,16 +131,7 @@ def distmat_cmd(diagram_files, metric, degree, out):
             raise ConfigurationError(f"{path}: {exc}") from exc
     if len(diagrams) < 2:
         raise ConfigurationError("need at least 2 diagram files")
-    if spec.summary_kind == "diagram":
-        samples = [d.restrict(degree) for d in diagrams]
-    elif spec.summary_kind == "landscape":
-        samples = [landscape_from_diagram(d.restrict(degree)) for d in diagrams]
-    elif spec.summary_kind == "betti":
-        samples = [betti_curve(d, degree) for d in diagrams]
-    else:
-        samples = [euler_curve([betti_curve(d, k)
-                                for k in range(max(d.degrees() or [0]) + 1)])
-                   for d in diagrams]
+    samples = [summary_for(spec.summary_kind, d, degree) for d in diagrams]
     _write(out, matrix_to_csv(pairwise_matrix(samples, spec)))
 
 

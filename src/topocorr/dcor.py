@@ -95,28 +95,17 @@ def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
 
 
 def dcor_matrix(mats) -> tuple[np.ndarray, list[list[bool]]]:
-    """Pairwise dCor between distance matrices; also reports negative flags."""
+    """dCor between every pair of distance matrices, one or more, from
+    :func:`sample_dcor`; also reports the negative-dcov flags."""
     mats = list(mats)
-    if len(mats) < 2:
-        raise ValueError("need at least 2 matrices")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise ValueError("all matrices must share the sample count")
     k = len(mats)
     out = np.zeros((k, k))
     flags = [[False] * k for _ in range(k)]
-    centered = [double_center(m) for m in mats]
-    dvars = [sample_dcov(c, c) for c in centered]
     for i in range(k):
-        out[i, i] = 1.0 if dvars[i] > 0 else 0.0
-        for j in range(i + 1, k):
-            dcov = sample_dcov(centered[i], centered[j])
-            if dvars[i] > 0 and dvars[j] > 0:
-                dcor = dcov / np.sqrt(dvars[i] * dvars[j])
-            else:
-                dcor = 0.0
-            out[i, j] = out[j, i] = np.sqrt(max(dcor, 0.0))
-            flags[i][j] = flags[j][i] = bool(dcov < 0)
+        for j in range(i, k):
+            report = sample_dcor(mats[i], mats[j])
+            out[i, j] = out[j, i] = report.dCor
+            flags[i][j] = flags[j][i] = report.negative_flag
     return out, flags
 
 

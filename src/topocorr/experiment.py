@@ -20,16 +20,7 @@ from topocorr.complexes import (
 from topocorr.dcor import dcor_matrix, sample_dcor
 from topocorr.dem import ChunkSpec, chunk_grid, chunk_center_distance, synth_terrain, tri
 from topocorr.errors import ConfigurationError
-from topocorr.metrics import (
-    DistanceMatrix,
-    MetricSpec,
-    count_dimension,
-    pairwise_matrix,
-    parse_metric_spec,
-    wasserstein,
-    bottleneck,
-    landscape_distance,
-)
+from topocorr.metrics import DistanceMatrix, MetricSpec, pairwise_matrix, parse_metric_spec
 from topocorr.models import ModelSpec, generate
 from topocorr.negtype import (
     WeightedConfiguration,
@@ -79,6 +70,10 @@ class RunConfig:
             raise ConfigurationError("repetitions must be >= 2")
         if not self.metrics:
             raise ConfigurationError("at least one metric spec required")
+        if self.degree < 0:
+            raise ConfigurationError("degree must be >= 0")
+        if self.sweep is not None and len(self.sweep) < 2:
+            raise ConfigurationError("a sweep needs at least 2 gamma values")
 
 
 def load_config(path, seed=None, out=None) -> RunConfig:
@@ -101,24 +96,23 @@ def load_config(path, seed=None, out=None) -> RunConfig:
         cfg_out = run.get("out", "out")
         max_dim = int(run.get("max_dim", "2"))
         max_radius = float(run.get("max_radius", "1.0"))
+        sweep = None
+        if parser.has_section("sweep"):
+            if parser.has_option("sweep", "gamma_count"):
+                count = parser.getint("sweep", "gamma_count")
+                sweep = tuple(np.linspace(0.0, 1.0, count))
+            elif parser.has_option("sweep", "gamma"):
+                sweep = tuple(float(v) for v in parser.get("sweep", "gamma").split())
+            else:
+                raise ConfigurationError("sweep section needs gamma or gamma_count")
+            kind = "interpolated"
+        if kind == "interpolated" and gamma is None:
+            gamma = 0.0
+        model = ModelSpec(kind, n, gamma=gamma if kind == "interpolated" else None,
+                          seed=seed if seed is not None else cfg_seed)
     except (configparser.Error, ValueError, KeyError) as exc:
         raise ConfigurationError(f"bad config: {exc}") from exc
-    sweep = None
-    if parser.has_section("sweep"):
-        if parser.has_option("sweep", "gamma_count"):
-            count = parser.getint("sweep", "gamma_count")
-            sweep = tuple(np.linspace(0.0, 1.0, count))
-        elif parser.has_option("sweep", "gamma"):
-            sweep = tuple(float(v) for v in parser.get("sweep", "gamma").split())
-        else:
-            raise ConfigurationError("sweep section needs gamma or gamma_count")
-        kind = "interpolated"
-        gamma = gamma if gamma is not None else 0.0
-    if kind == "interpolated" and gamma is None:
-        gamma = 0.0
     metrics = tuple(parse_metric_spec(m) for m in metric_names)
-    model = ModelSpec(kind, n, gamma=gamma if kind == "interpolated" else None,
-                      seed=seed if seed is not None else cfg_seed)
     return RunConfig(
         model=model,
         repetitions=repetitions,
@@ -143,35 +137,46 @@ def build_complex(kind, raw, max_dim=2, max_radius=1.0):
     raise ConfigurationError(f"unknown model kind {kind!r}")
 
 
+def summary_for(kind, diagram, degree):
+    """The ``kind`` summary ("diagram", "landscape", "betti" or "euler") of a
+    full persistence diagram, in homology degree ``degree``.
+
+    The Euler curve sums the Betti curves of the degrees the diagram has;
+    those of absent degrees are empty.
+    """
+    if kind == "diagram":
+        return diagram.restrict(degree)
+    if kind == "landscape":
+        return landscape_from_diagram(diagram.restrict(degree))
+    if kind == "betti":
+        return betti_curve(diagram, degree)
+    if kind == "euler":
+        top = max(diagram.degrees(), default=0)
+        return euler_curve([betti_curve(diagram, k) for k in range(top + 1)])
+    raise ConfigurationError(f"no {kind} summary of a diagram")
+
+
 def compute_bundle(cx, degree, metrics, max_dim=2):
-    """All summaries a metric list needs, computed once per sample."""
-    kinds = {m.summary_kind for m in metrics}
+    """All summaries a metric list needs, computed once per sample and keyed
+    by :attr:`MetricSpec.bundle_key`.
+
+    ``max_dim`` is the top cell dimension of ``cx``; no summary needs it,
+    since the diagram holds no degree above it.
+    """
     diagram = compute_persistence(cx)
-    restricted = diagram.restrict(degree)
-    bundle = {"diagram": restricted, "full_diagram": diagram}
-    if "landscape" in kinds:
-        bundle["landscape"] = landscape_from_diagram(restricted)
-    if "betti" in kinds:
-        bundle["betti"] = betti_curve(diagram, degree)
-    if "euler" in kinds:
-        curves = [betti_curve(diagram, k) for k in range(max_dim + 1)]
-        bundle["euler"] = euler_curve(curves)
+    bundle = {"diagram": diagram.restrict(degree), "full_diagram": diagram}
     for m in metrics:
-        if m.summary_kind == "count":
-            bundle.setdefault(f"count{count_dimension(m)}",
-                              simplex_count_curve(cx, count_dimension(m)))
+        if m.bundle_key in bundle:
+            continue
+        if m.cell_dim is None:
+            bundle[m.bundle_key] = summary_for(m.summary_kind, diagram, degree)
+        else:
+            bundle[m.bundle_key] = simplex_count_curve(cx, m.cell_dim)
     return bundle
 
 
-def _samples_for(metric, bundles):
-    kind = metric.summary_kind
-    if kind == "count":
-        return [b[f"count{count_dimension(metric)}"] for b in bundles]
-    return [b[kind] for b in bundles]
-
-
 def distance_matrices(bundles, metrics):
-    return [pairwise_matrix(_samples_for(m, bundles), m) for m in metrics]
+    return [pairwise_matrix([b[m.bundle_key] for b in bundles], m) for m in metrics]
 
 
 def _safe_label(label):
@@ -257,10 +262,9 @@ def run_parameter_correlation(cfg: RunConfig, progress=None) -> list[tuple[str, 
             progress(f"gamma {i + 1}/{len(cfg.sweep)}")
     pmat = parameter_matrix(cfg.sweep, label="gamma")
     rows = []
-    for metric in cfg.metrics:
-        mat = pairwise_matrix(_samples_for(metric, bundles), metric)
+    for mat in distance_matrices(bundles, cfg.metrics):
         report = sample_dcor(mat, pmat)
-        rows.append((metric.label, report.dCor, report.negative_flag))
+        rows.append((mat.label, report.dCor, report.negative_flag))
     rows.sort(key=lambda r: -r[1])
     if cfg.out is not None:
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -287,44 +291,28 @@ def run_negtype_suite() -> list[dict]:
         results.append({"fixture": fixture, "p": p, "form": form,
                         "expected_sign": expect_sign, "pass": ok})
 
-    def diagram_form(diagrams, weights, p):
-        n = len(diagrams)
-        entries = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p == math.inf:
-                    d = bottleneck(diagrams[i], diagrams[j])
-                else:
-                    d = wasserstein(diagrams[i], diagrams[j], p)
-                entries[i, j] = entries[j, i] = d
-        mat = DistanceMatrix(n, entries, "fixture")
+    def form(spec, diagrams, weights):
+        metric = parse_metric_spec(spec)
+        # Every fixture point is a degree-1 bar.
+        samples = [summary_for(metric.summary_kind, d, 1) for d in diagrams]
+        mat = pairwise_matrix(samples, metric)
         return quadratic_form(WeightedConfiguration(mat, weights))
+
+    def transport(p):
+        return "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
 
     small = fixture_small_p()
     for p in (1.0, 2.0, 2.4, 2.41, 3.0, math.inf):
-        form = diagram_form(*small, p)
         expect = "+" if p != math.inf and p < _SMALLP_THRESHOLD else "-"
-        check("small_p", p, form, expect)
+        check("small_p", p, form(transport(p), *small), expect)
 
     large = fixture_large_p()
     for p in (2.4, 2.41, 3.0, 10.0, math.inf):
-        form = diagram_form(*large, p)
-        check("large_p", p, form, "+")
+        check("large_p", p, form(transport(p), *large), "+")
 
-    def landscape_form(diagrams, weights, p):
-        landscapes = [landscape_from_diagram(d) for d in diagrams]
-        n = len(landscapes)
-        entries = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                entries[i, j] = entries[j, i] = landscape_distance(
-                    landscapes[i], landscapes[j], p)
-        mat = DistanceMatrix(n, entries, "fixture")
-        return quadratic_form(WeightedConfiguration(mat, weights))
-
-    check("landscape_l1", 1.0, landscape_form(*fixture_landscape_l1(), 1.0), "0")
+    check("landscape_l1", 1.0, form("landscape:p=1", *fixture_landscape_l1()), "0")
     check("landscape_linf", math.inf,
-          landscape_form(*fixture_landscape_linf(), math.inf), "+")
+          form("landscape:p=inf", *fixture_landscape_linf()), "+")
     return results
 
 

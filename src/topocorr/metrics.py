@@ -57,8 +57,18 @@ def diagonal_distance(point, p) -> float:
     return 2.0 ** (1.0 / p - 1.0) * (death - birth)
 
 
-def _augmented_cost_matrix(xs, ys, p):
-    """Powered L^p costs of the diagonal-augmented problem ((m+n) square)."""
+def _cost_matrix(xs, ys, p):
+    """Costs of the diagonal-augmented assignment problem ((m+n) square).
+
+    Finite p gives powered L^p costs.  p = inf gives L^inf costs, with half
+    the persistence as the cost of matching a point to the diagonal.
+    """
+    finite = p != math.inf
+
+    def to_diagonal(points):
+        return np.array([diagonal_distance(x, p) ** p if finite else diagonal_distance(x, p)
+                         for x in points])
+
     m, n = len(xs), len(ys)
     cost = np.zeros((m + n, m + n))
     if m and n:
@@ -66,13 +76,11 @@ def _augmented_cost_matrix(xs, ys, p):
         ya = np.array(ys)
         db = np.abs(xa[:, None, 0] - ya[None, :, 0])
         dd = np.abs(xa[:, None, 1] - ya[None, :, 1])
-        cost[:m, :n] = db ** p + dd ** p
+        cost[:m, :n] = db ** p + dd ** p if finite else np.maximum(db, dd)
     if m:
-        diag_x = np.array([diagonal_distance(x, p) ** p for x in xs])
-        cost[:m, n:] = diag_x[:, None]
+        cost[:m, n:] = to_diagonal(xs)[:, None]
     if n:
-        diag_y = np.array([diagonal_distance(y, p) ** p for y in ys])
-        cost[m:, :n] = diag_y[None, :]
+        cost[m:, :n] = to_diagonal(ys)[None, :]
     return cost
 
 
@@ -83,24 +91,9 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
     xs, ys = d1.pairs(), d2.pairs()
     if not xs and not ys:
         return 0.0
-    cost = _augmented_cost_matrix(xs, ys, p)
+    cost = _cost_matrix(xs, ys, p)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() ** (1.0 / p))
-
-
-def _linf_cost_matrix(xs, ys):
-    m, n = len(xs), len(ys)
-    cost = np.zeros((m + n, m + n))
-    if m and n:
-        xa = np.array(xs)
-        ya = np.array(ys)
-        cost[:m, :n] = np.maximum(np.abs(xa[:, None, 0] - ya[None, :, 0]),
-                                  np.abs(xa[:, None, 1] - ya[None, :, 1]))
-    if m:
-        cost[:m, n:] = np.array([diagonal_distance(x, math.inf) for x in xs])[:, None]
-    if n:
-        cost[m:, :n] = np.array([diagonal_distance(y, math.inf) for y in ys])[None, :]
-    return cost
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -108,7 +101,7 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     xs, ys = d1.pairs(), d2.pairs()
     if not xs and not ys:
         return 0.0
-    cost = _linf_cost_matrix(xs, ys)
+    cost = _cost_matrix(xs, ys, math.inf)
     candidates = np.unique(cost)
 
     def feasible(threshold):
@@ -127,13 +120,20 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
 
 
 def _segment_lp_integral(v0, v1, h, p):
-    """Integral of |linear segment|^p from v0 to v1 over length h; one sign."""
-    a0, a1 = abs(v0), abs(v1)
-    if h == 0.0:
-        return 0.0
-    if a0 == a1:
-        return a0 ** p * h
-    return h * abs(a1 ** (p + 1) - a0 ** (p + 1)) / ((p + 1) * abs(a1 - a0))
+    """Integral of |linear segment|^p from v0 to v1 over length h; one sign.
+
+    With lo <= hi the end magnitudes, the integral is
+    h (hi^(p+1) - lo^(p+1)) / ((p+1)(hi - lo)).  That quotient divides two
+    rounding-level differences when lo is close to hi, so it is evaluated as
+    h hi^p expm1((p+1) log1p(x)) / ((p+1) x) with x = (lo - hi) / hi.
+    """
+    lo, hi = sorted((abs(v0), abs(v1)))
+    if lo == hi:
+        return hi ** p * h
+    if lo == 0.0:
+        return hi ** p * h / (p + 1)
+    x = (lo - hi) / hi
+    return h * hi ** p * math.expm1((p + 1) * math.log1p(x)) / ((p + 1) * x)
 
 
 def _level_difference_segments(l1, l2):
@@ -253,52 +253,71 @@ def sw_kernel_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
     return math.sqrt(max(radicand, 0.0))
 
 
+# A metric parameter type: (conversion from text, validity test, the rule
+# that error messages state).
+_FINITE_P = (float, lambda v: 1 <= v < math.inf, "a finite number >= 1")
+_P = (float, lambda v: v >= 1, "a number >= 1 or inf")
+_POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_LINES = (int, lambda v: v >= 1, "an integer >= 1")
+
+# Metric name -> (summary kind, required parameters, optional parameters,
+# distance).  Parameters map their names to their types; the distance takes
+# two summaries of the kind and the parameters as keywords.  "count<d>"
+# stands for count0, count1, ...: L^p between cumulative counts of d-cells.
+METRICS = {
+    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein),
+    "bottleneck": ("diagram", {}, {}, bottleneck),
+    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance),
+    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein),
+    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance),
+    "landscape": ("landscape", {"p": _P}, {}, landscape_distance),
+    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance),
+    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance),
+    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance),
+}
+
+
 @dataclass(frozen=True)
 class MetricSpec:
-    """Parsed metric spec string; knows which summary kind it consumes."""
+    """Parsed metric spec string; ``family`` is its key in :data:`METRICS`.
+
+    ``family`` is the name itself, or ``count<d>`` for a name ``count2``,
+    whose cell dimension is then ``cell_dim`` (None for every other metric).
+    """
 
     name: str
     params: dict
     spec: str
-
-    KINDS = {
-        "wasserstein": "diagram",
-        "bottleneck": "diagram",
-        "pss": "diagram",
-        "sw": "diagram",
-        "swk": "diagram",
-        "landscape": "landscape",
-        "betti": "betti",
-        "euler": "euler",
-    }
+    family: str
+    cell_dim: int | None
 
     @property
     def summary_kind(self):
-        if self.name.startswith("count"):
-            return "count"
-        return self.KINDS[self.name]
+        return METRICS[self.family][0]
+
+    @property
+    def bundle_key(self):
+        """Key of the summary this metric compares in a sample bundle."""
+        return self.summary_kind if self.cell_dim is None else self.name
 
     @property
     def label(self):
         return self.spec
 
     def distance(self, a, b):
-        p = self.params
-        if self.name == "wasserstein":
-            return wasserstein(a, b, p["p"])
-        if self.name == "bottleneck":
-            return bottleneck(a, b)
-        if self.name == "pss":
-            return pss_distance(a, b, p["sigma"])
-        if self.name == "sw":
-            return sliced_wasserstein(a, b, p.get("lines", 10))
-        if self.name == "swk":
-            return sw_kernel_distance(a, b, p["sigma"], p.get("lines", 10))
-        if self.name == "landscape":
-            return landscape_distance(a, b, p["p"])
-        if self.name in ("betti", "euler") or self.name.startswith("count"):
-            return curve_distance(a, b, p["p"])
-        raise ConfigurationError(f"unknown metric {self.name!r}")
+        return METRICS[self.family][3](a, b, **self.params)
+
+
+def _typed(text, ptype, what):
+    """``text`` converted by a parameter type; ConfigurationError if it does not fit."""
+    convert, valid, rule = ptype
+    try:
+        value = convert(text)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ConfigurationError(f"{what} must be {rule}")
+    return value
 
 
 def parse_metric_spec(spec: str) -> MetricSpec:
@@ -306,40 +325,27 @@ def parse_metric_spec(spec: str) -> MetricSpec:
     spec = spec.strip()
     name, _, rest = spec.partition(":")
     name = name.strip()
+    family, cell_dim = name, None
+    if name.startswith("count") and name[5:].isdecimal():
+        family, cell_dim = "count<d>", int(name[5:])
+    if family not in METRICS or name == "count<d>":
+        raise ConfigurationError(f"unknown metric {name!r}")
+    _, required, optional, _ = METRICS[family]
+    types = {**required, **optional}
     params = {}
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise ConfigurationError(f"bad metric parameter {item!r} in {spec!r}")
-            key = key.strip()
-            value = value.strip()
-            if key == "lines":
-                params[key] = int(value)
-            elif value in ("inf", "infinity"):
-                params[key] = math.inf
-            else:
-                params[key] = float(value)
-    known = name in MetricSpec.KINDS or (name.startswith("count") and name[5:].isdigit())
-    if not known:
-        raise ConfigurationError(f"unknown metric {name!r}")
-    if name == "wasserstein" and "p" not in params:
-        raise ConfigurationError("wasserstein needs p=")
-    if name in ("pss", "swk") and "sigma" not in params:
-        raise ConfigurationError(f"{name} needs sigma=")
-    if name in ("landscape", "betti", "euler") and "p" not in params:
-        raise ConfigurationError(f"{name} needs p=")
-    if name.startswith("count") and "p" not in params:
-        raise ConfigurationError("count curves need p=")
-    ms = MetricSpec(name, params, spec)
-    if ms.params.get("p") is not None and ms.params["p"] != math.inf and ms.params["p"] < 1:
-        raise ConfigurationError("p must be >= 1")
-    return ms
-
-
-def count_dimension(spec: MetricSpec) -> int:
-    """Cell dimension for a ``count<d>`` metric spec."""
-    return int(spec.name[5:])
+            if key not in types:
+                raise ConfigurationError(f"{name} takes no parameter {key!r}")
+            params[key] = _typed(value.strip(), types[key], f"{key} in {spec!r}")
+    for key in required:
+        if key not in params:
+            raise ConfigurationError(f"{name} needs {key}=")
+    return MetricSpec(name, params, spec, family, cell_dim)
 
 
 def pairwise_matrix(samples, metric: MetricSpec) -> DistanceMatrix:

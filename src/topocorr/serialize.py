@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -33,9 +34,12 @@ def diagram_from_csv(text: str, cap=None) -> PersistenceDiagram:
     points = []
     for ln, row in enumerate(rows[1:], start=2):
         try:
-            points.append((float(row[1]), float(row[2]), int(row[0])))
+            birth, death, degree = float(row[1]), float(row[2]), int(row[0])
         except (ValueError, IndexError):
             raise ParseError("malformed diagram row", line=ln) from None
+        if not (math.isfinite(birth) and math.isfinite(death)):
+            raise ParseError("birth and death must be finite", line=ln)
+        points.append((birth, death, degree))
     return PersistenceDiagram(tuple(sorted(points, key=lambda p: (p[2], p[0], p[1]))),
                               cap=cap)
 
@@ -52,20 +56,6 @@ def landscape_to_text(l: PersistenceLandscape) -> str:
     return "\n".join(lines) + "\n"
 
 
-def landscape_from_text(text: str) -> PersistenceLandscape:
-    levels = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) % 2 != 0:
-            raise ParseError("odd field count in landscape level", line=ln)
-        vals = [float(p) for p in parts]
-        levels.append(tuple(zip(vals[::2], vals[1::2])))
-    return PersistenceLandscape(tuple(levels))
-
-
 def curve_to_csv(c: StepCurve) -> str:
     """Rows of ``breakpoint,value``; the final breakpoint carries the exit value 0."""
     out = io.StringIO()
@@ -74,23 +64,6 @@ def curve_to_csv(c: StepCurve) -> str:
     for b, v in zip(c.breakpoints, list(c.values) + [0]):
         writer.writerow([repr(b), v])
     return out.getvalue()
-
-
-def curve_from_csv(text: str) -> StepCurve:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
-    if not rows or [c.strip().lower() for c in rows[0][:2]] != ["breakpoint", "value"]:
-        raise ParseError("expected header breakpoint,value", line=1)
-    breaks, values = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        try:
-            breaks.append(float(row[0]))
-            values.append(int(row[1]))
-        except (ValueError, IndexError):
-            raise ParseError("malformed curve row", line=ln) from None
-    if not breaks:
-        return StepCurve((), ())
-    return StepCurve(tuple(breaks), tuple(values[:-1]))
 
 
 def matrix_to_csv(m: DistanceMatrix) -> str:
@@ -128,11 +101,3 @@ def labeled_matrix_to_csv(matrix: np.ndarray, labels) -> str:
     for label, row in zip(labels, matrix):
         writer.writerow([label] + [repr(float(x)) for x in row])
     return out.getvalue()
-
-
-def weights_to_text(weights) -> str:
-    return "\n".join(repr(float(w)) for w in weights) + "\n"
-
-
-def weights_from_text(text: str):
-    return np.array([float(line) for line in text.split() if line.strip()])

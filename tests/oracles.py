@@ -4,6 +4,7 @@ These are written straight from the defining formulas, with no shared code
 paths with the package implementations they check.
 """
 
+import functools
 import math
 
 
@@ -68,9 +69,53 @@ def brute_bottleneck(d1, d2):
     return best[0]
 
 
-def sup_landscape_value(diagram, k, t):
-    """k-th landscape level at t straight from the definition:
-    the k-th largest tent value max(0, min(t - birth, death - t))."""
+def _tent_values(diagram, t, depth):
+    """The first ``depth`` landscape levels at t, straight from the
+    definition: the tent values max(0, min(t - birth, death - t)) of all
+    bars, largest first, padded with zeros."""
     tents = sorted((max(0.0, min(t - b, d - t)) for b, d in diagram.pairs()),
                    reverse=True)
-    return tents[k - 1] if k <= len(tents) else 0.0
+    return tents[:depth] + [0.0] * (depth - len(tents))
+
+
+def sup_landscape_value(diagram, k, t):
+    """k-th landscape level at t: the k-th largest tent value."""
+    return _tent_values(diagram, t, k)[k - 1]
+
+
+def _landscape_kinks(diagram):
+    """Every t at which a landscape level of ``diagram`` can bend: the bar
+    ends, and the points (b + d) / 2 where a rising tent side t - b meets a
+    falling one d - t."""
+    births = {b for b, _ in diagram.pairs()}
+    deaths = {d for _, d in diagram.pairs()}
+    return births | deaths | {(b + d) / 2 for b in births for d in deaths}
+
+
+def sup_landscape_distance(d1, d2, p):
+    """L^p distance (p = 1 or 2) between the landscapes of two diagrams,
+    with every level value taken from the sup definition.
+
+    Between consecutive kinks of either diagram each level difference is
+    linear; split at its zero, |difference|^p is a polynomial of degree p,
+    which Simpson's rule integrates exactly.
+    """
+    depth = max(len(d1.pairs()), len(d2.pairs()))
+    ts = sorted(_landscape_kinks(d1) | _landscape_kinks(d2))
+
+    @functools.cache
+    def diff(t):
+        return [a - b for a, b in zip(_tent_values(d1, t, depth), _tent_values(d2, t, depth))]
+
+    total = 0.0
+    for t0, t1 in zip(ts, ts[1:]):
+        for k in range(depth):
+            v0, v1 = diff(t0)[k], diff(t1)[k]
+            cuts = [t0, t1]
+            if v0 * v1 < 0:
+                cuts.insert(1, t0 + (t1 - t0) * v0 / (v0 - v1))
+            for a, b in zip(cuts, cuts[1:]):
+                total += (b - a) / 6 * (abs(diff(a)[k]) ** p
+                                        + 4 * abs(diff((a + b) / 2)[k]) ** p
+                                        + abs(diff(b)[k]) ** p)
+    return total ** (1.0 / p)

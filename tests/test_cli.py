@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from topocorr.cli import main
 from topocorr.serialize import matrix_from_csv
@@ -142,3 +143,31 @@ class TestExitCodes:
         big = tmp_path / "big.csv"
         big.write_text("d,d,d\n0.0,1.0,2.0\n1.0,0.0,0.5\n2.0,0.5,0.0\n")
         assert run("dcor", str(a), str(big)) == 2
+
+
+DIAGRAM_CSV = "degree,birth,death\n0,0.0,1.0\n1,0.25,0.5\n"
+ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bottleneck\n"
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=abc"]),
+    ({}, ["distmat", "{a}", "{b}", "--metric", "swk:sigma=1,lines=2.5"]),
+    ({"cfg": ER_CONFIG.replace("er", "foo", 1)}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG + "\n[sweep]\ngamma_count = 1\n"},
+     ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG + "degree = -1\n"}, ["experiment", "--config", "{cfg}"]),
+    ({}, ["generate", "--kind", "er", "--n", "5", "--max-dim", "0"]),
+    ({"inf": DIAGRAM_CSV + "1,0.5,inf\n"},
+     ["distmat", "{a}", "{inf}", "--metric", "bottleneck"]),
+    ({}, ["distmat", "{a}", "{b}", "--metric", "bottleneck", "--degree", "-1"]),
+    ({}, ["summarize", "{a}", "--degree", "-1"]),
+], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
+        "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
+        "negative-degree-summarize"])
+def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
+    paths = {}
+    for name, text in {"a": DIAGRAM_CSV, "b": DIAGRAM_CSV, **files}.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    assert run(*(arg.format(**paths) for arg in argv)) == 2

@@ -80,6 +80,10 @@ class TestDcorMatrix:
         assert np.array_equal(out, out.T)
         assert not any(any(row) for row in flags)
 
+    def test_single_matrix(self):
+        out, flags = dcor_matrix([LINE3])
+        assert out.tolist() == [[1.0]] and flags == [[False]]
+
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             dcor_matrix([LINE3, abs_matrix([0.0, 1.0])])

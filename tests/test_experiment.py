@@ -4,6 +4,8 @@ import pytest
 from topocorr.errors import ConfigurationError
 from topocorr.experiment import (
     RunConfig,
+    build_complex,
+    compute_bundle,
     load_config,
     parameter_matrix,
     render_heatmap,
@@ -12,8 +14,9 @@ from topocorr.experiment import (
     run_parameter_correlation,
 )
 from topocorr.metrics import parse_metric_spec
-from topocorr.models import ModelSpec
+from topocorr.models import ModelSpec, generate
 from topocorr.serialize import matrix_from_csv
+from topocorr.summaries import betti_curve, euler_curve
 
 METRICS = tuple(parse_metric_spec(m) for m in
                 ("wasserstein:p=1", "wasserstein:p=2", "bottleneck"))
@@ -33,6 +36,17 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(model=ModelSpec("er", 8, seed=0), repetitions=3,
                       degree=1, metrics=(), out=None, seed=0)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ConfigurationError):
+            RunConfig(model=ModelSpec("er", 8, seed=0), repetitions=3,
+                      degree=-1, metrics=METRICS, out=None, seed=0)
+
+    def test_rejects_single_gamma(self):
+        with pytest.raises(ConfigurationError):
+            RunConfig(model=ModelSpec("interpolated", 8, gamma=0.0, seed=0),
+                      repetitions=2, degree=1, metrics=METRICS, out=None, seed=0,
+                      sweep=(0.5,))
 
 
 class TestLoadConfig:
@@ -83,6 +97,19 @@ class TestRunExperiment:
         # The emitted matrices satisfy the DistanceMatrix invariants on load.
         for name in mats:
             matrix_from_csv((out / "matrices" / name).read_text())
+
+    def test_single_metric(self, tmp_path):
+        cfg = RunConfig(model=ModelSpec("er", 8, seed=1), repetitions=3, degree=1,
+                        metrics=METRICS[2:], out=tmp_path / "out", seed=1)
+        result = run_experiment(cfg)
+        assert result["dcor"].tolist() == [[1.0]]
+        assert (tmp_path / "out" / "dcor.svg").exists()
+
+    def test_euler_curve_sums_every_degree_to_max_dim(self):
+        cx = build_complex("er", generate(ModelSpec("er", 10, seed=4), 0), 3)
+        bundle = compute_bundle(cx, 1, (parse_metric_spec("euler:p=1"),), 3)
+        diagram = bundle["full_diagram"]
+        assert bundle["euler"] == euler_curve([betti_curve(diagram, k) for k in range(4)])
 
     def test_idempotent(self, tmp_path):
         run_experiment(small_config(tmp_path / "a"))

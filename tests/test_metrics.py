@@ -20,7 +20,9 @@ from topocorr.metrics import (
 )
 from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import StepCurve, landscape_from_diagram
-from tests.oracles import brute_bottleneck, brute_wasserstein
+from topocorr.experiment import build_complex, compute_bundle
+from topocorr.models import ModelSpec, derive_seed, generate
+from tests.oracles import brute_bottleneck, brute_wasserstein, sup_landscape_distance
 from tests.test_summaries import diagram
 
 
@@ -126,6 +128,25 @@ class TestLandscapeDistance:
         # |f - g| integrates to 1/2 + 1/4 + 1/4 + 1/2 over [0, 3].
         assert landscape_distance(l1, l2, 1) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_matches_sup_definition_on_float_diagrams(self, p):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            d1, d2 = random_diagram(rng, 6), random_diagram(rng, 6)
+            got = landscape_distance(landscape_from_diagram(d1), landscape_from_diagram(d2), p)
+            assert got == pytest.approx(sup_landscape_distance(d1, d2, p), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_matches_sup_definition_on_er_pair(self, p):
+        # Samples 0 and 37 of ER n=25: many nearly parallel level differences.
+        metrics = (parse_metric_spec(f"landscape:p={p}"),)
+        bundles = [compute_bundle(build_complex("er", generate(
+            ModelSpec("er", 25, seed=derive_seed(1010, 0)), k), 2), 1, metrics, 2)
+            for k in (0, 37)]
+        got = metrics[0].distance(bundles[0]["landscape"], bundles[1]["landscape"])
+        assert got == pytest.approx(sup_landscape_distance(
+            bundles[0]["diagram"], bundles[1]["diagram"], p), rel=1e-9)
+
     def test_triangle_inequality(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -209,6 +230,9 @@ class TestMetricSpecs:
     def test_parse_count(self):
         spec = parse_metric_spec("count2:p=1")
         assert spec.summary_kind == "count"
+        assert spec.cell_dim == 2 and spec.bundle_key == "count2"
+        c1, c2 = StepCurve((0.0, 2.0), (2,)), StepCurve((1.0, 3.0), (1,))
+        assert spec.distance(c1, c2) == curve_distance(c1, c2, 1.0)
 
     def test_rejects_unknown(self):
         with pytest.raises(ConfigurationError):
@@ -221,6 +245,16 @@ class TestMetricSpecs:
     def test_rejects_p_below_one(self):
         with pytest.raises(ConfigurationError):
             parse_metric_spec("wasserstein:p=0.5")
+
+    @pytest.mark.parametrize("spec", [
+        "wasserstein:p=abc", "wasserstein:p=inf", "betti:p=nan", "euler:p=inf",
+        "swk:sigma=1,lines=2.5", "swk:sigma=0", "sw:lines=0", "pss:sigma=-1",
+        "bottleneck:p=1", "landscape:p=1,q=2", "landscape:p", "count:p=1", "countx:p=1",
+        "count<d>:p=1",
+    ])
+    def test_rejects_malformed_spec(self, spec):
+        with pytest.raises(ConfigurationError):
+            parse_metric_spec(spec)
 
     def test_pairwise_matrix(self):
         rng = np.random.default_rng(1)

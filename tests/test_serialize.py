@@ -5,16 +5,12 @@ from topocorr.errors import ParseError
 from topocorr.metrics import DistanceMatrix
 from topocorr.persistence import PersistenceDiagram
 from topocorr.serialize import (
-    curve_from_csv,
     curve_to_csv,
     diagram_from_csv,
     diagram_to_csv,
-    landscape_from_text,
     landscape_to_text,
     matrix_from_csv,
     matrix_to_csv,
-    weights_from_text,
-    weights_to_text,
 )
 from topocorr.summaries import StepCurve, landscape_from_diagram
 
@@ -28,20 +24,25 @@ class TestDiagramCsv:
         with pytest.raises(ParseError):
             diagram_from_csv("degree,birth,death\n1,0.0,oops\n")
 
+    @pytest.mark.parametrize("row", ["1,0.0,inf", "1,nan,2.0", "1,-inf,2.0"])
+    def test_rejects_non_finite(self, row):
+        with pytest.raises(ParseError):
+            diagram_from_csv(f"degree,birth,death\n{row}\n")
+
 
 class TestLandscapeText:
-    def test_roundtrip(self):
+    def test_exact_text(self):
         lan = landscape_from_diagram(
-            PersistenceDiagram(((0.0, 4.0, 1), (1.0, 3.0, 1))))
-        back = landscape_from_text(landscape_to_text(lan))
-        assert back.levels == lan.levels
+            PersistenceDiagram(((0.0, 4.0, 1), (1.0, 3.5, 1), (0.5, 0.75, 1))))
+        assert landscape_to_text(lan) == (
+            "0.0 0.0 2.0 2.0 4.0 0.0\n"
+            "0.5 0.0 0.625 0.125 0.75 0.0 1.0 0.0 2.25 1.25 3.5 0.0\n")
 
 
 class TestCurveCsv:
-    def test_roundtrip(self):
+    def test_exact_text(self):
         c = StepCurve((0.0, 1.0, 2.5), (4, 2))
-        back = curve_from_csv(curve_to_csv(c))
-        assert back.breakpoints == c.breakpoints and back.values == c.values
+        assert curve_to_csv(c) == "breakpoint,value\r\n0.0,4\r\n1.0,2\r\n2.5,0\r\n"
 
 
 class TestMatrixCsv:
@@ -60,9 +61,3 @@ class TestMatrixCsv:
     def test_nonsquare_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv("d,d,d\n0.0,1.0,2.0\n1.0,0.0,0.5\n")
-
-
-class TestWeights:
-    def test_roundtrip(self):
-        w = np.array([1.0, -1.0, 0.5, -0.5])
-        assert np.array_equal(weights_from_text(weights_to_text(w)), w)
