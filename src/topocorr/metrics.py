@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.persistence import PersistenceDiagram
-from topocorr.summaries import PersistenceLandscape, StepCurve, evaluate_piecewise_linear
+from topocorr.summaries import PersistenceLandscape, StepCurve
 
 
 @dataclass(frozen=True)
@@ -119,72 +119,55 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     return float(candidates[lo])
 
 
-def _segment_lp_integral(v0, v1, h, p):
-    """Integral of |linear segment|^p from v0 to v1 over length h; one sign.
+def _lp_integral(ts, f, p):
+    """Exact integral of |f|^p, with f linear between its values at ``ts``.
 
-    With lo <= hi the end magnitudes, the integral is
+    On a segment of length h whose end values a, b differ in sign, f crosses
+    zero and the integral is h (|a|^(p+1) + |b|^(p+1)) / ((p+1)(|a| + |b|)).
+    Otherwise, with lo <= hi the end magnitudes, it is
     h (hi^(p+1) - lo^(p+1)) / ((p+1)(hi - lo)).  That quotient divides two
     rounding-level differences when lo is close to hi, so it is evaluated as
-    h hi^p expm1((p+1) log1p(x)) / ((p+1) x) with x = (lo - hi) / hi.
+    h hi^p expm1((p+1) log1p(x)) / ((p+1) x) with x = (lo - hi) / hi; at
+    x = -1 (lo = 0, or lo below hi's rounding) log1p gives -inf and the
+    quotient its limit h hi^p / (p+1).
     """
-    lo, hi = sorted((abs(v0), abs(v1)))
-    if lo == hi:
-        return hi ** p * h
-    if lo == 0.0:
-        return hi ** p * h / (p + 1)
-    x = (lo - hi) / hi
-    return h * hi ** p * math.expm1((p + 1) * math.log1p(x)) / ((p + 1) * x)
-
-
-def _level_difference_segments(l1, l2):
-    """Yield (h, v0, v1) segments of the difference of two breakpoint lists,
-    refined so every segment has a single sign."""
-    ts = sorted({t for t, _ in l1} | {t for t, _ in l2})
-    for t0, t1 in zip(ts, ts[1:]):
-        v0 = evaluate_piecewise_linear(l1, t0) - evaluate_piecewise_linear(l2, t0)
-        v1 = evaluate_piecewise_linear(l1, t1) - evaluate_piecewise_linear(l2, t1)
-        if v0 * v1 < 0:
-            tc = t0 + (t1 - t0) * v0 / (v0 - v1)
-            yield (tc - t0, v0, 0.0)
-            yield (t1 - tc, 0.0, v1)
-        else:
-            yield (t1 - t0, v0, v1)
+    h = np.diff(ts)
+    a, b = np.abs(f[:-1]), np.abs(f[1:])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (lo - hi) / hi
+        one_sign = hi ** p * np.where(lo == hi, 1.0,
+                                      np.expm1((p + 1) * np.log1p(x)) / ((p + 1) * x))
+        crossing = (a ** (p + 1) + b ** (p + 1)) / ((p + 1) * (a + b))
+    return float(np.sum(h * np.where(f[:-1] * f[1:] < 0, crossing, one_sign)))
 
 
 def landscape_distance(l1: PersistenceLandscape, l2: PersistenceLandscape, p) -> float:
-    """Exact L^p distance between landscapes (levelwise, then p-summed)."""
+    """Exact L^p distance between landscapes (levelwise, then p-summed).
+
+    Each pair of levels is compared on the union of their breakpoints, where
+    their difference is linear between consecutive points.
+    """
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or infinity")
-    depth = max(l1.level_count(), l2.level_count())
-    if p == math.inf:
-        worst = 0.0
-        for k in range(depth):
-            a = l1.levels[k] if k < l1.level_count() else ()
-            b = l2.levels[k] if k < l2.level_count() else ()
-            ts = sorted({t for t, _ in a} | {t for t, _ in b})
-            for t in ts:
-                worst = max(worst, abs(evaluate_piecewise_linear(a, t)
-                                       - evaluate_piecewise_linear(b, t)))
-        return worst
     total = 0.0
-    for k in range(depth):
-        a = l1.levels[k] if k < l1.level_count() else ()
-        b = l2.levels[k] if k < l2.level_count() else ()
-        for h, v0, v1 in _level_difference_segments(a, b):
-            total += _segment_lp_integral(v0, v1, h, p)
-    return total ** (1.0 / p)
+    for k in range(1, max(l1.level_count(), l2.level_count()) + 1):
+        ts = np.union1d(l1.level(k)[:, 0], l2.level(k)[:, 0])
+        diff = l1.evaluate(k, ts) - l2.evaluate(k, ts)
+        if p == math.inf:
+            total = max(total, float(np.abs(diff).max()))
+        else:
+            total += _lp_integral(ts, diff, p)
+    return total if p == math.inf else total ** (1.0 / p)
 
 
 def curve_distance(c1: StepCurve, c2: StepCurve, p) -> float:
     """Exact L^p distance between step curves (integral over the breakpoint union)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    ts = sorted(set(c1.breakpoints) | set(c2.breakpoints))
-    total = 0.0
-    for t0, t1 in zip(ts, ts[1:]):
-        diff = abs(c1.evaluate(t0) - c2.evaluate(t0))
-        total += diff ** p * (t1 - t0)
-    return total ** (1.0 / p)
+    ts = np.union1d(c1.breakpoints, c2.breakpoints)
+    diff = np.abs(c1.evaluate(ts[:-1]) - c2.evaluate(ts[:-1]))
+    return float(np.sum(diff ** p * np.diff(ts))) ** (1.0 / p)
 
 
 def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:

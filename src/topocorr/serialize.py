@@ -15,15 +15,18 @@ from topocorr.summaries import PersistenceLandscape, StepCurve
 
 
 def diagram_to_csv(d: PersistenceDiagram) -> str:
+    """Rows of ``degree,birth,death,essential``; essential is 1 for a capped bar."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["degree", "birth", "death"])
-    for b, death, k in d.points:
-        writer.writerow([k, repr(b), repr(death)])
+    writer.writerow(["degree", "birth", "death", "essential"])
+    for (b, death, k), essential in zip(d.points, d.essential):
+        writer.writerow([k, repr(b), repr(death), int(essential)])
     return out.getvalue()
 
 
-def diagram_from_csv(text: str, cap=None) -> PersistenceDiagram:
+def diagram_from_csv(text: str) -> PersistenceDiagram:
+    """Diagram from :func:`diagram_to_csv` text; the ``essential`` column may be
+    absent.  The cap is the largest death among the essential rows."""
     reader = csv.reader(io.StringIO(text))
     rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if not rows:
@@ -31,17 +34,23 @@ def diagram_from_csv(text: str, cap=None) -> PersistenceDiagram:
     header = [c.strip().lower() for c in rows[0]]
     if header[:3] != ["degree", "birth", "death"]:
         raise ParseError("expected header degree,birth,death", line=1)
+    has_flags = header[3:4] == ["essential"]
     points = []
     for ln, row in enumerate(rows[1:], start=2):
         try:
             birth, death, degree = float(row[1]), float(row[2]), int(row[0])
+            essential = int(row[3]) if has_flags else 0
         except (ValueError, IndexError):
             raise ParseError("malformed diagram row", line=ln) from None
         if not (math.isfinite(birth) and math.isfinite(death)):
             raise ParseError("birth and death must be finite", line=ln)
-        points.append((birth, death, degree))
-    return PersistenceDiagram(tuple(sorted(points, key=lambda p: (p[2], p[0], p[1]))),
-                              cap=cap)
+        if essential not in (0, 1):
+            raise ParseError("essential must be 0 or 1", line=ln)
+        points.append(((birth, death, degree), essential == 1))
+    points.sort(key=lambda row: (row[0][2], row[0][0], row[0][1]))
+    cap = max((p[1] for p, essential in points if essential), default=None)
+    return PersistenceDiagram(tuple(p for p, _ in points), cap=cap,
+                              essential=tuple(e for _, e in points))
 
 
 def landscape_to_text(l: PersistenceLandscape) -> str:
@@ -49,7 +58,7 @@ def landscape_to_text(l: PersistenceLandscape) -> str:
     lines = []
     for level in l.levels:
         fields = []
-        for t, v in level:
+        for t, v in level.tolist():
             fields.append(repr(t))
             fields.append(repr(v))
         lines.append(" ".join(fields))
@@ -61,7 +70,7 @@ def curve_to_csv(c: StepCurve) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["breakpoint", "value"])
-    for b, v in zip(c.breakpoints, list(c.values) + [0]):
+    for b, v in zip(c.breakpoints.tolist(), c.values.tolist() + [0]):
         writer.writerow([repr(b), v])
     return out.getvalue()
 

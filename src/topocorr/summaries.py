@@ -1,7 +1,8 @@
 """Landscapes, Betti/Euler curves and simplex-count curves.
 
 Landscapes are stored with exact breakpoints (no sampling grid); step curves
-are right-continuous and zero outside their breakpoints.
+are right-continuous and zero outside their breakpoints.  Both hold numpy
+arrays and evaluate whole arrays of points at once.
 """
 
 from __future__ import annotations
@@ -9,52 +10,41 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from topocorr.complexes import FilteredComplex
 from topocorr.persistence import PersistenceDiagram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceLandscape:
-    """Levels λ_1 >= λ_2 >= ... as sorted (t, value) breakpoint lists.
+    """Levels λ_1 >= λ_2 >= ... as (m, 2) float arrays of sorted (t, value)
+    breakpoints.
 
     Each level is zero outside its first/last breakpoint and piecewise linear
     with slopes in {-1, 0, +1} in between.
     """
 
-    levels: tuple[tuple[tuple[float, float], ...], ...]
+    levels: tuple[np.ndarray, ...]
 
     def level_count(self):
         return len(self.levels)
 
-    def evaluate(self, k, t):
-        """Value of λ_k (1-based) at t."""
+    def level(self, k):
+        """Breakpoints of λ_k (1-based); an empty (0, 2) array past the last level."""
         if k < 1:
             raise ValueError("levels are 1-based")
-        if k > len(self.levels):
-            return 0.0
-        return evaluate_piecewise_linear(self.levels[k - 1], t)
+        return self.levels[k - 1] if k <= len(self.levels) else np.empty((0, 2))
+
+    def evaluate(self, k, t):
+        """Values of λ_k (1-based) at t, a number or an array of points."""
+        level = self.level(k)
+        if not len(level):
+            return np.zeros(np.shape(t))
+        return np.interp(t, level[:, 0], level[:, 1], left=0.0, right=0.0)
 
     def max_value(self):
-        return max((v for lvl in self.levels for _, v in lvl), default=0.0)
-
-
-def evaluate_piecewise_linear(breaks, t):
-    """Evaluate a (t, value) breakpoint list at t; zero outside the support."""
-    if not breaks:
-        return 0.0
-    ts = [p[0] for p in breaks]
-    if t <= ts[0] or t >= ts[-1]:
-        # Endpoint values are zero by construction; honor stored value at ends.
-        if t == ts[0]:
-            return breaks[0][1]
-        if t == ts[-1]:
-            return breaks[-1][1]
-        return 0.0
-    i = bisect.bisect_right(ts, t)
-    (t0, v0), (t1, v1) = breaks[i - 1], breaks[i]
-    if t1 == t0:
-        return v1
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return max((float(level[:, 1].max()) for level in self.levels), default=0.0)
 
 
 def _simplify(level):
@@ -110,83 +100,63 @@ def landscape_from_diagram(d: PersistenceDiagram, k_max=None) -> PersistenceLand
                 pos += 1
             level.append(((b2 + d2) / 2.0, (d2 - b2) / 2.0))
             b, death = b2, d2
-        levels.append(_simplify(level))
+        levels.append(np.array(_simplify(level), dtype=float))
     return PersistenceLandscape(tuple(levels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepCurve:
     """Right-continuous integer step function, zero outside its breakpoints.
 
     ``values[i]`` holds on [breakpoints[i], breakpoints[i+1]); there is one
-    value per gap between consecutive breakpoints.
+    value per gap between consecutive breakpoints.  Breakpoints are a float
+    array, values an integer array.
     """
 
-    breakpoints: tuple[float, ...]
-    values: tuple[int, ...]
+    breakpoints: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.breakpoints and len(self.values) != len(self.breakpoints) - 1:
+        object.__setattr__(self, "breakpoints", np.asarray(self.breakpoints, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
+        if len(self.breakpoints) and len(self.values) != len(self.breakpoints) - 1:
             raise ValueError("need one value per interval between breakpoints")
-        if any(b <= a for b, a in zip(self.breakpoints[1:], self.breakpoints)):
+        if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
 
     def evaluate(self, a):
-        if not self.breakpoints or a < self.breakpoints[0] or a >= self.breakpoints[-1]:
-            return 0
-        i = bisect.bisect_right(self.breakpoints, a) - 1
-        return self.values[i]
+        """Values at a, a number or an array of points."""
+        padded = np.concatenate(([0], self.values, [0]))
+        return padded[np.searchsorted(self.breakpoints, a, side="right")]
 
     def l1_norm(self):
-        return sum(abs(v) * (b1 - b0)
-                   for v, b0, b1 in zip(self.values, self.breakpoints, self.breakpoints[1:]))
+        return float(np.sum(np.abs(self.values) * np.diff(self.breakpoints)))
 
 
-def _curve_from_events(events):
-    """Build a StepCurve from (position, delta) events."""
-    deltas = {}
-    for pos, delta in events:
-        deltas[pos] = deltas.get(pos, 0) + delta
-    breaks = sorted(p for p, d in deltas.items() if d != 0)
-    if not breaks:
-        return StepCurve((), ())
-    values = []
-    level = 0
-    for p in breaks[:-1]:
-        level += deltas[p]
-        values.append(level)
-    # Trim zero-valued spans at either end left by cancelling events.
-    while values and values[0] == 0:
-        breaks.pop(0)
-        values.pop(0)
-    while values and values[-1] == 0:
-        breaks.pop()
-        values.pop()
-    if not values:
-        return StepCurve((), ())
-    return StepCurve(tuple(breaks), tuple(values))
+def _curve_from_events(positions, deltas):
+    """The step curve that jumps by ``deltas[i]`` at ``positions[i]``; the
+    deltas sum to zero, so the curve returns to zero after its last jump."""
+    ts, slot = np.unique(np.asarray(positions, dtype=float), return_inverse=True)
+    jumps = np.zeros(len(ts), dtype=np.int64)
+    np.add.at(jumps, slot, deltas)
+    nonzero = jumps != 0
+    return StepCurve(ts[nonzero], np.cumsum(jumps[nonzero])[:-1])
 
 
 def betti_curve(d: PersistenceDiagram, degree: int) -> StepCurve:
     """Number of degree-``degree`` bars containing each point."""
-    events = []
-    for b, death, k in d.points:
-        if k == degree:
-            events.append((b, 1))
-            events.append((death, -1))
-    return _curve_from_events(events)
+    bars = np.array([(b, death) for b, death, k in d.points if k == degree]).reshape(-1, 2)
+    return _curve_from_events(bars.ravel(), np.tile([1, -1], len(bars)))
 
 
 def euler_curve(curves) -> StepCurve:
     """Alternating sum of Betti curves, merged on the union of breakpoints."""
-    events = []
+    positions, deltas = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for k, curve in enumerate(curves):
-        sign = -1 if k % 2 else 1
-        prev = 0
-        for b, v in zip(curve.breakpoints, list(curve.values) + [0]):
-            events.append((b, sign * (v - prev)))
-            prev = v
-    return _curve_from_events(events)
+        if len(curve.breakpoints):
+            positions.append(curve.breakpoints)
+            deltas.append((-1) ** k * np.diff(curve.values, prepend=0, append=0))
+    return _curve_from_events(np.concatenate(positions), np.concatenate(deltas))
 
 
 def simplex_count_curve(cx: FilteredComplex, dim: int) -> StepCurve:
@@ -195,16 +165,8 @@ def simplex_count_curve(cx: FilteredComplex, dim: int) -> StepCurve:
     The count never returns to zero on its own, so the support is closed by a
     terminal breakpoint one unit past the last jump.
     """
-    deltas = {}
-    for c in cx.cells:
-        if c.dim == dim:
-            deltas[c.value] = deltas.get(c.value, 0) + 1
-    if not deltas:
+    times = np.array([c.value for c in cx.cells if c.dim == dim], dtype=float)
+    if not len(times):
         return StepCurve((), ())
-    breaks = sorted(deltas)
-    values = []
-    total = 0
-    for p in breaks:
-        total += deltas[p]
-        values.append(total)
-    return StepCurve(tuple(breaks) + (breaks[-1] + 1.0,), tuple(values))
+    return _curve_from_events(np.append(times, times.max() + 1.0),
+                              np.append(np.ones(len(times), dtype=np.int64), -len(times)))

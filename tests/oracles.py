@@ -119,3 +119,22 @@ def sup_landscape_distance(d1, d2, p):
                                         + 4 * abs(diff((a + b) / 2)[k]) ** p
                                         + abs(diff(b)[k]) ** p)
     return total ** (1.0 / p)
+
+
+def bar_count_distance(d1, d2, p, degree=None):
+    """L^p distance between the degree-``degree`` Betti curves of two
+    diagrams or, with no degree, their Euler curves.
+
+    On each interval between sorted bar ends the same bars are alive
+    (birth <= t < death); each counts 1, or (-1)^degree for the Euler curve.
+    """
+    ends = sorted({x for d in (d1, d2) for b, e, _ in d.points for x in (b, e)})
+
+    def count(d, t):
+        return sum(1 if degree is not None else (-1) ** k
+                   for b, e, k in d.points if b <= t < e and degree in (None, k))
+
+    total = 0.0
+    for t0, t1 in zip(ends, ends[1:]):
+        total += abs(count(d1, t0) - count(d2, t0)) ** p * (t1 - t0)
+    return total ** (1.0 / p)

@@ -20,8 +20,6 @@ from topocorr.experiment import (
 from topocorr.complexes import build_flag_complex
 from topocorr.metrics import (
     DistanceMatrix,
-    bottleneck,
-    landscape_distance,
     pairwise_matrix,
     parse_metric_spec,
     wasserstein,
@@ -47,26 +45,13 @@ from tests.oracles import brute_wasserstein, sup_landscape_value
 
 
 def diagram_matrix(diagrams, p):
-    n = len(diagrams)
-    entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p == math.inf:
-                d = bottleneck(diagrams[i], diagrams[j])
-            else:
-                d = wasserstein(diagrams[i], diagrams[j], p)
-            entries[i, j] = entries[j, i] = d
-    return DistanceMatrix(n, entries, f"p={p}")
+    spec = "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
+    return pairwise_matrix(diagrams, parse_metric_spec(spec))
 
 
 def landscape_matrix(diagrams, p):
-    lans = [landscape_from_diagram(d) for d in diagrams]
-    n = len(lans)
-    entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            entries[i, j] = entries[j, i] = landscape_distance(lans[i], lans[j], p)
-    return DistanceMatrix(n, entries, f"landscape p={p}")
+    return pairwise_matrix([landscape_from_diagram(d) for d in diagrams],
+                           parse_metric_spec(f"landscape:p={p!r}"))
 
 
 def test_criterion_01_small_p_counterexample():

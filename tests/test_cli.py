@@ -88,6 +88,11 @@ class TestPipelineCommands:
         assert (out / "tri.csv").exists()
         assert (out / "chunks.csv").exists()
 
+    def test_dem_landscape_metric(self, tmp_path):
+        # Some chunk pairs have landscape segments ending near zero.
+        assert run("dem", "--size", "65", "--metric", "landscape:p=1",
+                   "--out", str(tmp_path / "dem")) == 0
+
     def test_dem_from_file(self, tmp_path):
         grid = tmp_path / "grid.txt"
         rng = np.random.default_rng(3)

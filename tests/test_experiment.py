@@ -109,7 +109,9 @@ class TestRunExperiment:
         cx = build_complex("er", generate(ModelSpec("er", 10, seed=4), 0), 3)
         bundle = compute_bundle(cx, 1, (parse_metric_spec("euler:p=1"),), 3)
         diagram = bundle["full_diagram"]
-        assert bundle["euler"] == euler_curve([betti_curve(diagram, k) for k in range(4)])
+        expected = euler_curve([betti_curve(diagram, k) for k in range(4)])
+        assert np.array_equal(bundle["euler"].breakpoints, expected.breakpoints)
+        assert np.array_equal(bundle["euler"].values, expected.values)
 
     def test_idempotent(self, tmp_path):
         run_experiment(small_config(tmp_path / "a"))

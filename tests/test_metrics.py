@@ -137,6 +137,14 @@ class TestLandscapeDistance:
             assert got == pytest.approx(sup_landscape_distance(d1, d2, p), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_segment_end_below_rounding_of_the_other(self, p):
+        # After the short tent ends, the difference runs from 2e-17 up to 1:
+        # the lower end is below the rounding of the upper one.
+        d1, d2 = diagram((0, 2)), diagram((0, 2e-17))
+        got = landscape_distance(landscape_from_diagram(d1), landscape_from_diagram(d2), p)
+        assert got == pytest.approx(sup_landscape_distance(d1, d2, p), rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_matches_sup_definition_on_er_pair(self, p):
         # Samples 0 and 37 of ER n=25: many nearly parallel level differences.
         metrics = (parse_metric_spec(f"landscape:p={p}"),)

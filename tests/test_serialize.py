@@ -3,7 +3,7 @@ import pytest
 
 from topocorr.errors import ParseError
 from topocorr.metrics import DistanceMatrix
-from topocorr.persistence import PersistenceDiagram
+from topocorr.persistence import PersistenceDiagram, compute_persistence, diagram_betti_count
 from topocorr.serialize import (
     curve_to_csv,
     diagram_from_csv,
@@ -13,12 +13,25 @@ from topocorr.serialize import (
     matrix_to_csv,
 )
 from topocorr.summaries import StepCurve, landscape_from_diagram
+from tests.test_persistence import four_cycle
 
 
 class TestDiagramCsv:
     def test_roundtrip(self):
         d = PersistenceDiagram(((0.0, 1.5, 0), (0.25, 2.0, 1)))
         assert diagram_from_csv(diagram_to_csv(d)).points == d.points
+
+    def test_roundtrip_keeps_essential_bars(self):
+        d = compute_persistence(four_cycle())
+        back = diagram_from_csv(diagram_to_csv(d))
+        assert back.essential == d.essential
+        assert diagram_betti_count(back, d.cap, d.cap, 0) == \
+            diagram_betti_count(d, d.cap, d.cap, 0) == 1
+
+    def test_reads_three_column_files(self):
+        d = diagram_from_csv("degree,birth,death\n1,0.5,2.0\n0,0.0,1.0\n")
+        assert d.points == ((0.0, 1.0, 0), (0.5, 2.0, 1))
+        assert d.essential == (False, False) and d.cap is None
 
     def test_malformed_row(self):
         with pytest.raises(ParseError):
@@ -28,6 +41,11 @@ class TestDiagramCsv:
     def test_rejects_non_finite(self, row):
         with pytest.raises(ParseError):
             diagram_from_csv(f"degree,birth,death\n{row}\n")
+
+    @pytest.mark.parametrize("flag", ["2", "yes", ""])
+    def test_rejects_bad_essential_flag(self, flag):
+        with pytest.raises(ParseError):
+            diagram_from_csv(f"degree,birth,death,essential\n1,0.0,1.0,{flag}\n")
 
 
 class TestLandscapeText:
