@@ -13,14 +13,13 @@ import click
 
 from topocorr.complexes import FilteredComplex
 from topocorr.dcor import permutation_test, sample_dcor
-from topocorr.dem import load_grid
+from topocorr.dem import load_grid, synth_terrain
 from topocorr.errors import ConfigurationError, NumericalFailure, ParseError
 from topocorr.experiment import (
     build_complex,
     dem_from_grid,
     format_negtype_report,
     load_config,
-    run_dem_pipeline,
     run_experiment,
     run_negtype_suite,
     run_parameter_correlation,
@@ -47,11 +46,17 @@ def _write(out, text):
         Path(out).write_text(text)
 
 
-def _read(path):
+def _parse(path, parse):
+    """``parse`` applied to a file's text; an unreadable or malformed file is
+    a configuration error."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except (ParseError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 @click.group()
@@ -62,12 +67,14 @@ def cli():
 @cli.command("generate")
 @click.option("--kind", type=click.Choice(ModelSpec.KINDS), required=True)
 @click.option("--n", type=int, required=True, help="Vertices or sample points.")
-@click.option("--gamma", type=float, default=None, help="Interpolation parameter.")
+@click.option("--gamma", type=click.FloatRange(0, 1), default=None,
+              help="Interpolation parameter.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--index", type=int, default=0, show_default=True,
               help="Sample index within the seeded batch.")
 @click.option("--max-dim", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--max-radius", type=float, default=1.0, show_default=True)
+@click.option("--max-radius", type=click.FloatRange(min=0, min_open=True), default=1.0,
+              show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def generate_cmd(kind, n, gamma, seed, index, max_dim, max_radius, out):
     """Sample a random model and emit its filtered complex as text."""
@@ -87,10 +94,7 @@ def generate_cmd(kind, n, gamma, seed, index, max_dim, max_radius, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def persist_cmd(complex_file, degree, out):
     """Compute the persistence diagram of a filtered complex file."""
-    try:
-        cx = FilteredComplex.from_text(_read(complex_file))
-    except (ParseError, ValueError) as exc:
-        raise ConfigurationError(f"{complex_file}: {exc}") from exc
+    cx = _parse(complex_file, FilteredComplex.from_text)
     degrees = None if degree is None else {degree}
     _write(out, diagram_to_csv(compute_persistence(cx, degrees=degrees)))
 
@@ -103,10 +107,7 @@ def persist_cmd(complex_file, degree, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def summarize_cmd(diagram_file, kind, degree, out):
     """Derive a landscape or Betti/Euler curve from a diagram CSV."""
-    try:
-        diagram = diagram_from_csv(_read(diagram_file))
-    except (ParseError, ValueError) as exc:
-        raise ConfigurationError(f"{diagram_file}: {exc}") from exc
+    diagram = _parse(diagram_file, diagram_from_csv)
     write = landscape_to_text if kind == "landscape" else curve_to_csv
     _write(out, write(summary_for(kind, diagram, degree)))
 
@@ -123,23 +124,11 @@ def distmat_cmd(diagram_files, metric, degree, out):
     spec = parse_metric_spec(metric)
     if spec.summary_kind == "count":
         raise ConfigurationError("count metrics need complexes; use the experiment command")
-    diagrams = []
-    for path in diagram_files:
-        try:
-            diagrams.append(diagram_from_csv(_read(path)))
-        except (ParseError, ValueError) as exc:
-            raise ConfigurationError(f"{path}: {exc}") from exc
+    diagrams = [_parse(path, diagram_from_csv) for path in diagram_files]
     if len(diagrams) < 2:
         raise ConfigurationError("need at least 2 diagram files")
     samples = [summary_for(spec.summary_kind, d, degree) for d in diagrams]
     _write(out, matrix_to_csv(pairwise_matrix(samples, spec)))
-
-
-def _load_matrix(path):
-    try:
-        return matrix_from_csv(_read(path))
-    except (ParseError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 @cli.command("dcor")
@@ -148,7 +137,7 @@ def _load_matrix(path):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def dcor_cmd(matrix_x, matrix_y, out):
     """Distance-correlation report between two distance matrices."""
-    dx, dy = _load_matrix(matrix_x), _load_matrix(matrix_y)
+    dx, dy = _parse(matrix_x, matrix_from_csv), _parse(matrix_y, matrix_from_csv)
     if dx.n != dy.n:
         raise ConfigurationError("matrices must have the same sample count")
     _write(out, sample_dcor(dx, dy).to_text())
@@ -164,7 +153,7 @@ def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
     """Permutation p-value for independence of two distance matrices."""
     if permutations < 1:
         raise ConfigurationError("permutations must be >= 1")
-    dx, dy = _load_matrix(matrix_x), _load_matrix(matrix_y)
+    dx, dy = _parse(matrix_x, matrix_from_csv), _parse(matrix_y, matrix_from_csv)
     if dx.n != dy.n:
         raise ConfigurationError("matrices must have the same sample count")
     p = permutation_test(dx, dy, permutations, seed)
@@ -181,7 +170,7 @@ def negtype_cmd(matrix_file, tol, out):
     if matrix_file is None:
         _write(out, format_negtype_report(run_negtype_suite()))
         return
-    verdict = negtype_check(_load_matrix(matrix_file), tol=tol)
+    verdict = negtype_check(_parse(matrix_file, matrix_from_csv), tol=tol)
     if verdict.negative_type:
         _write(out, "negative_type\n")
     else:
@@ -194,12 +183,14 @@ def negtype_cmd(matrix_file, tol, out):
               default=None, help="Elevation grid file; omit to synthesize terrain.")
 @click.option("--size", type=int, default=65, show_default=True,
               help="Synthetic terrain side (2^k + 1).")
-@click.option("--roughness", type=float, default=0.6, show_default=True)
+@click.option("--roughness", type=click.FloatRange(0, 1, min_open=True), default=0.6,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--chunk-size", type=int, default=16, show_default=True)
-@click.option("--stride", type=int, default=8, show_default=True)
-@click.option("--max-chunks", type=int, default=None)
-@click.option("--resolution", type=float, default=10.0, show_default=True)
+@click.option("--chunk-size", type=click.IntRange(min=1), default=16, show_default=True)
+@click.option("--stride", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--max-chunks", type=click.IntRange(min=1), default=None)
+@click.option("--resolution", type=click.FloatRange(min=0, min_open=True), default=10.0,
+              show_default=True)
 @click.option("--metric", "metric_names", multiple=True,
               help="Metric spec (repeatable); default wasserstein:p=2.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
@@ -208,16 +199,14 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
     """Chunked elevation-grid pipeline: cubical persistence vs ruggedness."""
     metrics = [parse_metric_spec(m) for m in (metric_names or ("wasserstein:p=2",))]
     if input_path is None:
-        result = run_dem_pipeline(size, roughness, seed, chunk_size, stride,
-                                  metrics, out=Path(out), resolution=resolution,
-                                  max_chunks=max_chunks)
+        grid = synth_terrain(size, roughness, seed)
     else:
         try:
             grid = load_grid(Path(input_path))
         except (ParseError, ValueError) as exc:
             raise ConfigurationError(f"{input_path}: {exc}") from exc
-        result = dem_from_grid(grid, chunk_size, stride, metrics, out=Path(out),
-                               resolution=resolution, max_chunks=max_chunks)
+    result = dem_from_grid(grid, chunk_size, stride, metrics, out=Path(out),
+                           resolution=resolution, max_chunks=max_chunks)
     for label, dcor_tri, dcor_geo in result["rows"]:
         click.echo(f"{label} dCor_tri={dcor_tri:.6f} dCor_geodesic={dcor_geo:.6f}")
 

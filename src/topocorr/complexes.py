@@ -2,13 +2,15 @@
 
 All builders produce a :class:`FilteredComplex` whose cells are totally
 ordered by (filtration value, dimension, construction key), so faces always
-precede cofaces and the order is deterministic for a given input.
+precede cofaces and the order is deterministic for a given input.  A
+construction key is encoded as one integer per cell: the base-n digits of a
+vertex tuple, or ``r * 2 * (cols + 2) + 2 * c + orientation`` for the grid
+cell at lattice position (r, c).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,48 +97,56 @@ class HeightGrid:
         return cls(v.shape[0], v.shape[1], v)
 
 
-@dataclass(frozen=True)
-class Cell:
-    dim: int
-    value: float
-    faces: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Totally ordered list of cells; every face appears before its cofaces."""
+    """Totally ordered cells; every face appears before its cofaces.
 
-    cells: tuple[Cell, ...]
+    Cell i has dimension ``dims[i]`` and enters at ``values[i]``; its faces
+    are the order indices ``indices[indptr[i]:indptr[i + 1]]`` (a CSR
+    boundary matrix, faces ascending).
+    """
+
+    dims: np.ndarray
+    values: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("dims", np.int64), ("values", float),
+                            ("indptr", np.int64), ("indices", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len(self.indptr) != len(self.dims) + 1 or len(self.values) != len(self.dims):
+            raise ValueError("dims, values and indptr lengths disagree")
 
     def __len__(self):
-        return len(self.cells)
+        return len(self.dims)
 
     @property
     def max_value(self):
-        return max((c.value for c in self.cells), default=0.0)
+        return max(self.values.tolist(), default=0.0)
 
     def validate(self):
         """Check face-before-coface ordering and filtration monotonicity."""
-        prev = None
-        for i, cell in enumerate(self.cells):
-            for f in cell.faces:
+        dims, values = self.dims.tolist(), self.values.tolist()
+        ptr, faces = self.indptr.tolist(), self.indices.tolist()
+        for i in range(len(dims)):
+            for f in faces[ptr[i]:ptr[i + 1]]:
                 if not 0 <= f < i:
                     raise ValueError(f"cell {i}: face {f} does not precede it")
-                face = self.cells[f]
-                if face.dim != cell.dim - 1:
+                if dims[f] != dims[i] - 1:
                     raise ValueError(f"cell {i}: face {f} has wrong dimension")
-                if face.value > cell.value:
+                if values[f] > values[i]:
                     raise ValueError(f"cell {i}: face {f} enters later")
-            if prev is not None and (cell.value, cell.dim) < prev:
+            if i and (values[i], dims[i]) < (values[i - 1], dims[i - 1]):
                 raise ValueError(f"cell {i}: ordering violated")
-            prev = (cell.value, cell.dim)
         return self
 
     def to_text(self):
         """One line per cell: ``dim value face_id*`` (ids are order indices)."""
+        ptr, faces = self.indptr.tolist(), self.indices.tolist()
         lines = []
-        for cell in self.cells:
-            parts = [str(cell.dim), repr(cell.value)] + [str(f) for f in cell.faces]
+        for i, (dim, value) in enumerate(zip(self.dims.tolist(), self.values.tolist())):
+            parts = [str(dim), repr(value)] + [str(f) for f in faces[ptr[i]:ptr[i + 1]]]
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
 
@@ -144,7 +154,7 @@ class FilteredComplex:
     def from_text(cls, text):
         from topocorr.errors import ParseError
 
-        cells = []
+        dims, values, indptr, indices = [], [], [0], []
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -153,29 +163,76 @@ class FilteredComplex:
             if len(parts) < 2:
                 raise ParseError("expected 'dim value face_id*'", line=ln)
             try:
-                dim = int(parts[0])
-                value = float(parts[1])
-                faces = tuple(int(p) for p in parts[2:])
+                dims.append(int(parts[0]))
+                values.append(float(parts[1]))
+                indices.extend(int(p) for p in parts[2:])
             except ValueError:
                 raise ParseError("malformed cell line", line=ln) from None
-            cells.append(Cell(dim, value, faces))
-        return cls(tuple(cells)).validate()
+            indptr.append(len(indices))
+        try:
+            cx = cls(dims, values, indptr, indices)
+        except OverflowError:
+            raise ParseError("cell dimension or face id out of range") from None
+        return cx.validate()
 
 
-def _assemble(entries):
-    """Order ``(key, dim, value, face_keys)`` entries and resolve face ids.
+def _assemble(levels):
+    """One filtration from per-dimension ``(codes, values, face_codes)``.
 
-    Ties are broken by dimension and then by the construction key, giving a
-    deterministic total order for any permissible input.
+    Level k lists the k-cells: ``codes`` order them as their construction
+    keys do, and row i of ``face_codes`` names the faces of cell i by their
+    codes among the (k-1)-cells (None for the vertices).  Cells are ordered
+    by (value, dim, code).
     """
-    entries = sorted(entries, key=lambda e: (e[2], e[1], e[0]))
-    index = {}
-    cells = []
-    for key, dim, value, face_keys in entries:
-        faces = tuple(sorted(index[fk] for fk in face_keys))
-        index[key] = len(cells)
-        cells.append(Cell(dim, float(value), faces))
-    return FilteredComplex(tuple(cells))
+    codes, values, face_codes = zip(*levels)
+    sizes = [len(c) for c in codes]
+    starts = np.cumsum([0] + sizes)
+    dims = np.repeat(np.arange(len(levels)), sizes)
+    values = np.concatenate(values)
+    order = np.lexsort((np.concatenate(codes), dims, values))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    widths = np.array([0] + [faces.shape[1] for faces in face_codes[1:]])
+    indptr = np.concatenate(([0], np.cumsum(widths[dims[order]])))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for k in range(1, len(levels)):
+        sorter = np.argsort(codes[k - 1])
+        local = sorter[np.searchsorted(codes[k - 1], face_codes[k], sorter=sorter)]
+        slots = indptr[rank[starts[k]:starts[k + 1]], None] + np.arange(widths[k])
+        indices[slots] = np.sort(rank[starts[k - 1] + local], axis=1)
+    return FilteredComplex(dims[order], values[order], indptr, indices)
+
+
+def _clique_complex(weights, present, max_dim):
+    """Cliques of up to ``max_dim + 1`` vertices of the digraph ``present``.
+
+    A clique is a vertex tuple with an edge from each vertex to every later
+    one; it enters at the largest weight of those edges (vertices at 0).
+    Cliques grow by appending a vertex that every member has an edge to, so
+    an upper-triangular ``present`` yields the increasing tuples of a flag
+    complex and a full one the ordered tuples of a directed flag complex.
+    """
+    if max_dim < 1:
+        raise ValueError("max_dim must be >= 1")
+    n = len(weights)
+    if n ** (max_dim + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"{n} vertices at max_dim {max_dim} overflow the simplex codes")
+    cliques = np.arange(n)[:, None]
+    values = np.zeros(n)
+    common = present  # common[i, v]: every member of clique i has an edge to v
+    levels = [(cliques[:, 0], values, None)]
+    for k in range(1, max_dim + 1):
+        rows, new = np.nonzero(common)
+        if not len(rows):
+            break
+        values = np.maximum(values[rows], weights[cliques[rows], new[:, None]].max(axis=1))
+        common = common[rows] & present[new]
+        cliques = np.column_stack((cliques[rows], new))
+        place = n ** np.arange(k, -1, -1)
+        face_codes = np.column_stack([np.delete(cliques, i, axis=1) @ place[1:]
+                                      for i in range(k + 1)])
+        levels.append((cliques @ place, values, face_codes))
+    return _assemble(levels)
 
 
 def build_flag_complex(g: WeightedGraph, max_dim: int) -> FilteredComplex:
@@ -184,16 +241,7 @@ def build_flag_complex(g: WeightedGraph, max_dim: int) -> FilteredComplex:
     Vertices enter at 0; each k-clique (k <= max_dim+1) enters at the maximum
     of its edge weights.
     """
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
-    w = g.weights
-    entries = [((v,), 0, 0.0, ()) for v in range(g.n)]
-    for k in range(1, max_dim + 1):
-        for combo in itertools.combinations(range(g.n), k + 1):
-            value = max(w[a, b] for a, b in itertools.combinations(combo, 2))
-            face_keys = [combo[:i] + combo[i + 1:] for i in range(len(combo))]
-            entries.append((combo, k, value, face_keys))
-    return _assemble(entries)
+    return _clique_complex(g.weights, np.triu(np.ones((g.n, g.n), dtype=bool), 1), max_dim)
 
 
 def build_directed_flag_complex(g: DirectedWeightedGraph, max_dim: int) -> FilteredComplex:
@@ -202,26 +250,7 @@ def build_directed_flag_complex(g: DirectedWeightedGraph, max_dim: int) -> Filte
     Reciprocal edge pairs yield two distinct 1-simplices; a simplex enters at
     the maximum of its constituent edge weights.
     """
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
-    w, present = g.weights, g.present
-    # Grow ordered cliques one terminal vertex at a time.
-    frontier = [((v,), 0.0) for v in range(g.n)]
-    entries = [((v,), 0, 0.0, ()) for v in range(g.n)]
-    for k in range(1, max_dim + 1):
-        nxt = []
-        for tup, value in frontier:
-            for v in range(g.n):
-                if v in tup:
-                    continue
-                if all(present[u, v] for u in tup):
-                    new_value = max(value, max(w[u, v] for u in tup))
-                    new = tup + (v,)
-                    face_keys = [new[:i] + new[i + 1:] for i in range(len(new))]
-                    entries.append((new, k, new_value, face_keys))
-                    nxt.append((new, new_value))
-        frontier = nxt
-    return _assemble(entries)
+    return _clique_complex(g.weights, g.present, max_dim)
 
 
 def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredComplex:
@@ -233,63 +262,32 @@ def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredCompl
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty list of vectors")
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
     if max_radius <= 0:
         raise ValueError("max_radius must be positive")
-    n = pts.shape[0]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
-
-    entries = [((v,), 0, 0.0, ()) for v in range(n)]
-    neighbors = [set(np.nonzero(dist[v] <= max_radius)[0]) - {v} for v in range(n)]
-    simplices = [[(v,) for v in range(n)]]
-    for k in range(1, max_dim + 1):
-        level = []
-        for tup in simplices[k - 1]:
-            common = set.intersection(*(neighbors[u] for u in tup)) if k > 1 else neighbors[tup[0]]
-            for v in sorted(common):
-                if v > tup[-1]:
-                    new = tup + (v,)
-                    value = max(dist[a, b] for a, b in itertools.combinations(new, 2))
-                    face_keys = [new[:i] + new[i + 1:] for i in range(len(new))]
-                    entries.append((new, k, value, face_keys))
-                    level.append(new)
-        simplices.append(level)
-    return _assemble(entries)
+    return _clique_complex(dist, np.triu(dist <= max_radius, 1), max_dim)
 
 
 def build_cubical_complex(grid: HeightGrid) -> FilteredComplex:
     """Top-cell cubical complex of a height grid.
 
     One 2-cell per grid entry at that height; every edge and vertex inherits
-    the minimum over its incident 2-cells.
+    the minimum over its incident 2-cells.  On the doubled lattice, where
+    entry (r, c) is the square at (2r+1, 2c+1), the cell at (i, j) has
+    dimension i % 2 + j % 2, its faces are its neighbours along its odd
+    axes, and its key is (i // 2, j // 2, 1 if only i is odd else 0).
     """
-    rows, cols, v = grid.rows, grid.cols, grid.values
-
-    def squares_at_vertex(r, c):
-        return [v[rr, cc] for rr in (r - 1, r) for cc in (c - 1, c)
-                if 0 <= rr < rows and 0 <= cc < cols]
-
-    entries = []
-    # Vertices live on the (rows+1) x (cols+1) lattice.
-    for r in range(rows + 1):
-        for c in range(cols + 1):
-            entries.append(((0, r, c, 0), 0, min(squares_at_vertex(r, c)), ()))
-    # Horizontal edges: (r, c)-(r, c+1); vertical edges: (r, c)-(r+1, c).
-    for r in range(rows + 1):
-        for c in range(cols):
-            incident = [v[rr, c] for rr in (r - 1, r) if 0 <= rr < rows]
-            entries.append(((1, r, c, 0), 1, min(incident),
-                            [(0, r, c, 0), (0, r, c + 1, 0)]))
-    for r in range(rows):
-        for c in range(cols + 1):
-            incident = [v[r, cc] for cc in (c - 1, c) if 0 <= cc < cols]
-            entries.append(((1, r, c, 1), 1, min(incident),
-                            [(0, r, c, 0), (0, r + 1, c, 0)]))
-    for r in range(rows):
-        for c in range(cols):
-            entries.append(((2, r, c, 0), 2, v[r, c],
-                            [(1, r, c, 0), (1, r + 1, c, 0),
-                             (1, r, c, 1), (1, r, c + 1, 1)]))
-    return _assemble(entries)
+    size = (2 * grid.rows + 1, 2 * grid.cols + 1)
+    squares = np.full((size[0] + 2, size[1] + 2), np.inf)
+    squares[2:-2:2, 2:-2:2] = grid.values
+    lowest = np.min([squares[a:a + size[0], b:b + size[1]]
+                     for a in range(3) for b in range(3)], axis=0)
+    i, j = np.indices(size)
+    codes = i // 2 * 2 * (grid.cols + 2) + j // 2 * 2 + i % 2 * (1 - j % 2)
+    levels = []
+    for k, steps in enumerate(([], [(-1, -1), (1, 1)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
+        ii, jj = np.nonzero(i % 2 + j % 2 == k)
+        faces = [codes[ii + a * (ii % 2), jj + b * (jj % 2)] for a, b in steps]
+        levels.append((codes[ii, jj], lowest[ii, jj], np.column_stack(faces) if faces else None))
+    return _assemble(levels)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from topocorr.complexes import HeightGrid
-from topocorr.errors import ParseError
+from topocorr.errors import ConfigurationError, ParseError
 from topocorr.models import _rng, derive_seed
 
 
@@ -22,9 +22,9 @@ class ChunkSpec:
 
     def __post_init__(self):
         if not 1 <= self.stride <= self.chunk_size:
-            raise ValueError("need 1 <= stride <= chunk_size")
+            raise ConfigurationError("need 1 <= stride <= chunk_size")
         if self.max_chunks is not None and self.max_chunks < 1:
-            raise ValueError("max_chunks must be positive when set")
+            raise ConfigurationError("max_chunks must be positive when set")
 
 
 def load_grid(source) -> HeightGrid:
@@ -103,7 +103,7 @@ def chunk_grid(g: HeightGrid, spec: ChunkSpec):
     """Row-major sliding blocks; returns (HeightGrid, (center_row, center_col)) pairs."""
     s, t = spec.chunk_size, spec.stride
     if s > min(g.rows, g.cols):
-        raise ValueError("chunk_size exceeds grid extent")
+        raise ConfigurationError("chunk_size exceeds grid extent")
     chunks = []
     for r0 in range(0, g.rows - s + 1, t):
         for c0 in range(0, g.cols - s + 1, t):
@@ -145,9 +145,9 @@ def chunk_center_distance(c1, c2, resolution: float) -> float:
 def synth_terrain(size: int, roughness: float, seed: int) -> HeightGrid:
     """Diamond-square fractal terrain on a (2^k + 1) grid, deterministic per seed."""
     if size < 3 or (size - 1) & (size - 2) != 0:
-        raise ValueError("size must be 2^k + 1 for some k >= 1")
+        raise ConfigurationError("size must be 2^k + 1 for some k >= 1")
     if not 0.0 < roughness <= 1.0:
-        raise ValueError("roughness must lie in (0, 1]")
+        raise ConfigurationError("roughness must lie in (0, 1]")
     rng = _rng(derive_seed(seed, 0))
     grid = np.zeros((size, size))
     for corner in ((0, 0), (0, -1), (-1, 0), (-1, -1)):

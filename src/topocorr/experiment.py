@@ -70,10 +70,20 @@ class RunConfig:
             raise ConfigurationError("repetitions must be >= 2")
         if not self.metrics:
             raise ConfigurationError("at least one metric spec required")
-        if self.degree < 0:
-            raise ConfigurationError("degree must be >= 0")
+        if self.max_dim < 1:
+            raise ConfigurationError("max_dim must be >= 1")
+        if self.max_radius <= 0:
+            raise ConfigurationError("max_radius must be positive")
+        if not 0 <= self.degree <= self.max_dim:
+            raise ConfigurationError(f"degree must lie in [0, max_dim = {self.max_dim}]")
+        for m in self.metrics:
+            if m.cell_dim is not None and m.cell_dim > self.max_dim:
+                raise ConfigurationError(
+                    f"{m.label} counts {m.cell_dim}-cells, above max_dim = {self.max_dim}")
         if self.sweep is not None and len(self.sweep) < 2:
             raise ConfigurationError("a sweep needs at least 2 gamma values")
+        if self.sweep is not None and not all(0.0 <= g <= 1.0 for g in self.sweep):
+            raise ConfigurationError("sweep gamma values must lie in [0, 1]")
 
 
 def load_config(path, seed=None, out=None) -> RunConfig:

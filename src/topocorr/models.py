@@ -47,6 +47,8 @@ class ModelSpec:
             raise ValueError("n must be >= 2")
         if (self.kind == "interpolated") != (self.gamma is not None):
             raise ValueError("gamma must be present exactly for the interpolated model")
+        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
 
 
 def gen_er(n: int, seed: int):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from topocorr.complexes import FilteredComplex
 
 
@@ -56,24 +58,30 @@ class PersistenceDiagram:
         return [(b, d) for b, d, _ in self.points]
 
 
+def _columns(cx: FilteredComplex):
+    """The boundary matrix column by column, each as a bitmask integer."""
+    ptr, faces = cx.indptr.tolist(), cx.indices.tolist()
+    for j in range(len(cx)):
+        col = 0
+        for f in faces[ptr[j]:ptr[j + 1]]:
+            col ^= 1 << f
+        yield col
+
+
 def _reduce_columns(cx: FilteredComplex):
     """Standard column reduction; returns (pairs, unpaired creator indices)."""
-    m = len(cx.cells)
-    reduced = [0] * m
+    reduced = []
     low_owner = {}
     pairs = []
     creators = set()
-    for j in range(m):
-        col = 0
-        for f in cx.cells[j].faces:
-            col ^= 1 << f
+    for j, col in enumerate(_columns(cx)):
         while col:
             low = col.bit_length() - 1
             owner = low_owner.get(low)
             if owner is None:
                 break
             col ^= reduced[owner]
-        reduced[j] = col
+        reduced.append(col)
         if col:
             low = col.bit_length() - 1
             low_owner[low] = j
@@ -97,24 +105,22 @@ def compute_persistence(cx: FilteredComplex, degrees=None, cap=None) -> Persiste
     elif cap < max_value:
         raise ValueError(f"cap {cap} below maximum filtration value {max_value}")
     pairs, creators = _reduce_columns(cx)
+    values, dims = cx.values.tolist(), cx.dims.tolist()
     points = []
     flags = []
     for i, j in pairs:
-        birth, death = cx.cells[i].value, cx.cells[j].value
+        birth, death = values[i], values[j]
         if birth < death:
-            points.append((birth, death, cx.cells[i].dim))
+            points.append((birth, death, dims[i]))
             flags.append(False)
     for i in sorted(creators):
-        birth = cx.cells[i].value
+        birth = values[i]
         if birth < cap:
-            points.append((birth, cap, cx.cells[i].dim))
+            points.append((birth, cap, dims[i]))
             flags.append(True)
-    if degrees is not None:
-        degrees = set(degrees)
-        kept = [(p, f) for p, f in zip(points, flags) if p[2] in degrees]
-        points = [p for p, _ in kept]
-        flags = [f for _, f in kept]
-    order = sorted(range(len(points)), key=lambda i: (points[i][2], points[i][0], points[i][1]))
+    degrees = None if degrees is None else set(degrees)
+    kept = [i for i, p in enumerate(points) if degrees is None or p[2] in degrees]
+    order = sorted(kept, key=lambda i: (points[i][2], points[i][0], points[i][1]))
     return PersistenceDiagram(
         tuple(points[i] for i in order),
         cap=cap,
@@ -147,25 +153,18 @@ def persistent_betti(cx: FilteredComplex, a: float, b: float, k: int) -> int:
         raise ValueError("need a <= b")
     if k < 0:
         raise ValueError("degree must be non-negative")
-    cells = cx.cells
-
-    def column(j):
-        col = 0
-        for f in cells[j].faces:
-            col ^= 1 << f
-        return col
-
-    k_cells_a = [j for j, c in enumerate(cells) if c.dim == k and c.value <= a]
-    rank_da = _rank([column(j) for j in k_cells_a])
+    columns = list(_columns(cx))
+    dims, values = cx.dims, cx.values
+    k_cells_a = np.flatnonzero((dims == k) & (values <= a)).tolist()
+    rank_da = _rank([columns[j] for j in k_cells_a])
     z = len(k_cells_a) - rank_da
 
-    cols_b = [column(j) for j, c in enumerate(cells) if c.dim == k + 1 and c.value <= b]
+    cols_b = [columns[j] for j in np.flatnonzero((dims == k + 1) & (values <= b)).tolist()]
     # Boundaries landing inside K_a are exactly the kernel of the projection
     # onto rows outside K_a, so dim(B ∩ C_k(K_a)) = rank(D) - rank(proj D).
     mask_outside = 0
-    for j, c in enumerate(cells):
-        if c.dim == k and c.value > a:
-            mask_outside |= 1 << j
+    for j in np.flatnonzero((dims == k) & (values > a)).tolist():
+        mask_outside |= 1 << j
     rank_full = _rank(cols_b)
     rank_proj = _rank([col & mask_outside for col in cols_b])
     return z - (rank_full - rank_proj)

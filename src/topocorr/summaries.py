@@ -165,7 +165,7 @@ def simplex_count_curve(cx: FilteredComplex, dim: int) -> StepCurve:
     The count never returns to zero on its own, so the support is closed by a
     terminal breakpoint one unit past the last jump.
     """
-    times = np.array([c.value for c in cx.cells if c.dim == dim], dtype=float)
+    times = cx.values[cx.dims == dim]
     if not len(times):
         return StepCurve((), ())
     return _curve_from_events(np.append(times, times.max() + 1.0),

@@ -5,6 +5,7 @@ paths with the package implementations they check.
 """
 
 import functools
+import itertools
 import math
 
 
@@ -138,3 +139,62 @@ def bar_count_distance(d1, d2, p, degree=None):
     for t0, t1 in zip(ends, ends[1:]):
         total += abs(count(d1, t0) - count(d2, t0)) ** p * (t1 - t0)
     return total ** (1.0 / p)
+
+
+def _complex_text(cells):
+    """``FilteredComplex.to_text()`` of cells given as ``(key, dim, value,
+    face_keys)``: sorted by the tuple (value, dim, key), each face found
+    through a dict from keys to positions."""
+    cells = sorted(cells, key=lambda cell: (cell[2], cell[1], cell[0]))
+    index = {cell[0]: i for i, cell in enumerate(cells)}
+    lines = []
+    for _, dim, value, face_keys in cells:
+        faces = sorted(index[key] for key in face_keys)
+        lines.append(" ".join([str(dim), repr(float(value))] + [str(f) for f in faces]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_flag_text(weights, present, max_dim, ordered=False):
+    """Text of the flag complex of the edges ``present[a][b]``: every vertex
+    set of at most max_dim + 1 vertices with all pairs joined or, when
+    ``ordered``, every vertex tuple with an edge from each vertex to every
+    later one (the directed flag complex).  A simplex enters at the largest
+    weight of those edges, a vertex at 0."""
+    n = len(weights)
+    tuples = itertools.permutations if ordered else itertools.combinations
+    cells = []
+    for k in range(max_dim + 1):
+        for simplex in tuples(range(n), k + 1):
+            edges = list(itertools.combinations(simplex, 2))
+            if all(present[a][b] for a, b in edges):
+                value = max((weights[a][b] for a, b in edges), default=0.0)
+                faces = [simplex[:i] + simplex[i + 1:] for i in range(k + 1)] if k else []
+                cells.append((simplex, k, value, faces))
+    return _complex_text(cells)
+
+
+def reference_cubical_text(values):
+    """Text of the cubical complex of a height grid: a square per entry at
+    its height, every edge and vertex at the lowest incident square.  Keys
+    are (dim, r, c, orientation) on the vertex lattice; orientation 0 is
+    the edge (r, c)-(r, c+1), orientation 1 the edge (r, c)-(r+1, c)."""
+    rows, cols = len(values), len(values[0])
+
+    def lowest(squares):
+        return min(values[r][c] for r, c in squares if 0 <= r < rows and 0 <= c < cols)
+
+    cells = []
+    for r in range(rows + 1):
+        for c in range(cols + 1):
+            cells.append(((0, r, c, 0), 0,
+                          lowest([(r - 1, c - 1), (r - 1, c), (r, c - 1), (r, c)]), []))
+            if c < cols:
+                cells.append(((1, r, c, 0), 1, lowest([(r - 1, c), (r, c)]),
+                              [(0, r, c, 0), (0, r, c + 1, 0)]))
+            if r < rows:
+                cells.append(((1, r, c, 1), 1, lowest([(r, c - 1), (r, c)]),
+                              [(0, r, c, 0), (0, r + 1, c, 0)]))
+            if r < rows and c < cols:
+                cells.append(((2, r, c, 0), 2, values[r][c],
+                              [(1, r, c, 0), (1, r + 1, c, 0), (1, r, c, 1), (1, r, c + 1, 1)]))
+    return _complex_text(cells)

@@ -155,7 +155,7 @@ def test_criterion_05_persistent_betti_oracle():
         cx = build_flag_complex(gen_er(5, derive_seed(500, seed)), 2)
         assert len(cx) <= 30
         d = compute_persistence(cx)
-        values = sorted({c.value for c in cx.cells})
+        values = sorted(set(cx.values.tolist()))
         for k in (0, 1):
             for i, a in enumerate(values):
                 for b in values[i:]:

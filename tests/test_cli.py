@@ -166,9 +166,26 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
      ["distmat", "{a}", "{inf}", "--metric", "bottleneck"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "bottleneck", "--degree", "-1"]),
     ({}, ["summarize", "{a}", "--degree", "-1"]),
+    ({}, ["dem", "--size", "10", "--out", "dem"]),
+    ({}, ["dem", "--chunk-size", "0", "--out", "dem"]),
+    ({}, ["dem", "--resolution", "0", "--out", "dem"]),
+    ({}, ["dem", "--roughness", "2", "--out", "dem"]),
+    ({}, ["dem", "--max-chunks", "0", "--out", "dem"]),
+    ({}, ["dem", "--stride", "30", "--out", "dem"]),
+    ({}, ["dem", "--chunk-size", "100", "--out", "dem"]),
+    ({}, ["generate", "--kind", "torus", "--n", "5", "--max-radius", "0"]),
+    ({}, ["generate", "--kind", "interpolated", "--n", "5", "--gamma", "2"]),
+    ({"cfg": ER_CONFIG + "max_dim = 0\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG + "max_radius = -1\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG.replace("kind = er", "kind = interpolated\ngamma = 2")},
+     ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG + "\n[sweep]\ngamma = 0 2\n"}, ["experiment", "--config", "{cfg}"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
-        "negative-degree-summarize"])
+        "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
+        "dem-resolution-0", "dem-roughness-2", "dem-max-chunks-0", "dem-stride-above-chunk",
+        "dem-chunk-above-grid", "max-radius-0", "gamma-2", "max-dim-0-config",
+        "max-radius-negative-config", "gamma-2-config", "sweep-gamma-2"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

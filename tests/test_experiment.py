@@ -42,6 +42,13 @@ class TestRunConfig:
             RunConfig(model=ModelSpec("er", 8, seed=0), repetitions=3,
                       degree=-1, metrics=METRICS, out=None, seed=0)
 
+    @pytest.mark.parametrize("degree, metric", [(3, "bottleneck"), (1, "count7:p=1")])
+    def test_rejects_degree_or_cell_count_above_max_dim(self, degree, metric):
+        # Nothing lives above max_dim: such runs gave all-zero matrices.
+        with pytest.raises(ConfigurationError):
+            RunConfig(model=ModelSpec("er", 8, seed=0), repetitions=3, degree=degree,
+                      metrics=(parse_metric_spec(metric),), out=None, seed=0, max_dim=2)
+
     def test_rejects_single_gamma(self):
         with pytest.raises(ConfigurationError):
             RunConfig(model=ModelSpec("interpolated", 8, gamma=0.0, seed=0),

@@ -94,7 +94,7 @@ class TestPersistentBetti:
         for seed in range(8):
             cx = build_flag_complex(gen_er(5, 100 + seed), 2)
             d = compute_persistence(cx)
-            values = sorted({c.value for c in cx.cells})
+            values = sorted(set(cx.values.tolist()))
             for k in (0, 1):
                 for i, a in enumerate(values):
                     for b in values[i:]:
@@ -104,7 +104,7 @@ class TestPersistentBetti:
     def test_matches_diagram_on_rips(self):
         cx = build_rips_complex(sample_cube(7, 5), 2, 1.0)
         d = compute_persistence(cx)
-        values = sorted({c.value for c in cx.cells})
+        values = sorted(set(cx.values.tolist()))
         for k in (0, 1):
             for i, a in enumerate(values):
                 for b in values[i:]:
