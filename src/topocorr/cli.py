@@ -94,9 +94,8 @@ def generate_cmd(kind, n, gamma, seed, index, max_dim, max_radius, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def persist_cmd(complex_file, degree, out):
     """Compute the persistence diagram of a filtered complex file."""
-    cx = _parse(complex_file, FilteredComplex.from_text)
-    degrees = None if degree is None else {degree}
-    _write(out, diagram_to_csv(compute_persistence(cx, degrees=degrees)))
+    diagram = compute_persistence(_parse(complex_file, FilteredComplex.from_text))
+    _write(out, diagram_to_csv(diagram if degree is None else diagram.restrict(degree)))
 
 
 @cli.command("summarize")
@@ -163,7 +162,7 @@ def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
 @cli.command("negtype")
 @click.argument("matrix_file", required=False,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def negtype_cmd(matrix_file, tol, out):
     """Check a distance matrix for negative type, or run the fixture suite."""

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from topocorr.errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -216,7 +218,7 @@ def _clique_complex(weights, present, max_dim):
         raise ValueError("max_dim must be >= 1")
     n = len(weights)
     if n ** (max_dim + 1) > np.iinfo(np.int64).max:
-        raise ValueError(f"{n} vertices at max_dim {max_dim} overflow the simplex codes")
+        raise ConfigurationError(f"{n} vertices at max_dim {max_dim} overflow the simplex codes")
     cliques = np.arange(n)[:, None]
     values = np.zeros(n)
     common = present  # common[i, v]: every member of clique i has an edge to v

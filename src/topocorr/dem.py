@@ -21,6 +21,8 @@ class ChunkSpec:
     max_chunks: int | None = None
 
     def __post_init__(self):
+        if self.chunk_size < 3:
+            raise ConfigurationError("chunk_size must be >= 3: tri needs an interior pixel")
         if not 1 <= self.stride <= self.chunk_size:
             raise ConfigurationError("need 1 <= stride <= chunk_size")
         if self.max_chunks is not None and self.max_chunks < 1:

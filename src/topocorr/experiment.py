@@ -217,7 +217,7 @@ def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.repetitions)) as pool:
             bundles = list(pool.map(partial(_sample_bundle, cfg),
                                     range(cfg.repetitions)))
     else:

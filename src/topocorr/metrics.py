@@ -45,16 +45,16 @@ class DistanceMatrix:
             raise ValueError("entries must be symmetric")
 
 
-def diagonal_distance(point, p) -> float:
-    """L^p distance of a diagram point to the diagonal."""
-    birth, death = point
-    if not birth < death:
+def diagonal_distance(points, p):
+    """L^p distances to the diagonal of the (birth, death) rows of ``points``."""
+    points = np.asarray(points, dtype=float)
+    if not np.all(points[..., 0] < points[..., 1]):
         raise ValueError("birth must precede death")
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1")
     if p == math.inf:
-        return (death - birth) / 2.0
-    return 2.0 ** (1.0 / p - 1.0) * (death - birth)
+        return (points[..., 1] - points[..., 0]) / 2.0
+    return 2.0 ** (1.0 / p - 1.0) * (points[..., 1] - points[..., 0])
 
 
 def _cost_matrix(xs, ys, p):
@@ -63,24 +63,18 @@ def _cost_matrix(xs, ys, p):
     Finite p gives powered L^p costs.  p = inf gives L^inf costs, with half
     the persistence as the cost of matching a point to the diagonal.
     """
-    finite = p != math.inf
-
-    def to_diagonal(points):
-        return np.array([diagonal_distance(x, p) ** p if finite else diagonal_distance(x, p)
-                         for x in points])
-
     m, n = len(xs), len(ys)
     cost = np.zeros((m + n, m + n))
-    if m and n:
-        xa = np.array(xs)
-        ya = np.array(ys)
-        db = np.abs(xa[:, None, 0] - ya[None, :, 0])
-        dd = np.abs(xa[:, None, 1] - ya[None, :, 1])
-        cost[:m, :n] = db ** p + dd ** p if finite else np.maximum(db, dd)
-    if m:
-        cost[:m, n:] = to_diagonal(xs)[:, None]
-    if n:
-        cost[m:, :n] = to_diagonal(ys)[None, :]
+    db = np.abs(xs[:, None, 0] - ys[None, :, 0])
+    dd = np.abs(xs[:, None, 1] - ys[None, :, 1])
+    to_x, to_y = diagonal_distance(xs, p), diagonal_distance(ys, p)
+    if p == math.inf:
+        cost[:m, :n] = np.maximum(db, dd)
+    else:
+        cost[:m, :n] = db ** p + dd ** p
+        to_x, to_y = to_x ** p, to_y ** p
+    cost[:m, n:] = to_x[:, None]
+    cost[m:, :n] = to_y[None, :]
     return cost
 
 
@@ -88,21 +82,16 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
     """Exact p-Wasserstein distance with L^p ground metric (q = p)."""
     if p == math.inf or p < 1:
         raise ValueError("p must be finite and >= 1")
-    xs, ys = d1.pairs(), d2.pairs()
-    if not xs and not ys:
-        return 0.0
-    cost = _cost_matrix(xs, ys, p)
+    cost = _cost_matrix(d1.pairs(), d2.pairs(), p)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() ** (1.0 / p))
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Exact bottleneck distance via binary search over candidate costs."""
-    xs, ys = d1.pairs(), d2.pairs()
-    if not xs and not ys:
-        return 0.0
-    cost = _cost_matrix(xs, ys, math.inf)
-    candidates = np.unique(cost)
+    cost = _cost_matrix(d1.pairs(), d2.pairs(), math.inf)
+    # 0 is the answer for two empty diagrams and never changes any other.
+    candidates = np.union1d(cost, 0.0)
 
     def feasible(threshold):
         graph = csr_matrix(cost <= threshold)
@@ -177,11 +166,7 @@ def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> fl
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    fp, gp = f.pairs(), g.pairs()
-    if not fp or not gp:
-        return 0.0
-    fa = np.array(fp)
-    ga = np.array(gp)
+    fa, ga = f.pairs(), g.pairs()
     direct = ((fa[:, None, 0] - ga[None, :, 0]) ** 2
               + (fa[:, None, 1] - ga[None, :, 1]) ** 2)
     mirrored = ((fa[:, None, 0] - ga[None, :, 1]) ** 2
@@ -206,14 +191,11 @@ def sliced_wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, lines: in
     """
     if lines < 1:
         raise ValueError("lines must be >= 1")
-    p1 = np.array(d1.pairs(), dtype=float).reshape(-1, 2)
-    p2 = np.array(d2.pairs(), dtype=float).reshape(-1, 2)
-    diag1 = np.repeat(p1.mean(axis=1, keepdims=True), 2, axis=1) if len(p1) else p1
-    diag2 = np.repeat(p2.mean(axis=1, keepdims=True), 2, axis=1) if len(p2) else p2
-    side1 = np.concatenate([p1, diag2]) if len(p1) or len(diag2) else p1
-    side2 = np.concatenate([p2, diag1]) if len(p2) or len(diag1) else p2
-    if side1.shape[0] == 0:
-        return 0.0
+    p1, p2 = d1.pairs(), d2.pairs()
+    diag1 = np.repeat(p1.mean(axis=1, keepdims=True), 2, axis=1)
+    diag2 = np.repeat(p2.mean(axis=1, keepdims=True), 2, axis=1)
+    side1 = np.concatenate([p1, diag2])
+    side2 = np.concatenate([p2, diag1])
     total = 0.0
     for i in range(lines):
         theta = i * math.pi / lines

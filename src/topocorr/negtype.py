@@ -73,7 +73,7 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
 
 
 def _diagram(*points) -> PersistenceDiagram:
-    return PersistenceDiagram(tuple((float(b), float(d), 1) for b, d in points))
+    return PersistenceDiagram([(b, d, 1) for b, d in points])
 
 
 # Unit squares above the diagonal; corners named as in the derivation notes.

@@ -13,49 +13,53 @@ import numpy as np
 from topocorr.complexes import FilteredComplex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
     """Multiset of (birth, death, degree) points with births strictly below deaths.
 
-    ``cap`` records the filtration value used to close infinite intervals.
-    ``essential`` flags, parallel to ``points``, mark intervals that were
-    capped (their true death is +infinity); the capped interval is closed at
-    the cap, finite intervals are half-open [birth, death).
+    ``points`` is an (m, 3) float array of (birth, death, degree) rows, kept in
+    (degree, birth, death) order; rows with equal keys keep the order they
+    were given in.  ``essential``, an (m,) bool array parallel to ``points``,
+    marks intervals that were capped (their true death is +infinity) at
+    ``cap``; the capped interval is closed at the cap, finite intervals are
+    half-open [birth, death).
     """
 
-    points: tuple[tuple[float, float, int], ...]
+    points: np.ndarray
     cap: float | None = None
-    essential: tuple[bool, ...] = ()
+    essential: np.ndarray = ()
 
     def __post_init__(self):
-        if not self.essential:
-            object.__setattr__(self, "essential", tuple(False for _ in self.points))
-        if len(self.essential) != len(self.points):
+        points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        essential = np.asarray(self.essential, dtype=bool)
+        if not len(essential):
+            essential = np.zeros(len(points), dtype=bool)
+        if essential.shape != (len(points),):
             raise ValueError("essential flags must match points")
-        for b, d, k in self.points:
-            if not b < d:
-                raise ValueError(f"birth must precede death, got ({b}, {d})")
-            if k < 0:
-                raise ValueError("degree must be non-negative")
+        bad = ~(points[:, 0] < points[:, 1])
+        if bad.any():
+            b, d = points[bad][0, :2]
+            raise ValueError(f"birth must precede death, got ({b}, {d})")
+        if np.any(points[:, 2] < 0):
+            raise ValueError("degree must be non-negative")
+        order = np.lexsort((points[:, 1], points[:, 0], points[:, 2]))
+        object.__setattr__(self, "points", points[order])
+        object.__setattr__(self, "essential", essential[order])
 
     def __len__(self):
         return len(self.points)
 
     def degrees(self):
-        return sorted({k for _, _, k in self.points})
+        return np.unique(self.points[:, 2]).astype(int).tolist()
 
     def restrict(self, degree):
         """Sub-diagram of a single homology degree."""
-        keep = [(i, p) for i, p in enumerate(self.points) if p[2] == degree]
-        return PersistenceDiagram(
-            tuple(p for _, p in keep),
-            cap=self.cap,
-            essential=tuple(self.essential[i] for i, _ in keep),
-        )
+        keep = self.points[:, 2] == degree
+        return PersistenceDiagram(self.points[keep], self.cap, self.essential[keep])
 
     def pairs(self):
-        """Just the (birth, death) pairs, degree dropped."""
-        return [(b, d) for b, d, _ in self.points]
+        """The (m, 2) array of (birth, death) pairs, degree dropped."""
+        return self.points[:, :2]
 
 
 def _columns(cx: FilteredComplex):
@@ -92,7 +96,7 @@ def _reduce_columns(cx: FilteredComplex):
     return pairs, creators
 
 
-def compute_persistence(cx: FilteredComplex, degrees=None, cap=None) -> PersistenceDiagram:
+def compute_persistence(cx: FilteredComplex, cap=None) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex.
 
     Pair (i, j) yields the interval [value(i), value(j)); unpaired cells are
@@ -104,28 +108,16 @@ def compute_persistence(cx: FilteredComplex, degrees=None, cap=None) -> Persiste
         cap = max_value
     elif cap < max_value:
         raise ValueError(f"cap {cap} below maximum filtration value {max_value}")
-    pairs, creators = _reduce_columns(cx)
-    values, dims = cx.values.tolist(), cx.dims.tolist()
-    points = []
-    flags = []
-    for i, j in pairs:
-        birth, death = values[i], values[j]
-        if birth < death:
-            points.append((birth, death, dims[i]))
-            flags.append(False)
-    for i in sorted(creators):
-        birth = values[i]
-        if birth < cap:
-            points.append((birth, cap, dims[i]))
-            flags.append(True)
-    degrees = None if degrees is None else set(degrees)
-    kept = [i for i, p in enumerate(points) if degrees is None or p[2] in degrees]
-    order = sorted(kept, key=lambda i: (points[i][2], points[i][0], points[i][1]))
-    return PersistenceDiagram(
-        tuple(points[i] for i in order),
-        cap=cap,
-        essential=tuple(flags[i] for i in order),
-    )
+    pairs, unpaired = _reduce_columns(cx)
+    paired, killers = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    # Finite bars go before capped ones: the diagram's stable sort then puts a
+    # finite bar ahead of a capped bar with the same birth and death.
+    cells = np.concatenate((paired, sorted(unpaired))).astype(np.int64)
+    essential = np.arange(len(cells)) >= len(paired)
+    deaths = np.concatenate((cx.values[killers], np.full(len(unpaired), cap, dtype=float)))
+    points = np.column_stack((cx.values[cells], deaths, cx.dims[cells]))
+    keep = points[:, 0] < deaths
+    return PersistenceDiagram(points[keep], cap=cap, essential=essential[keep])
 
 
 def _rank(columns):
@@ -176,10 +168,6 @@ def diagram_betti_count(diagram: PersistenceDiagram, a: float, b: float, k: int)
     Finite intervals are [birth, death); capped intervals are closed at the
     cap.  Matches :func:`persistent_betti` on the originating complex.
     """
-    count = 0
-    for (birth, death, deg), ess in zip(diagram.points, diagram.essential):
-        if deg != k or birth > a:
-            continue
-        if death > b or (ess and death >= b):
-            count += 1
-    return count
+    birth, death, degree = diagram.points.T
+    alive = (degree == k) & (birth <= a) & ((death > b) | (diagram.essential & (death >= b)))
+    return int(np.count_nonzero(alive))

@@ -19,8 +19,8 @@ def diagram_to_csv(d: PersistenceDiagram) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["degree", "birth", "death", "essential"])
-    for (b, death, k), essential in zip(d.points, d.essential):
-        writer.writerow([k, repr(b), repr(death), int(essential)])
+    for (b, death, k), essential in zip(d.points.tolist(), d.essential.tolist()):
+        writer.writerow([int(k), repr(b), repr(death), int(essential)])
     return out.getvalue()
 
 
@@ -35,7 +35,7 @@ def diagram_from_csv(text: str) -> PersistenceDiagram:
     if header[:3] != ["degree", "birth", "death"]:
         raise ParseError("expected header degree,birth,death", line=1)
     has_flags = header[3:4] == ["essential"]
-    points = []
+    points, flags = [], []
     for ln, row in enumerate(rows[1:], start=2):
         try:
             birth, death, degree = float(row[1]), float(row[2]), int(row[0])
@@ -46,11 +46,10 @@ def diagram_from_csv(text: str) -> PersistenceDiagram:
             raise ParseError("birth and death must be finite", line=ln)
         if essential not in (0, 1):
             raise ParseError("essential must be 0 or 1", line=ln)
-        points.append(((birth, death, degree), essential == 1))
-    points.sort(key=lambda row: (row[0][2], row[0][0], row[0][1]))
-    cap = max((p[1] for p, essential in points if essential), default=None)
-    return PersistenceDiagram(tuple(p for p, _ in points), cap=cap,
-                              essential=tuple(e for _, e in points))
+        points.append((birth, death, degree))
+        flags.append(essential == 1)
+    cap = max((p[1] for p, essential in zip(points, flags) if essential), default=None)
+    return PersistenceDiagram(points, cap=cap, essential=flags)
 
 
 def landscape_to_text(l: PersistenceLandscape) -> str:

@@ -74,8 +74,8 @@ def landscape_from_diagram(d: PersistenceDiagram, k_max=None) -> PersistenceLand
     """
     if k_max is not None and k_max < 1:
         raise ValueError("k_max must be >= 1")
-    bars = sorted(((b, -death) for b, death, _ in d.points))
-    bars = [(b, -nd) for b, nd in bars]
+    pairs = d.pairs()
+    bars = pairs[np.lexsort((-pairs[:, 1], pairs[:, 0]))].tolist()
     levels = []
     while bars and (k_max is None or len(levels) < k_max):
         b, death = bars.pop(0)
@@ -145,7 +145,7 @@ def _curve_from_events(positions, deltas):
 
 def betti_curve(d: PersistenceDiagram, degree: int) -> StepCurve:
     """Number of degree-``degree`` bars containing each point."""
-    bars = np.array([(b, death) for b, death, k in d.points if k == degree]).reshape(-1, 2)
+    bars = d.restrict(degree).pairs()
     return _curve_from_events(bars.ravel(), np.tile([1, -1], len(bars)))
 
 

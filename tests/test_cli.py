@@ -180,12 +180,21 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
     ({"cfg": ER_CONFIG.replace("kind = er", "kind = interpolated\ngamma = 2")},
      ["experiment", "--config", "{cfg}"]),
     ({"cfg": ER_CONFIG + "\n[sweep]\ngamma = 0 2\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"m": "d,d\n0.0,1.0\n1.0,0.0\n"}, ["negtype", "{m}", "--tol", "-1"]),
+    ({}, ["generate", "--kind", "er", "--n", "100", "--max-dim", "9"]),
+    ({"cfg": ER_CONFIG.replace("n = 6", "n = 100") + "max_dim = 9\n"},
+     ["experiment", "--config", "{cfg}"]),
+    ({}, ["dem", "--chunk-size", "2", "--stride", "1", "--out", "dem"]),
+    ({"grid": "1 2 3 4\n5 6 7 8\n9 8 7 6\n5 4 3 2\n"},
+     ["dem", "--input", "{grid}", "--chunk-size", "2", "--stride", "1", "--out", "dem"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
         "dem-resolution-0", "dem-roughness-2", "dem-max-chunks-0", "dem-stride-above-chunk",
         "dem-chunk-above-grid", "max-radius-0", "gamma-2", "max-dim-0-config",
-        "max-radius-negative-config", "gamma-2-config", "sweep-gamma-2"])
+        "max-radius-negative-config", "gamma-2-config", "sweep-gamma-2", "negtype-tol-negative",
+        "simplex-code-overflow", "simplex-code-overflow-config", "dem-chunk-size-2",
+        "dem-input-chunk-size-2"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

@@ -12,7 +12,7 @@ from topocorr.dem import (
     synth_terrain,
     tri,
 )
-from topocorr.errors import ParseError
+from topocorr.errors import ConfigurationError, ParseError
 
 
 class TestLoadGrid:
@@ -69,14 +69,14 @@ class TestChunkGrid:
         assert center == (7.5, 7.5)
 
     def test_row_major_order(self):
-        g = HeightGrid.from_array(np.arange(16.0).reshape(4, 4))
-        chunks = chunk_grid(g, ChunkSpec(2, 2, None))
+        g = HeightGrid.from_array(np.arange(36.0).reshape(6, 6))
+        chunks = chunk_grid(g, ChunkSpec(3, 3, None))
         centers = [c for _, c in chunks]
-        assert centers == [(0.5, 0.5), (0.5, 2.5), (2.5, 0.5), (2.5, 2.5)]
+        assert centers == [(1.0, 1.0), (1.0, 4.0), (4.0, 1.0), (4.0, 4.0)]
 
     def test_max_chunks_truncates(self):
         g = HeightGrid.from_array(np.zeros((8, 8)))
-        assert len(chunk_grid(g, ChunkSpec(2, 2, 3))) == 3
+        assert len(chunk_grid(g, ChunkSpec(3, 2, 3))) == 3
 
     def test_oversized_chunk_rejected(self):
         g = HeightGrid.from_array(np.zeros((4, 4)))
@@ -86,8 +86,10 @@ class TestChunkGrid:
     def test_chunkspec_validation(self):
         with pytest.raises(ValueError):
             ChunkSpec(0, 1, None)
+        with pytest.raises(ConfigurationError):
+            ChunkSpec(2, 1, None)
         with pytest.raises(ValueError):
-            ChunkSpec(2, 0, None)
+            ChunkSpec(3, 0, None)
 
 
 class TestTri:

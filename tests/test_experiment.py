@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,20 @@ class TestRunExperiment:
         run_experiment(small_config(tmp_path / "b"), threads=2)
         assert (tmp_path / "a" / "dcor.csv").read_bytes() == \
             (tmp_path / "b" / "dcor.csv").read_bytes()
+
+    def test_threads_capped_at_sample_count(self, tmp_path, monkeypatch):
+        requested = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            # Records the pool size and runs the samples on one thread, so
+            # the test starts no process whatever size is asked for.
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(small_config(tmp_path, reps=3), threads=5000)
+        assert requested == [3]
 
 
 class TestParameterCorrelation:

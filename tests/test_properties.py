@@ -1,13 +1,17 @@
-"""Property tests of the landscape and step-curve distances on float diagrams."""
+"""Property tests of the distances, the diagrams and the diagram CSV on float
+inputs."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topocorr.complexes import HeightGrid, WeightedGraph, build_cubical_complex, build_flag_complex
 from topocorr.experiment import summary_for
 from topocorr.metrics import bottleneck, landscape_distance, parse_metric_spec
-from topocorr.persistence import PersistenceDiagram
+from topocorr.persistence import PersistenceDiagram, compute_persistence
+from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import landscape_from_diagram
 from tests.oracles import bar_count_distance
 
@@ -53,3 +57,53 @@ def test_landscape_stability(d1, d2):
 def test_curve_distance_matches_bar_counts(spec, p, degree, d1, d2):
     assert distance(spec, d1, d2) == pytest.approx(
         bar_count_distance(d1, d2, p, degree), rel=1e-12)
+
+
+def perturbed_pair(shape):
+    """Two float arrays of ``shape`` with entries in [0, 10], the second the
+    first moved by at most 1 in each entry."""
+    size = math.prod(shape)
+
+    def pair(f, delta):
+        f = np.reshape(f, shape)
+        return f, np.clip(f + np.reshape(delta, shape), 0.0, 10.0)
+
+    return st.builds(pair, st.lists(ends, min_size=size, max_size=size),
+                     st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+
+
+def assert_bottleneck_stable(cx_f, cx_g, sup_distance):
+    # Cohen-Steiner, Edelsbrunner and Harer (DCG 2007): in each degree, the
+    # bottleneck distance of the diagrams of two filtrations of one complex
+    # is at most the sup distance of the filtrations.
+    df, dg = compute_persistence(cx_f), compute_persistence(cx_g)
+    for k in range(3):
+        assert bottleneck(df.restrict(k), dg.restrict(k)) <= sup_distance + 1e-12
+
+
+@checked
+@given(pair=st.integers(1, 6).flatmap(lambda n: perturbed_pair((n, n))))
+def test_bottleneck_stability_flag(pair):
+    f, g = (np.triu(w, 1) + np.triu(w, 1).T for w in pair)
+    assert_bottleneck_stable(build_flag_complex(WeightedGraph(len(f), f), 2),
+                             build_flag_complex(WeightedGraph(len(g), g), 2),
+                             np.abs(f - g).max())
+
+
+@checked
+@given(pair=st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(perturbed_pair))
+def test_bottleneck_stability_cubical(pair):
+    f, g = pair
+    assert_bottleneck_stable(build_cubical_complex(HeightGrid.from_array(f)),
+                             build_cubical_complex(HeightGrid.from_array(g)),
+                             np.abs(f - g).max())
+
+
+@checked
+@given(d=diagrams, data=st.data())
+def test_diagram_csv_roundtrip(d, data):
+    flags = data.draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d)))
+    d = PersistenceDiagram(d.points, essential=flags)
+    back = diagram_from_csv(diagram_to_csv(d))
+    assert np.array_equal(back.points, d.points)
+    assert np.array_equal(back.essential, d.essential)
