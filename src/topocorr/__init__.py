@@ -10,7 +10,7 @@ from topocorr.complexes import (
     build_flag_complex,
     build_rips_complex,
 )
-from topocorr.persistence import PersistenceDiagram, compute_persistence, persistent_betti
+from topocorr.persistence import PersistenceDiagram, compute_persistence
 from topocorr.summaries import (
     PersistenceLandscape,
     StepCurve,
@@ -33,7 +33,6 @@ __all__ = [
     "build_cubical_complex",
     "PersistenceDiagram",
     "compute_persistence",
-    "persistent_betti",
     "PersistenceLandscape",
     "StepCurve",
     "landscape_from_diagram",

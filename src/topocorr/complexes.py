@@ -128,11 +128,19 @@ class FilteredComplex:
         return max(self.values.tolist(), default=0.0)
 
     def validate(self):
-        """Check face-before-coface ordering and filtration monotonicity."""
+        """Check that the cells form a filtered chain complex over GF(2).
+
+        Faces precede their cofaces, one dimension down and entering no
+        later; cells are in (value, dim) order; no cell lists a face twice;
+        every edge has two vertices; every boundary's boundary is zero.
+        """
         dims, values = self.dims.tolist(), self.values.tolist()
         ptr, faces = self.indptr.tolist(), self.indices.tolist()
         for i in range(len(dims)):
-            for f in faces[ptr[i]:ptr[i + 1]]:
+            own = faces[ptr[i]:ptr[i + 1]]
+            if dims[i] < 0:
+                raise ValueError(f"cell {i}: negative dimension")
+            for f in own:
                 if not 0 <= f < i:
                     raise ValueError(f"cell {i}: face {f} does not precede it")
                 if dims[f] != dims[i] - 1:
@@ -141,6 +149,15 @@ class FilteredComplex:
                     raise ValueError(f"cell {i}: face {f} enters later")
             if i and (values[i], dims[i]) < (values[i - 1], dims[i - 1]):
                 raise ValueError(f"cell {i}: ordering violated")
+            if len(set(own)) < len(own):
+                raise ValueError(f"cell {i}: a face is listed twice")
+            if dims[i] == 1 and len(own) != 2:
+                raise ValueError(f"cell {i}: an edge needs exactly two vertices")
+            odd = set()
+            for f in own:
+                odd ^= set(faces[ptr[f]:ptr[f + 1]])
+            if odd:
+                raise ValueError(f"cell {i}: the boundary of its boundary is not zero")
         return self
 
     def to_text(self):
@@ -167,7 +184,9 @@ class FilteredComplex:
             try:
                 dims.append(int(parts[0]))
                 values.append(float(parts[1]))
-                indices.extend(int(p) for p in parts[2:])
+                # Sorted, since cells keep their faces ascending; a file
+                # may list them in any order.
+                indices.extend(sorted(int(p) for p in parts[2:]))
             except ValueError:
                 raise ParseError("malformed cell line", line=ln) from None
             indptr.append(len(indices))

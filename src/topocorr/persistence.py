@@ -1,7 +1,15 @@
 """Persistent homology over the two-element field.
 
-Columns of the boundary matrix are stored as Python integers used as
-bitmasks; column addition is XOR and the pivot is the highest set bit.
+The persistence pairing comes from two passes.  Degree 0 is union-find over
+the edges in filtration order: a merging edge kills the younger of the two
+components (elder rule).  Higher degrees come from persistent cohomology with
+clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+(co)homology", Inverse Problems 2011; Bauer, "Ripser", J. Appl. Comput.
+Topol. 2021): the coboundary columns of each degree are reduced in reverse
+filtration order, and the cells that killed a class one degree down are
+skipped, since their columns reduce to zero.  The pairing does not depend on
+the method, so the diagram is the one the boundary-matrix reduction gives.
+Columns are Python integers used as bitmasks; column addition is XOR.
 """
 
 from __future__ import annotations
@@ -72,28 +80,72 @@ def _columns(cx: FilteredComplex):
         yield col
 
 
-def _reduce_columns(cx: FilteredComplex):
-    """Standard column reduction; returns (pairs, unpaired creator indices)."""
-    reduced = []
-    low_owner = {}
-    pairs = []
-    creators = set()
-    for j, col in enumerate(_columns(cx)):
-        while col:
-            low = col.bit_length() - 1
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            col ^= reduced[owner]
-        reduced.append(col)
-        if col:
-            low = col.bit_length() - 1
-            low_owner[low] = j
-            pairs.append((low, j))
-            creators.discard(low)
-        else:
-            creators.add(j)
-    return pairs, creators
+def _coboundary(cx: FilteredComplex):
+    """The transposed boundary matrix in CSR form: the cofaces of cell i are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+    owners = np.repeat(np.arange(len(cx)), np.diff(cx.indptr))
+    counts = np.bincount(cx.indices, minlength=len(cx))
+    return (np.concatenate(([0], np.cumsum(counts))),
+            owners[np.argsort(cx.indices, kind="stable")])
+
+
+def _persistence_pairs(cx: FilteredComplex):
+    """The persistence pairing of ``cx``: the birth cells, the death cells
+    they pair with, and the unpaired cells, as three index arrays."""
+    dims, n = cx.dims, len(cx)
+    births, deaths = [], []
+    # H0 by union-find over the edges in filtration order.  Every root is its
+    # component's oldest vertex, so a merging edge kills the younger root.
+    root = list(range(n))
+    edges = np.flatnonzero(dims == 1)
+    first = cx.indptr[edges]
+    for e, u, v in zip(edges.tolist(), cx.indices[first].tolist(),
+                       cx.indices[first + 1].tolist()):
+        while root[u] != u:  # path halving
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            u, v = max(u, v), min(u, v)
+            root[u] = v
+            births.append(u)
+            deaths.append(e)
+    # Higher degrees by persistent cohomology with clearing: a cell that
+    # killed a class one degree down has a coboundary that reduces to zero.
+    paired = np.zeros(n, dtype=bool)
+    paired[deaths] = True
+    ptr, cofaces = _coboundary(cx)
+
+    def column(i):
+        # Coface k is bit n - 1 - k, so the pivot, the earliest coface, is the
+        # highest set bit.
+        return sum(1 << (n - 1 - k) for k in cofaces[ptr[i]:ptr[i + 1]].tolist())
+
+    for d in range(1, int(dims.max(initial=0))):
+        cells = np.flatnonzero((dims == d) & ~paired)
+        cells = cells[ptr[cells] < ptr[cells + 1]]
+        pivots = cofaces[ptr[cells]]
+        # A cell that is the latest face of its pivot needs no reduction: no
+        # later cell's column contains that pivot (an apparent pair).
+        apparent = cx.indices[cx.indptr[pivots + 1] - 1] == cells
+        owner = dict(zip(pivots[apparent].tolist(), cells[apparent].tolist()))
+        reduced = {}
+        for i in cells[~apparent][::-1].tolist():
+            col = column(i)
+            while col:
+                k = n - col.bit_length()
+                j = owner.get(k)
+                if j is None:
+                    owner[k] = i
+                    reduced[i] = col
+                    break
+                col ^= reduced[j] if j in reduced else column(j)
+        births.extend(owner.values())
+        deaths.extend(owner)
+        paired[list(owner)] = True
+    paired[births] = True
+    return (np.array(births, dtype=np.int64), np.array(deaths, dtype=np.int64),
+            np.flatnonzero(~paired))
 
 
 def compute_persistence(cx: FilteredComplex, cap=None) -> PersistenceDiagram:
@@ -108,11 +160,10 @@ def compute_persistence(cx: FilteredComplex, cap=None) -> PersistenceDiagram:
         cap = max_value
     elif cap < max_value:
         raise ValueError(f"cap {cap} below maximum filtration value {max_value}")
-    pairs, unpaired = _reduce_columns(cx)
-    paired, killers = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    paired, killers, unpaired = _persistence_pairs(cx)
     # Finite bars go before capped ones: the diagram's stable sort then puts a
     # finite bar ahead of a capped bar with the same birth and death.
-    cells = np.concatenate((paired, sorted(unpaired))).astype(np.int64)
+    cells = np.concatenate((paired, unpaired))
     essential = np.arange(len(cells)) >= len(paired)
     deaths = np.concatenate((cx.values[killers], np.full(len(unpaired), cap, dtype=float)))
     points = np.column_stack((cx.values[cells], deaths, cx.dims[cells]))

@@ -198,3 +198,33 @@ def reference_cubical_text(values):
                 cells.append(((2, r, c, 0), 2, values[r][c],
                               [(1, r, c, 0), (1, r + 1, c, 0), (1, r, c, 1), (1, r, c + 1, 1)]))
     return _complex_text(cells)
+
+
+def reduce_columns(cx):
+    """The persistence pairing by the standard column reduction of the
+    boundary matrix, in filtration order, without clearing.
+
+    Each column is a bitmask integer over its faces; adding a column is XOR
+    and a column's pivot is its highest set bit, the latest face.  A column
+    that keeps a non-zero pivot pairs (pivot, column); the cells that are
+    neither pivots nor non-zero columns are unpaired.  Returns (pairs,
+    unpaired cells).
+    """
+    ptr, faces = cx.indptr.tolist(), cx.indices.tolist()
+    owner = {}
+    pairs = []
+    creators = set()
+    for j in range(len(ptr) - 1):
+        col = 0
+        for f in faces[ptr[j]:ptr[j + 1]]:
+            col ^= 1 << f
+        while col and col.bit_length() - 1 in owner:
+            col ^= owner[col.bit_length() - 1]
+        if col:
+            low = col.bit_length() - 1
+            owner[low] = col
+            pairs.append((low, j))
+            creators.discard(low)
+        else:
+            creators.add(j)
+    return pairs, creators

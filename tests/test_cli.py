@@ -187,6 +187,12 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
     ({}, ["dem", "--chunk-size", "2", "--stride", "1", "--out", "dem"]),
     ({"grid": "1 2 3 4\n5 6 7 8\n9 8 7 6\n5 4 3 2\n"},
      ["dem", "--input", "{grid}", "--chunk-size", "2", "--stride", "1", "--out", "dem"]),
+    ({"cx": "0 0\n1 1 0\n"}, ["persist", "{cx}"]),
+    ({"cx": "0 0\n0 0\n0 0\n1 1 0 1 2\n"}, ["persist", "{cx}"]),
+    ({"cx": "0 0\n1 1 0 0\n"}, ["persist", "{cx}"]),
+    ({"cx": "0 0\n0 0\n1 1 0 1\n2 2 2 2\n"}, ["persist", "{cx}"]),
+    ({"cx": "0 0\n0 0\n1 1 0 1\n2 2 2\n"}, ["persist", "{cx}"]),
+    ({"cx": "-1 0\n0 1 0\n"}, ["persist", "{cx}"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -194,7 +200,9 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
         "dem-chunk-above-grid", "max-radius-0", "gamma-2", "max-dim-0-config",
         "max-radius-negative-config", "gamma-2-config", "sweep-gamma-2", "negtype-tol-negative",
         "simplex-code-overflow", "simplex-code-overflow-config", "dem-chunk-size-2",
-        "dem-input-chunk-size-2"])
+        "dem-input-chunk-size-2", "edge-one-vertex", "edge-three-vertices",
+        "edge-vertex-twice", "face-listed-twice", "boundary-of-boundary-nonzero",
+        "negative-dimension"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

@@ -1,19 +1,28 @@
 """Property tests of the distances, the diagrams and the diagram CSV on float
-inputs."""
+inputs, and of the persistence pairing against the boundary-matrix reduction."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from topocorr.complexes import HeightGrid, WeightedGraph, build_cubical_complex, build_flag_complex
+from topocorr.complexes import (
+    DirectedWeightedGraph,
+    FilteredComplex,
+    HeightGrid,
+    WeightedGraph,
+    build_cubical_complex,
+    build_directed_flag_complex,
+    build_flag_complex,
+    build_rips_complex,
+)
 from topocorr.experiment import summary_for
 from topocorr.metrics import bottleneck, landscape_distance, parse_metric_spec
-from topocorr.persistence import PersistenceDiagram, compute_persistence
+from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import landscape_from_diagram
-from tests.oracles import bar_count_distance
+from tests.oracles import bar_count_distance, reduce_columns
 
 # Fixed examples, so every run of the suite checks the same diagrams.
 checked = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -107,3 +116,46 @@ def test_diagram_csv_roundtrip(d, data):
     back = diagram_from_csv(diagram_to_csv(d))
     assert np.array_equal(back.points, d.points)
     assert np.array_equal(back.essential, d.essential)
+
+
+# Filtration values 0-3, so that many cells tie, and max_dim 1-3, so that the
+# cohomology pass runs in degrees 1 and 2.
+levels = st.integers(0, 3).map(float)
+max_dims = st.integers(1, 3)
+
+
+def arrays(shape, elements=levels):
+    size = math.prod(shape)
+    return st.lists(elements, min_size=size, max_size=size).map(
+        lambda xs: np.reshape(xs, shape))
+
+
+flag_complexes = st.integers(1, 6).flatmap(lambda n: st.builds(
+    lambda w, k: build_flag_complex(WeightedGraph(n, np.maximum(w, w.T)), k),
+    arrays((n, n)), max_dims))
+# Random edge masks leave several components.
+directed_flag_complexes = st.integers(1, 5).flatmap(lambda n: st.builds(
+    lambda w, present, k: build_directed_flag_complex(DirectedWeightedGraph(n, w, present), k),
+    arrays((n, n)), arrays((n, n), st.booleans()), max_dims))
+rips_complexes = st.integers(1, 6).flatmap(lambda n: st.builds(
+    build_rips_complex, arrays((n, 2)), max_dims, st.sampled_from([1.0, 1.5, 2.5, 5.0])))
+cubical_complexes = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(shape).map(lambda v: build_cubical_complex(HeightGrid.from_array(v))))
+
+
+@settings(checked, max_examples=240)
+@given(cx=st.one_of(flag_complexes, directed_flag_complexes, rips_complexes, cubical_complexes))
+# A single vertex; three vertices and no edges; two components, each with an
+# essential H0 bar.
+@example(cx=build_flag_complex(WeightedGraph(1, [[0.0]]), 1))
+@example(cx=build_rips_complex([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 2, 1.0))
+@example(cx=build_directed_flag_complex(DirectedWeightedGraph.from_edges(
+    4, [(0, 1, 1.0), (2, 3, 1.0)]), 2))
+# A triangle whose faces the file lists out of order.
+@example(cx=FilteredComplex.from_text(
+    "0 0\n0 0\n0 0\n0 0\n1 0 0 3\n1 0 1 3\n1 0 2 3\n1 1 0 1\n1 2 1 2\n1 3 0 2\n2 4 8 9 7\n"))
+def test_pairing_matches_boundary_reduction(cx):
+    births, deaths, unpaired = _persistence_pairs(cx)
+    pairs, creators = reduce_columns(cx)
+    assert sorted(zip(births.tolist(), deaths.tolist())) == sorted(pairs)
+    assert unpaired.tolist() == sorted(creators)
