@@ -1,10 +1,16 @@
 """Exact distances between topological summaries and pairwise distance matrices.
 
-Diagram transport distances use the diagonal-augmented assignment problem:
-for diagrams of sizes m and n, an (m+n) x (m+n) cost matrix lets every point
-match its diagonal projection while diagonal-to-diagonal moves are free.  The
-assignment is solved exactly (Jonker-Volgenant); the bottleneck distance uses
-binary search over candidate costs with a bipartite feasibility matching.
+p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
+G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
+and dx, dy the powered costs of sending them to the diagonal; a powered cost
+that overflows raises NumericalFailure.  All G <= 0, so a full assignment is
+optimal, and its own cost is returned: c for pairs with G < 0, the diagonal
+cost for every other point.  G ties pairings whose costs lie below the
+rounding of dx + dy, so a diagram is at 0 from itself by an equality test.
+Bottleneck binary-searches the costs between each point's cheapest match at
+the worst point (probed first) and the all-to-diagonal cost; a threshold is
+feasible when the costs within it, on the (m+n) square where
+diagonal-to-diagonal moves are free, admit a perfect matching.
 """
 
 from __future__ import annotations
@@ -57,48 +63,51 @@ def diagonal_distance(points, p):
     return 2.0 ** (1.0 / p - 1.0) * (points[..., 1] - points[..., 0])
 
 
-def _cost_matrix(xs, ys, p):
-    """Costs of the diagonal-augmented assignment problem ((m+n) square).
-
-    Finite p gives powered L^p costs.  p = inf gives L^inf costs, with half
-    the persistence as the cost of matching a point to the diagonal.
-    """
-    m, n = len(xs), len(ys)
-    cost = np.zeros((m + n, m + n))
-    db = np.abs(xs[:, None, 0] - ys[None, :, 0])
-    dd = np.abs(xs[:, None, 1] - ys[None, :, 1])
-    to_x, to_y = diagonal_distance(xs, p), diagonal_distance(ys, p)
-    if p == math.inf:
-        cost[:m, :n] = np.maximum(db, dd)
-    else:
-        cost[:m, :n] = db ** p + dd ** p
-        to_x, to_y = to_x ** p, to_y ** p
-    cost[:m, n:] = to_x[:, None]
-    cost[m:, :n] = to_y[None, :]
-    return cost
-
-
 def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
     """Exact p-Wasserstein distance with L^p ground metric (q = p)."""
     if p == math.inf or p < 1:
         raise ValueError("p must be finite and >= 1")
-    cost = _cost_matrix(d1.pairs(), d2.pairs(), p)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() ** (1.0 / p))
+    xs, ys = d1.pairs(), d2.pairs()
+    if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
+        return 0.0
+    with np.errstate(over="ignore"):
+        cost = (np.abs(xs[:, None, 0] - ys[None, :, 0]) ** p
+                + np.abs(xs[:, None, 1] - ys[None, :, 1]) ** p)
+        to_x, to_y = diagonal_distance(xs, p) ** p, diagonal_distance(ys, p) ** p
+    if not (np.isfinite(cost).all() and np.isfinite(to_x.sum() + to_y.sum())):
+        raise NumericalFailure(f"powered transport costs overflow at p={p}")
+    gain = np.minimum(cost - to_x[:, None] - to_y[None, :], 0.0)
+    rows, cols = linear_sum_assignment(gain)
+    paired = gain[rows, cols] < 0
+    x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
+    x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
+    return float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p))
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Exact bottleneck distance via binary search over candidate costs."""
-    cost = _cost_matrix(d1.pairs(), d2.pairs(), math.inf)
-    # 0 is the answer for two empty diagrams and never changes any other.
-    candidates = np.union1d(cost, 0.0)
+    xs, ys = d1.pairs(), d2.pairs()
+    m, n = len(xs), len(ys)
+    cost = np.zeros((m + n, m + n))
+    cost[:m, :n] = np.maximum(np.abs(xs[:, None, 0] - ys[None, :, 0]),
+                              np.abs(xs[:, None, 1] - ys[None, :, 1]))
+    cost[:m, n:] = diagonal_distance(xs, math.inf)[:, None]
+    cost[m:, :n] = diagonal_distance(ys, math.inf)[None, :]
+    lb = max(cost[:m].min(axis=1, initial=math.inf).max(initial=0.0),
+             cost[:, :n].min(axis=0, initial=math.inf).max(initial=0.0))
+    ub = max(cost[:m, n:].max(initial=0.0), cost[m:, :n].max(initial=0.0))
+    # lb is a cost (or 0 for two empty diagrams), so it heads the candidates.
+    candidates = np.union1d(cost[(cost > lb) & (cost <= ub)], lb)
 
     def feasible(threshold):
-        graph = csr_matrix(cost <= threshold)
+        within = cost <= threshold  # CSR from arrays: half the cost of csr_matrix(within)
+        indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
+        graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
+                            within.nonzero()[1].astype(np.int32), indptr), shape=cost.shape)
         matching = maximum_bipartite_matching(graph, perm_type="column")
         return int((matching >= 0).sum()) == cost.shape[0]
 
-    lo, hi = 0, len(candidates) - 1
+    lo, hi = (0, 0) if feasible(lb) else (1, len(candidates) - 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(candidates[mid]):
@@ -212,7 +221,9 @@ def sw_kernel_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     sw = sliced_wasserstein(d1, d2, lines)
-    radicand = 2.0 - 2.0 * math.exp(-sw / (2.0 * sigma * sigma))
+    # A sigma whose square underflows to 0 takes the sigma -> 0 limit.
+    two_var = 2.0 * sigma * sigma
+    radicand = 2.0 - 2.0 * (math.exp(-sw / two_var) if two_var > 0 else float(sw == 0))
     if radicand < -1e-12:
         raise NumericalFailure(f"kernel distance radicand {radicand} below tolerance")
     return math.sqrt(max(radicand, 0.0))

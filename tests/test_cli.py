@@ -210,3 +210,21 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
         paths[name] = tmp_path / name
         paths[name].write_text(text)
     assert run(*(arg.format(**paths) for arg in argv)) == 2
+
+
+DEGREE_1_CSV = "degree,birth,death\n1,0.0,5.0\n1,1.0,3.0\n"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"c": "degree,birth,death\n1,100.0,200.0\n"},
+     ["distmat", "{a}", "{c}", "--metric", "wasserstein:p=400"], "p=400"),
+    ({"b": "degree,birth,death\n1,0.5,4.0\n"},
+     ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=2000"], "p=2000"),
+], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow"])
+def test_bad_numerics_exit_3(tmp_path, capsys, files, argv, message):
+    paths = {}
+    for name, text in {"a": DEGREE_1_CSV, **files}.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    assert run(*(arg.format(**paths) for arg in argv), "--out", str(tmp_path / "m.csv")) == 3
+    assert message in capsys.readouterr().err

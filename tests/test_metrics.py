@@ -221,6 +221,12 @@ class TestSlicedWasserstein:
         dist = sw_kernel_distance(d1, d2, sigma=1.0)
         assert 0.0 < dist < math.sqrt(2.0)
 
+    def test_kernel_distance_sigma_squared_underflows(self):
+        # sigma * sigma is 0.0: the sigma -> 0 limit, sqrt(2) apart and 0 on self.
+        d1, d2 = diagram((0, 5), (1, 3)), diagram((0.5, 4))
+        assert sw_kernel_distance(d1, d2, sigma=1e-200) == math.sqrt(2.0)
+        assert sw_kernel_distance(d1, d1, sigma=1e-200) == 0.0
+
 
 class TestMetricSpecs:
     def test_parse_wasserstein(self):

@@ -17,12 +17,17 @@ from topocorr.complexes import (
     build_flag_complex,
     build_rips_complex,
 )
-from topocorr.experiment import summary_for
-from topocorr.metrics import bottleneck, landscape_distance, parse_metric_spec
+from topocorr.experiment import DEFAULT_METRICS, summary_for
+from topocorr.metrics import bottleneck, landscape_distance, parse_metric_spec, wasserstein
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import landscape_from_diagram
-from tests.oracles import bar_count_distance, reduce_columns
+from tests.oracles import (
+    bar_count_distance,
+    brute_bottleneck,
+    brute_wasserstein,
+    reduce_columns,
+)
 
 # Fixed examples, so every run of the suite checks the same diagrams.
 checked = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -40,13 +45,66 @@ def distance(spec, d1, d2):
     return metric.distance(a, b)
 
 
-@pytest.mark.parametrize("spec", ["landscape:p=1", "landscape:p=2", "landscape:p=inf",
-                                  "betti:p=1", "betti:p=2", "euler:p=1"])
+def degree_1(points):
+    """The diagram of (birth, death) ``points``, all in degree 1."""
+    return PersistenceDiagram([(b, d, 1) for b, d in points])
+
+
+SPECS = [*DEFAULT_METRICS, "sw"]
+# Sums over the two diagrams' points in an order that depends on which comes
+# first; every other metric is exactly symmetric.
+SYMMETRY_REL = {"wasserstein": 1e-12, "pss": 1e-12}
+
+
+@pytest.mark.parametrize("spec", SPECS)
 @checked
 @given(d1=diagrams, d2=diagrams)
+# Points an ulp apart: at p = 2, pairing them crosswise costs less than the
+# rounding of their diagonal costs, so the gains cannot tell the pairings apart.
+@example(d1=degree_1([(0.0, 1.0), (0.0, 1.0000000000000002)]), d2=PersistenceDiagram(()))
 def test_symmetric_and_zero_on_self(spec, d1, d2):
-    assert distance(spec, d1, d2) == distance(spec, d2, d1)
+    rel = SYMMETRY_REL.get(parse_metric_spec(spec).name, 0.0)
+    assert distance(spec, d1, d2) == pytest.approx(distance(spec, d2, d1), rel=rel, abs=0.0)
     assert distance(spec, d1, d1) == 0.0
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@checked
+@given(d1=diagrams, d2=diagrams, d3=diagrams)
+def test_triangle_inequality(spec, d1, d2, d3):
+    ab, bc = distance(spec, d1, d2), distance(spec, d2, d3)
+    assert distance(spec, d1, d3) <= ab + bc + 1e-12 * (ab + bc) + 1e-12
+
+
+# Pairs of diagrams of 0-6 float points, drawn mostly from a shared pool so
+# that points repeat within and across the two diagrams.
+points = st.tuples(ends, ends).filter(lambda bd: bd[0] != bd[1]).map(sorted)
+
+
+def diagram_pair(pool):
+    side = st.lists(st.sampled_from(pool) | points, max_size=6).map(degree_1)
+    return st.tuples(side, side)
+
+
+diagram_pairs = st.lists(points, min_size=1, max_size=6).flatmap(diagram_pair)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5])
+@checked
+@given(pair=diagram_pairs)
+def test_wasserstein_matches_exhaustive_matching(p, pair):
+    assert wasserstein(*pair, p) == pytest.approx(brute_wasserstein(*pair, p), rel=1e-12)
+
+
+@checked
+@given(pair=diagram_pairs)
+# The lower bound is the answer: each point's cheapest match is available.
+@example(pair=(degree_1([(0.0, 4.0), (1.0, 2.0)]), degree_1([(0.5, 4.25)])))
+# Strictly above the lower bound: both points are nearest to (0, 4), which
+# only one of them can take, so the other pays more than its cheapest match.
+@example(pair=(degree_1([(0.0, 3.0), (0.25, 3.5)]), degree_1([(0.0, 4.0)])))
+def test_bottleneck_matches_exhaustive_matching(pair):
+    assert bottleneck(*pair) == brute_bottleneck(*pair)
 
 
 @checked
