@@ -11,6 +11,19 @@ Bottleneck binary-searches the costs between each point's cheapest match at
 the worst point (probed first) and the all-to-diagonal cost; a threshold is
 feasible when the costs within it, on the (m+n) square where
 diagonal-to-diagonal moves are free, admit a perfect matching.
+
+A landscape row compares one landscape A with a list B_0, B_1, ... in one
+fixed set of array calls per block of the list: as many pairs as fit in
+4,096 breakpoints (A counted once per pair), and at least one.  Every
+breakpoint of a block gets the exact integer key (pair·K + level)·R + rank,
+with K the most levels of any landscape in the block, R the number of
+distinct t values and rank the position of its t among them; A's breakpoints
+are repeated once per pair.  The merged grid is the sorted unique keys.  Each
+side is evaluated there with one searchsorted and np.interp's slope formula,
+0 outside its own level's support, and each grid segment inside one pair's
+level is integrated exactly; the pieces are summed per pair in grid order, so
+a pair's value does not depend on the rest of its block.  A powered integral
+that overflows raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -117,8 +130,9 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     return float(candidates[lo])
 
 
-def _lp_integral(ts, f, p):
-    """Exact integral of |f|^p, with f linear between its values at ``ts``.
+def _lp_pieces(ts, f, p):
+    """Exact integrals of |f|^p over each segment between consecutive ``ts``,
+    with f linear between its values at ``ts``.
 
     On a segment of length h whose end values a, b differ in sign, f crosses
     zero and the integral is h (|a|^(p+1) + |b|^(p+1)) / ((p+1)(|a| + |b|)).
@@ -127,36 +141,108 @@ def _lp_integral(ts, f, p):
     rounding-level differences when lo is close to hi, so it is evaluated as
     h hi^p expm1((p+1) log1p(x)) / ((p+1) x) with x = (lo - hi) / hi; at
     x = -1 (lo = 0, or lo below hi's rounding) log1p gives -inf and the
-    quotient its limit h hi^p / (p+1).
+    quotient its limit h hi^p / (p+1).  A power that overflows gives inf.
     """
     h = np.diff(ts)
     a, b = np.abs(f[:-1]), np.abs(f[1:])
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (lo - hi) / hi
         one_sign = hi ** p * np.where(lo == hi, 1.0,
                                       np.expm1((p + 1) * np.log1p(x)) / ((p + 1) * x))
         crossing = (a ** (p + 1) + b ** (p + 1)) / ((p + 1) * (a + b))
-    return float(np.sum(h * np.where(f[:-1] * f[1:] < 0, crossing, one_sign)))
+        return h * np.where(f[:-1] * f[1:] < 0, crossing, one_sign)
+
+
+def _breakpoints(landscapes):
+    """Every breakpoint of ``landscapes`` as flat arrays (t, value, level,
+    owner), in order of owner, then level, then t; levels count from 0."""
+    levels = [level for lan in landscapes for level in lan.levels]
+    if not levels:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    sizes = [len(level) for level in levels]
+    points = np.concatenate(levels)
+    level = np.repeat([k for lan in landscapes for k in range(len(lan.levels))], sizes)
+    owner = np.repeat([j for j, lan in enumerate(landscapes) for _ in lan.levels], sizes)
+    return points[:, 0], points[:, 1], level, owner
+
+
+def _evaluate(keys, ts, values, grid, grid_t, R):
+    """Values at the keys ``grid`` (times ``grid_t``) of the levels whose
+    sorted breakpoint keys are ``keys``; a key's level is key // R.
+
+    A grid point takes np.interp's slope formula from the last breakpoint at
+    or before it, while the next breakpoint is on the same level.  Elsewhere
+    it is 0: before a level, past its end, or on its last breakpoint, where
+    a landscape level ends at 0.
+    """
+    if not len(keys):
+        return np.zeros(len(grid))
+    j = np.searchsorted(keys, grid, side="right") - 1  # -1 reads the last entry: not inside
+    inside = np.append(keys[1:] // R == keys[:-1] // R, False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.diff(values) / np.diff(ts)
+    return np.where(inside[j], np.append(slope, 0.0)[j] * (grid_t - ts[j]) + values[j], 0.0)
+
+
+# Bound on the breakpoints (both sides, every pair) that one block of a
+# landscape row merges, so that its arrays stay near 32 kB each: whole rows
+# of the ER experiment (about 35k points) raised its peak RSS by 5 MiB.
+_BLOCK_POINTS = 1 << 12
+
+
+def landscape_row(lan: PersistenceLandscape, others, p) -> np.ndarray:
+    """Exact L^p distances from ``lan`` to each landscape of ``others``
+    (levelwise, then p-summed), a block of ``others`` at a time."""
+    if p != math.inf and p < 1:
+        raise ValueError("p must be >= 1 or infinity")
+    own = sum(len(level) for level in lan.levels)
+    blocks, total = [[]], 0
+    for other in others:
+        size = own + sum(len(level) for level in other.levels)
+        if blocks[-1] and total + size > _BLOCK_POINTS:
+            blocks.append([])
+            total = 0
+        blocks[-1].append(other)
+        total += size
+    return np.concatenate([_landscape_block(lan, block, p) for block in blocks])
+
+
+def _landscape_block(lan, others, p):
+    """landscape_row on one block, in one set of array calls (module docstring)."""
+    n = len(others)
+    t, value, level, owner = _breakpoints([lan, *others])
+    if not len(t):
+        return np.zeros(n)
+    ts, rank = np.unique(t, return_inverse=True)
+    R, K = len(ts), int(level.max()) + 1
+    # Key (pair·K + level)·R + rank, sorted like the breakpoints; lan's
+    # breakpoints take pair 0 here and are shifted to every pair below.
+    keys = (np.maximum(owner - 1, 0) * K + level) * R + rank
+    mine = owner == 0
+    a_keys, b_keys = keys[mine], keys[~mine]
+    # Two sorted runs, which a stable sort merges.
+    span = K * R  # keys of one pair
+    grid = np.sort(np.concatenate(
+        [b_keys, (a_keys[None, :] + np.arange(n)[:, None] * span).ravel()]), kind="stable")
+    grid = grid[np.diff(grid, prepend=-1) != 0]  # keys are >= 0
+    pair, grid_t = grid // span, ts[grid % R]
+    diff = (_evaluate(a_keys, t[mine], value[mine], grid % span, grid_t, R)
+            - _evaluate(b_keys, t[~mine], value[~mine], grid, grid_t, R))
+    if p == math.inf:
+        out = np.zeros(n)
+        np.maximum.at(out, pair, np.abs(diff))
+        return out
+    same = grid[1:] // R == grid[:-1] // R  # segments inside one pair's level
+    totals = np.bincount(pair[1:][same], weights=_lp_pieces(grid_t, diff, p)[same], minlength=n)
+    if not np.isfinite(totals).all():
+        raise NumericalFailure(f"powered landscape integral overflows at p={p}")
+    return totals ** (1.0 / p)
 
 
 def landscape_distance(l1: PersistenceLandscape, l2: PersistenceLandscape, p) -> float:
-    """Exact L^p distance between landscapes (levelwise, then p-summed).
-
-    Each pair of levels is compared on the union of their breakpoints, where
-    their difference is linear between consecutive points.
-    """
-    if p != math.inf and p < 1:
-        raise ValueError("p must be >= 1 or infinity")
-    total = 0.0
-    for k in range(1, max(l1.level_count(), l2.level_count()) + 1):
-        ts = np.union1d(l1.level(k)[:, 0], l2.level(k)[:, 0])
-        diff = l1.evaluate(k, ts) - l2.evaluate(k, ts)
-        if p == math.inf:
-            total = max(total, float(np.abs(diff).max()))
-        else:
-            total += _lp_integral(ts, diff, p)
-    return total if p == math.inf else total ** (1.0 / p)
+    """Exact L^p distance between landscapes: the row kernel on ``[l2]``."""
+    return float(landscape_row(l1, [l2], p)[0])
 
 
 def curve_distance(c1: StepCurve, c2: StepCurve, p) -> float:
@@ -165,7 +251,11 @@ def curve_distance(c1: StepCurve, c2: StepCurve, p) -> float:
         raise ValueError("p must be >= 1")
     ts = np.union1d(c1.breakpoints, c2.breakpoints)
     diff = np.abs(c1.evaluate(ts[:-1]) - c2.evaluate(ts[:-1]))
-    return float(np.sum(diff ** p * np.diff(ts))) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(diff ** p * np.diff(ts)))
+    if not math.isfinite(total):
+        raise NumericalFailure(f"powered curve integral overflows at p={p}")
+    return total ** (1.0 / p)
 
 
 def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
@@ -205,14 +295,14 @@ def sliced_wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, lines: in
     diag2 = np.repeat(p2.mean(axis=1, keepdims=True), 2, axis=1)
     side1 = np.concatenate([p1, diag2])
     side2 = np.concatenate([p2, diag1])
-    total = 0.0
-    for i in range(lines):
-        theta = i * math.pi / lines
-        direction = np.array([math.cos(theta), math.sin(theta)])
-        a = np.sort(side1 @ direction)
-        b = np.sort(side2 @ direction)
-        total += float(np.abs(a - b).sum())
-    return total / lines
+    angles = [i * math.pi / lines for i in range(lines)]
+    directions = np.array([[math.cos(theta), math.sin(theta)] for theta in angles])[:, :, None]
+    # A stack of one matrix-vector product per line rounds like projecting
+    # line by line; one (lines, m) matrix product does not.
+    a = np.sort(np.matmul(side1, directions)[..., 0], axis=1)
+    b = np.sort(np.matmul(side2, directions)[..., 0], axis=1)
+    # The per-line costs, summed in line order.
+    return float(np.cumsum(np.abs(a - b).sum(axis=1))[-1]) / lines
 
 
 def sw_kernel_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
@@ -237,19 +327,22 @@ _POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _LINES = (int, lambda v: v >= 1, "an integer >= 1")
 
 # Metric name -> (summary kind, required parameters, optional parameters,
-# distance).  Parameters map their names to their types; the distance takes
-# two summaries of the kind and the parameters as keywords.  "count<d>"
-# stands for count0, count1, ...: L^p between cumulative counts of d-cells.
+# distance, row).  Parameters map their names to their types; the distance
+# takes two summaries of the kind and the parameters as keywords.  The row,
+# where there is one, takes a summary, a list of summaries and the parameters
+# and returns the distances from the one to each; without one, a row maps the
+# distance over the list.  "count<d>" stands for count0, count1, ...: L^p
+# between cumulative counts of d-cells.
 METRICS = {
-    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein),
-    "bottleneck": ("diagram", {}, {}, bottleneck),
-    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance),
-    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein),
-    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance),
-    "landscape": ("landscape", {"p": _P}, {}, landscape_distance),
-    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance),
-    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance),
-    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance),
+    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein, None),
+    "bottleneck": ("diagram", {}, {}, bottleneck, None),
+    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance, None),
+    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein, None),
+    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance, None),
+    "landscape": ("landscape", {"p": _P}, {}, landscape_distance, landscape_row),
+    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance, None),
+    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance, None),
+    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance, None),
 }
 
 
@@ -283,6 +376,13 @@ class MetricSpec:
     def distance(self, a, b):
         return METRICS[self.family][3](a, b, **self.params)
 
+    def row(self, a, others):
+        """Distances from ``a`` to each summary of ``others``, as an array."""
+        row = METRICS[self.family][4]
+        if row is None:
+            return np.array([self.distance(a, b) for b in others], dtype=float)
+        return row(a, others, **self.params)
+
 
 def _typed(text, ptype, what):
     """``text`` converted by a parameter type; ConfigurationError if it does not fit."""
@@ -306,7 +406,7 @@ def parse_metric_spec(spec: str) -> MetricSpec:
         family, cell_dim = "count<d>", int(name[5:])
     if family not in METRICS or name == "count<d>":
         raise ConfigurationError(f"unknown metric {name!r}")
-    _, required, optional, _ = METRICS[family]
+    required, optional = METRICS[family][1:3]
     types = {**required, **optional}
     params = {}
     if rest:
@@ -330,11 +430,10 @@ def pairwise_matrix(samples, metric: MetricSpec) -> DistanceMatrix:
     if n < 2:
         raise ValueError("need at least 2 samples")
     entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                d = metric.distance(samples[i], samples[j])
-            except (AttributeError, TypeError) as exc:
-                raise ValueError(f"metric {metric.label!r} does not fit samples") from exc
-            entries[i, j] = entries[j, i] = d
+    for i in range(n - 1):
+        try:
+            row = metric.row(samples[i], samples[i + 1:])
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"metric {metric.label!r} does not fit samples") from exc
+        entries[i, i + 1:] = entries[i + 1:, i] = row
     return DistanceMatrix(n, entries, metric.label)

@@ -213,6 +213,7 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
 
 
 DEGREE_1_CSV = "degree,birth,death\n1,0.0,5.0\n1,1.0,3.0\n"
+WIDE_CSV = "degree,birth,death\n1,0.0,40.0\n1,1.0,30.0\n"
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -220,7 +221,15 @@ DEGREE_1_CSV = "degree,birth,death\n1,0.0,5.0\n1,1.0,3.0\n"
      ["distmat", "{a}", "{c}", "--metric", "wasserstein:p=400"], "p=400"),
     ({"b": "degree,birth,death\n1,0.5,4.0\n"},
      ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=2000"], "p=2000"),
-], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow"])
+    ({"a": WIDE_CSV, "b": "degree,birth,death\n1,0.0,10.0\n"},
+     ["distmat", "{a}", "{b}", "--metric", "landscape:p=400"], "p=400"),
+    ({"a": WIDE_CSV, "b": "degree,birth,death\n1,0.0,10.0\n"},
+     ["distmat", "{a}", "{b}", "--metric", "betti:p=2000"], "p=2000"),
+    ({"a": WIDE_CSV, "b": "degree,birth,death\n1,0.0,1e200\n"},
+     ["distmat", "{a}", "{b}", "--metric", "landscape:p=2"], "p=2"),
+], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
+        "landscape-integral-overflow", "betti-integral-overflow",
+        "landscape-value-overflow"])
 def test_bad_numerics_exit_3(tmp_path, capsys, files, argv, message):
     paths = {}
     for name, text in {"a": DEGREE_1_CSV, **files}.items():

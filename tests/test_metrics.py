@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from topocorr.errors import ConfigurationError
+from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.metrics import (
     DistanceMatrix,
     bottleneck,
     curve_distance,
     diagonal_distance,
     landscape_distance,
+    landscape_row,
     pairwise_matrix,
     parse_metric_spec,
     pss_distance,
@@ -19,7 +20,7 @@ from topocorr.metrics import (
     wasserstein,
 )
 from topocorr.persistence import PersistenceDiagram
-from topocorr.summaries import StepCurve, landscape_from_diagram
+from topocorr.summaries import StepCurve, betti_curve, landscape_from_diagram
 from topocorr.experiment import build_complex, compute_bundle
 from topocorr.models import ModelSpec, derive_seed, generate
 from tests.oracles import brute_bottleneck, brute_wasserstein, sup_landscape_distance
@@ -163,6 +164,34 @@ class TestLandscapeDistance:
                 assert landscape_distance(a, c, p) <= \
                     landscape_distance(a, b, p) + landscape_distance(b, c, p) + 1e-9
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    @pytest.mark.parametrize("block_points", [1, 40, None])
+    def test_matrix_entries_equal_pair_distances(self, monkeypatch, p, block_points):
+        # A pair's value does not depend on which landscapes share its row,
+        # whether each pair is a block of its own, a few share one, or all do.
+        if block_points is not None:
+            monkeypatch.setattr("topocorr.metrics._BLOCK_POINTS", block_points)
+        rng = np.random.default_rng(5)
+        lans = [landscape_from_diagram(random_diagram(rng, 6)) for _ in range(8)]
+        entries = pairwise_matrix(lans, parse_metric_spec(f"landscape:p={p}")).entries
+        for i in range(8):
+            for j in range(i + 1, 8):
+                assert entries[i, j] == entries[j, i] == landscape_distance(lans[i], lans[j], p)
+
+    def test_row_of_nothing_and_of_empty_landscapes(self):
+        lan, empty = landscape_from_diagram(diagram((0, 2))), landscape_from_diagram(diagram())
+        assert landscape_row(lan, [], 1).shape == (0,)
+        assert landscape_row(empty, [empty, empty], 2).tolist() == [0.0, 0.0]
+        assert landscape_row(empty, [lan], math.inf).tolist() == [1.0]
+
+    @pytest.mark.parametrize("d1, d2, p", [
+        (diagram((0, 40), (1, 30)), diagram((0, 10)), 400.0),
+        (diagram((0, 40), (1, 30)), diagram((0, 1e200)), 2.0),
+    ])
+    def test_powered_integral_overflow_is_numerical_failure(self, d1, d2, p):
+        with pytest.raises(NumericalFailure, match=f"p={p}"):
+            landscape_distance(landscape_from_diagram(d1), landscape_from_diagram(d2), p)
+
 
 class TestCurveDistance:
     def test_l1(self):
@@ -174,6 +203,12 @@ class TestCurveDistance:
         c1 = StepCurve((0.0, 1.0), (3,))
         c2 = StepCurve((0.0, 1.0), (1,))
         assert curve_distance(c1, c2, 2) == pytest.approx(2.0)
+
+    def test_powered_integral_overflow_is_numerical_failure(self):
+        # 2^2000 overflows; the curves differ by 2 on [1, 2).
+        c1, c2 = StepCurve((0.0, 1.0, 2.0), (1, 2)), StepCurve((0.0, 1.0), (1,))
+        with pytest.raises(NumericalFailure, match="p=2000"):
+            curve_distance(c1, c2, 2000.0)
 
 
 class TestPSS:
@@ -207,6 +242,17 @@ class TestSlicedWasserstein:
     def test_symmetry(self):
         d1, d2 = diagram((0, 1)), diagram((1, 3), (0, 2))
         assert sliced_wasserstein(d1, d2) == pytest.approx(sliced_wasserstein(d2, d1))
+
+    def test_matches_per_line_transport(self):
+        # The mean over lines of the sorted 1-D transport cost, line by line.
+        d1, d2 = diagram((0, 1), (2, 5), (1, 1.5)), diagram((1, 3), (0.5, 4))
+        side1 = np.concatenate([d1.pairs(), np.repeat(d2.pairs().mean(axis=1), 2).reshape(-1, 2)])
+        side2 = np.concatenate([d2.pairs(), np.repeat(d1.pairs().mean(axis=1), 2).reshape(-1, 2)])
+        costs = []
+        for i in range(7):
+            direction = np.array([math.cos(i * math.pi / 7), math.sin(i * math.pi / 7)])
+            costs.append(np.abs(np.sort(side1 @ direction) - np.sort(side2 @ direction)).sum())
+        assert sliced_wasserstein(d1, d2, lines=7) == pytest.approx(sum(costs) / 7, rel=1e-15)
 
     def test_line_count_stability(self):
         # The average over equidistributed lines converges; 10 vs 500 lines
@@ -277,3 +323,14 @@ class TestMetricSpecs:
         assert mat.n == 4 and mat.label == "wasserstein:p=1"
         assert mat.entries[1, 2] == pytest.approx(
             wasserstein(diagrams[1], diagrams[2], 1))
+
+    @pytest.mark.parametrize("spec, kind", [("landscape:p=1", "diagram"),
+                                            ("landscape:p=inf", "betti"),
+                                            ("wasserstein:p=1", "landscape")])
+    def test_pairwise_matrix_rejects_samples_of_another_kind(self, spec, kind):
+        # Batched rows and rows mapped pair by pair give the same error.
+        d = diagram((0, 2), (1, 3))
+        sample = {"diagram": d, "betti": betti_curve(d, 1),
+                  "landscape": landscape_from_diagram(d)}[kind]
+        with pytest.raises(ValueError, match="does not fit samples"):
+            pairwise_matrix([sample, sample, sample], parse_metric_spec(spec))

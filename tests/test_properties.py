@@ -18,7 +18,13 @@ from topocorr.complexes import (
     build_rips_complex,
 )
 from topocorr.experiment import DEFAULT_METRICS, summary_for
-from topocorr.metrics import bottleneck, landscape_distance, parse_metric_spec, wasserstein
+from topocorr.metrics import (
+    bottleneck,
+    landscape_distance,
+    landscape_row,
+    parse_metric_spec,
+    wasserstein,
+)
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import landscape_from_diagram
@@ -27,6 +33,7 @@ from tests.oracles import (
     brute_bottleneck,
     brute_wasserstein,
     reduce_columns,
+    sup_landscape_distance,
 )
 
 # Fixed examples, so every run of the suite checks the same diagrams.
@@ -105,6 +112,33 @@ def test_wasserstein_matches_exhaustive_matching(p, pair):
 @example(pair=(degree_1([(0.0, 3.0), (0.25, 3.5)]), degree_1([(0.0, 4.0)])))
 def test_bottleneck_matches_exhaustive_matching(pair):
     assert bottleneck(*pair) == brute_bottleneck(*pair)
+
+
+def diagram_row(pool):
+    side = st.lists(st.sampled_from(pool) | points, max_size=6).map(degree_1)
+    return st.lists(side, min_size=2, max_size=5)
+
+
+# Rows of 2-5 diagrams of 0-6 float points, drawn mostly from a shared pool,
+# so that bars and breakpoints repeat within and across the diagrams.
+diagram_rows = st.lists(points, min_size=1, max_size=6).flatmap(diagram_row)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
+@checked
+@given(row=diagram_rows)
+# Empty landscapes on either side, and rows of different level counts.
+@example(row=[degree_1([]), degree_1([(0.0, 4.0), (1.0, 3.0)]), degree_1([])])
+@example(row=[degree_1([(0.0, 4.0), (1.0, 3.0), (2.0, 5.0)]), degree_1([]),
+              degree_1([(0.0, 2.0)]), degree_1([(0.0, 4.0), (1.0, 3.0)])])
+# One landscape of the row ends where the next begins: no slope across them.
+@example(row=[degree_1([(0.0, 2.0)]), degree_1([(0.0, 1.0)]), degree_1([(1.0, 2.0)])])
+def test_landscape_row_matches_sup_definition(p, row):
+    lans = [landscape_from_diagram(d) for d in row]
+    got = landscape_row(lans[0], lans[1:], p)
+    assert got.shape == (len(row) - 1,)
+    for d, value in zip(row[1:], got):
+        assert value == pytest.approx(sup_landscape_distance(row[0], d, p), rel=1e-9, abs=1e-12)
 
 
 @checked

@@ -29,6 +29,16 @@ def dyadic_diagram(rng, max_points=8):
 
 
 class TestLandscape:
+    def test_levels_are_a_tuple_of_breakpoint_arrays(self):
+        # The breakpoint count and the text writer both read ``levels``.
+        lan = landscape_from_diagram(diagram((0, 4), (1, 3), (5, 6)))
+        assert isinstance(lan.levels, tuple) and len(lan.levels) == lan.level_count() == 2
+        for level in lan.levels:
+            assert isinstance(level, np.ndarray) and level.dtype == float
+            assert level.ndim == 2 and level.shape[1] == 2
+        assert sum(len(level) for level in lan.levels) == 6 + 3
+        assert landscape_from_diagram(diagram()).levels == ()
+
     def test_single_bar_tent(self):
         lan = landscape_from_diagram(diagram((0, 2)))
         assert lan.level_count() == 1
