@@ -217,7 +217,7 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Override the config output directory.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker processes for per-sample persistence.")
+              help="Worker processes for per-sample persistence (experiment or sweep).")
 @click.option("--verbose/--quiet", default=False)
 def experiment_cmd(config_path, seed, out, threads, verbose):
     """Run a configured experiment; with a [sweep] section, a parameter sweep."""
@@ -226,7 +226,7 @@ def experiment_cmd(config_path, seed, out, threads, verbose):
     cfg = load_config(config_path, seed=seed, out=out)
     progress = (lambda msg: click.echo(msg, err=True)) if verbose else None
     if cfg.sweep is not None:
-        rows = run_parameter_correlation(cfg, progress=progress)
+        rows = run_parameter_correlation(cfg, progress=progress, threads=threads)
         for label, value, flag in rows:
             suffix = " negative_flag" if flag else ""
             click.echo(f"{label} dCor={value:.6f}{suffix}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +134,6 @@ def tri(g: HeightGrid) -> float:
             neighbor = v[1 + dr:v.shape[0] - 1 + dr, 1 + dc:v.shape[1] - 1 + dc]
             total += (neighbor - center) ** 2
     return float(np.sqrt(total).mean())
-
-
-def chunk_center_distance(c1, c2, resolution: float) -> float:
-    """Planar distance of chunk centers in grid units times the resolution."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    return resolution * math.hypot(c1[0] - c2[0], c1[1] - c2[1])
 
 
 def synth_terrain(size: int, roughness: float, seed: int) -> HeightGrid:

@@ -1,11 +1,14 @@
 """Experiment orchestration: models -> complexes -> persistence -> summaries
--> distance matrices -> distance correlation, with CSV/SVG artifacts."""
+-> distance matrices -> distance correlation, with CSV/SVG artifacts.  The
+experiment, the γ sweep and the DEM run share one driver, :func:`_matrices`."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from topocorr.complexes import (
     build_rips_complex,
 )
 from topocorr.dcor import dcor_matrix, sample_dcor
-from topocorr.dem import ChunkSpec, chunk_grid, chunk_center_distance, synth_terrain, tri
+from topocorr.dem import ChunkSpec, chunk_grid, synth_terrain, tri
 from topocorr.errors import ConfigurationError
 from topocorr.metrics import DistanceMatrix, MetricSpec, pairwise_matrix, parse_metric_spec
 from topocorr.models import ModelSpec, generate
@@ -185,27 +188,50 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
     return bundle
 
 
-def distance_matrices(bundles, metrics):
-    return [pairwise_matrix([b[m.bundle_key] for b in bundles], m) for m in metrics]
-
-
 def _safe_label(label):
     return label.replace(":", "_").replace("=", "_").replace(",", "_").replace("/", "_")
 
 
+def _write_rows(path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _sample_bundle(cfg: RunConfig, index: int) -> dict:
-    raw = generate(cfg.model, index)
-    cx = build_complex(cfg.model.kind, raw, cfg.max_dim, cfg.max_radius)
+    """Sample ``index`` of an experiment, or the sample at ``cfg.sweep[index]``."""
+    spec = cfg.model if cfg.sweep is None else ModelSpec(
+        "interpolated", cfg.model.n, gamma=float(cfg.sweep[index]), seed=cfg.seed)
+    cx = build_complex(spec.kind, generate(spec, index), cfg.max_dim, cfg.max_radius)
     return compute_bundle(cx, cfg.degree, cfg.metrics, cfg.max_dim)
 
 
-def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
-    """Full pipeline run; writes diagrams, matrices, dCor CSV + SVG and a manifest.
+def _chunk_bundle(metrics, block) -> dict:
+    return compute_bundle(build_cubical_complex(block), 1, metrics)
 
-    ``threads`` > 1 fans per-sample persistence out to worker processes; each
-    sample is a pure function of (config, index), so results are collected in
-    index order and the output is identical to a sequential run.
-    """
+
+def _matrices(make, items, metrics, threads=1, progress=None):
+    """The bundle ``make(item)`` of every item, in item order, and one pairwise
+    matrix per metric over them.  ``threads`` > 1 builds the bundles in worker
+    processes; each is a pure function of its item, so the result is the same."""
+    pool = nullcontext()
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
+    bundles = []
+    with pool:
+        for bundle in (pool.map if threads > 1 else map)(make, items):
+            bundles.append(bundle)
+            if progress:
+                progress(f"sample {len(bundles)}/{len(items)}")
+    return bundles, [pairwise_matrix([b[m.bundle_key] for b in bundles], m)
+                     for m in metrics]
+
+
+def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
+    """Full pipeline run; writes diagrams, matrices, dCor CSV + SVG and a
+    manifest.  ``threads`` > 1 builds the samples in worker processes."""
     out = cfg.out
     try:
         (out / "diagrams").mkdir(parents=True, exist_ok=True)
@@ -213,22 +239,11 @@ def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
 
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=min(threads, cfg.repetitions)) as pool:
-            bundles = list(pool.map(partial(_sample_bundle, cfg),
-                                    range(cfg.repetitions)))
-    else:
-        bundles = [_sample_bundle(cfg, i) for i in range(cfg.repetitions)]
+    bundles, mats = _matrices(partial(_sample_bundle, cfg), range(cfg.repetitions),
+                              cfg.metrics, threads, progress)
     for i, bundle in enumerate(bundles):
         (out / "diagrams" / f"sample_{i:04d}.csv").write_text(
             diagram_to_csv(bundle["diagram"]))
-        if progress:
-            progress(f"sample {i + 1}/{cfg.repetitions}")
-
-    mats = distance_matrices(bundles, cfg.metrics)
     for m in mats:
         (out / "matrices" / f"{_safe_label(m.label)}.csv").write_text(matrix_to_csv(m))
 
@@ -258,29 +273,19 @@ def parameter_matrix(values, label="parameter") -> DistanceMatrix:
     return DistanceMatrix(len(v), np.abs(v[:, None] - v[None, :]), label)
 
 
-def run_parameter_correlation(cfg: RunConfig, progress=None) -> list[tuple[str, float, bool]]:
+def run_parameter_correlation(cfg: RunConfig, progress=None,
+                              threads: int = 1) -> list[tuple[str, float, bool]]:
     """dCor between each summary metric and the sweep parameter, sorted descending."""
     if cfg.sweep is None:
         raise ConfigurationError("parameter correlation needs a sweep")
-    bundles = []
-    for i, gamma in enumerate(cfg.sweep):
-        spec = ModelSpec("interpolated", cfg.model.n, gamma=float(gamma), seed=cfg.seed)
-        raw = generate(spec, i)
-        cx = build_complex("interpolated", raw, cfg.max_dim, cfg.max_radius)
-        bundles.append(compute_bundle(cx, cfg.degree, cfg.metrics, cfg.max_dim))
-        if progress:
-            progress(f"gamma {i + 1}/{len(cfg.sweep)}")
+    _, mats = _matrices(partial(_sample_bundle, cfg), range(len(cfg.sweep)),
+                        cfg.metrics, threads, progress)
     pmat = parameter_matrix(cfg.sweep, label="gamma")
-    rows = []
-    for mat in distance_matrices(bundles, cfg.metrics):
-        report = sample_dcor(mat, pmat)
-        rows.append((mat.label, report.dCor, report.negative_flag))
-    rows.sort(key=lambda r: -r[1])
+    reports = [(mat.label, sample_dcor(mat, pmat)) for mat in mats]
+    rows = sorted(((label, r.dCor, r.negative_flag) for label, r in reports),
+                  key=lambda row: -row[1])
     if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        lines = ["metric,dCor,negative_flag"]
-        lines += [f"{label},{value!r},{flag}" for label, value, flag in rows]
-        (cfg.out / "parameter_dcor.csv").write_text("\n".join(lines) + "\n")
+        _write_rows(cfg.out / "parameter_dcor.csv", "metric,dCor,negative_flag", rows)
     return rows
 
 
@@ -348,48 +353,29 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
                   out: Path | None = None, resolution=10.0, max_chunks=None) -> dict:
     """Elevation-grid run: chunks -> cubical persistence -> summaries ->
     dCor against per-chunk ruggedness (TRI) and center distance."""
-    spec = ChunkSpec(chunk_size, stride, max_chunks)
-    chunks = chunk_grid(grid, spec)
+    if resolution <= 0:
+        raise ConfigurationError("resolution must be positive")
+    chunks = chunk_grid(grid, ChunkSpec(chunk_size, stride, max_chunks))
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
-    bundles = []
-    tris = []
-    centers = []
-    for block, center in chunks:
-        cx = build_cubical_complex(block)
-        bundles.append(compute_bundle(cx, 1, metrics))
-        tris.append(tri(block))
-        centers.append(center)
-    mats = distance_matrices(bundles, metrics)
+    blocks = [block for block, _ in chunks]
+    _, mats = _matrices(partial(_chunk_bundle, metrics), blocks, metrics)
+    tris = [tri(block) for block in blocks]
     tri_mat = parameter_matrix(tris, label="tri")
-    n = len(chunks)
-    geo = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            geo[i, j] = geo[j, i] = chunk_center_distance(centers[i], centers[j], resolution)
-    geo_mat = DistanceMatrix(n, geo, "geodesic")
-
-    rows = []
-    for mat in mats:
-        rows.append((mat.label,
-                     sample_dcor(mat, tri_mat).dCor,
-                     sample_dcor(mat, geo_mat).dCor))
+    # Centre differences are whole multiples of the stride: equal to math.hypot.
+    centers = np.array([center for _, center in chunks])
+    dx, dy = (centers[:, None, k] - centers[None, :, k] for k in (0, 1))
+    geo_mat = DistanceMatrix(len(chunks), resolution * np.sqrt(dx ** 2 + dy ** 2), "geodesic")
+    rows = [(mat.label, sample_dcor(mat, tri_mat).dCor, sample_dcor(mat, geo_mat).dCor)
+            for mat in mats]
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        manifest_lines = ["row,col,center_x,center_y,tri"]
-        for (block, center), t in zip(chunks, tris):
-            manifest_lines.append(
-                f"{int(center[0] - (chunk_size - 1) / 2)},"
-                f"{int(center[1] - (chunk_size - 1) / 2)},"
-                f"{center[1]!r},{center[0]!r},{t!r}")
-        (out / "chunks.csv").write_text("\n".join(manifest_lines) + "\n")
-        for mat in mats:
+        half = (chunk_size - 1) / 2
+        _write_rows(out / "chunks.csv", "row,col,center_x,center_y,tri",
+                    [(int(r - half), int(c - half), c, r, t)
+                     for (_, (r, c)), t in zip(chunks, tris)])
+        for mat in (*mats, tri_mat, geo_mat):
             (out / f"{_safe_label(mat.label)}.csv").write_text(matrix_to_csv(mat))
-        (out / "tri.csv").write_text(matrix_to_csv(tri_mat))
-        (out / "geodesic.csv").write_text(matrix_to_csv(geo_mat))
-        lines = ["metric,dCor_tri,dCor_geodesic"]
-        lines += [f"{label},{a!r},{b!r}" for label, a, b in rows]
-        (out / "dem_dcor.csv").write_text("\n".join(lines) + "\n")
+        _write_rows(out / "dem_dcor.csv", "metric,dCor_tri,dCor_geodesic", rows)
     return {"rows": rows, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}
 

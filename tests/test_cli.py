@@ -9,6 +9,19 @@ def run(*argv):
     return main(list(argv))
 
 
+def write_grid(tmp_path):
+    grid = tmp_path / "grid.txt"
+    rows = np.random.default_rng(3).random((20, 20))
+    grid.write_text("\n".join(" ".join(repr(float(x)) for x in row) for row in rows))
+    return grid
+
+
+def tree_bytes(root):
+    """Relative path -> contents of every file under ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 def make_diagrams(tmp_path, count=3, seed=1):
     paths = []
     cx = tmp_path / "cx.txt"
@@ -94,15 +107,24 @@ class TestPipelineCommands:
                    "--out", str(tmp_path / "dem")) == 0
 
     def test_dem_from_file(self, tmp_path):
-        grid = tmp_path / "grid.txt"
-        rng = np.random.default_rng(3)
-        rows = rng.random((20, 20))
-        grid.write_text("\n".join(" ".join(repr(float(x)) for x in row)
-                                  for row in rows))
         out = tmp_path / "dem"
-        assert run("dem", "--input", str(grid), "--chunk-size", "8",
+        assert run("dem", "--input", str(write_grid(tmp_path)), "--chunk-size", "8",
                    "--stride", "4", "--out", str(out)) == 0
         assert (out / "tri.csv").exists()
+
+    @pytest.mark.parametrize("source", ["synth", "input"])
+    def test_dem_idempotent(self, tmp_path, source):
+        argv = ["--size", "33", "--chunk-size", "12", "--stride", "10"]
+        if source == "input":
+            argv = ["--input", str(write_grid(tmp_path)), "--chunk-size", "8",
+                    "--stride", "6"]
+        for name in ("a", "b"):
+            assert run("dem", *argv, "--metric", "wasserstein:p=2", "--metric",
+                       "landscape:p=inf", "--out", str(tmp_path / name)) == 0
+        a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
+        assert sorted(a) == ["chunks.csv", "dem_dcor.csv", "geodesic.csv",
+                             "landscape_p_inf.csv", "tri.csv", "wasserstein_p_2.csv"]
+        assert a == b
 
     def test_experiment(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -120,6 +142,16 @@ class TestPipelineCommands:
                        "metrics = wasserstein:p=1 bottleneck\n"
                        f"out = {tmp_path / 'out'}\n")
         assert run("experiment", "--config", str(cfg), "--threads", "2") == 0
+
+    def test_sweep_threads_match_sequential(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[model]\nkind = interpolated\nn = 8\n\n"
+                       "[run]\nseed = 2\nmetrics = wasserstein:p=1 count2:p=1\n\n"
+                       "[sweep]\ngamma_count = 4\n")
+        for name, threads in (("a", "1"), ("b", "2")):
+            assert run("experiment", "--config", str(cfg), "--threads", threads,
+                       "--out", str(tmp_path / name)) == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
 class TestExitCodes:

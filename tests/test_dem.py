@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from topocorr.complexes import HeightGrid
 from topocorr.dem import (
     ChunkSpec,
-    chunk_center_distance,
     chunk_grid,
     load_grid,
     synth_terrain,
     tri,
 )
 from topocorr.errors import ConfigurationError, ParseError
+from topocorr.experiment import dem_from_grid
+from topocorr.metrics import parse_metric_spec
 
 
 class TestLoadGrid:
@@ -120,13 +122,26 @@ class TestTri:
             tri(HeightGrid.from_array(np.zeros((2, 5))))
 
 
-class TestChunkCenterDistance:
+class TestDemFromGrid:
+    METRICS = [parse_metric_spec("wasserstein:p=1")]
+
+    def grid(self, rows, cols):
+        return HeightGrid.from_array(np.random.default_rng(5).random((rows, cols)))
+
     def test_planar_euclidean(self):
-        assert chunk_center_distance((0, 0), (3, 4), 10.0) == pytest.approx(50.0)
+        # 3x3 chunks at stride 1 on a 7x6 grid: centres (1, 1) to (5, 4), a
+        # 4-3-5 triangle between the first and the last chunk.
+        result = dem_from_grid(self.grid(7, 6), 3, 1, self.METRICS, resolution=10.0)
+        _, centers = zip(*chunk_grid(self.grid(7, 6), ChunkSpec(3, 1)))
+        geo = result["geo_matrix"].entries
+        assert geo[0, -1] == geo[-1, 0] == 50.0
+        assert geo.tolist() == [[10.0 * math.hypot(a[0] - b[0], a[1] - b[1])
+                                 for b in centers] for a in centers]
 
     def test_rejects_bad_resolution(self):
-        with pytest.raises(ValueError):
-            chunk_center_distance((0, 0), (1, 1), 0.0)
+        for resolution in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                dem_from_grid(self.grid(6, 6), 3, 3, self.METRICS, resolution=resolution)
 
 
 class TestSynthTerrain:

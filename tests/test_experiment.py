@@ -1,4 +1,5 @@
 import concurrent.futures
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,28 @@ METRICS = tuple(parse_metric_spec(m) for m in
 def small_config(out, reps=3, seed=1):
     return RunConfig(model=ModelSpec("er", 8, seed=seed), repetitions=reps,
                      degree=1, metrics=METRICS, out=out, seed=seed)
+
+
+def sweep_config(out, gammas=(0.0, 0.3, 0.6, 1.0)):
+    return RunConfig(model=ModelSpec("interpolated", 8, gamma=0.0, seed=2),
+                     repetitions=2, degree=1,
+                     metrics=METRICS + (parse_metric_spec("count2:p=1"),),
+                     out=out, seed=2, sweep=gammas)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the process pools a run asks for.  Each pool runs its
+    samples on one thread, so a test starts no process whatever size is asked."""
+    requested = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return requested
 
 
 class TestRunConfig:
@@ -135,19 +158,14 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "dcor.csv").read_bytes() == \
             (tmp_path / "b" / "dcor.csv").read_bytes()
 
-    def test_threads_capped_at_sample_count(self, tmp_path, monkeypatch):
-        requested = []
-
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            # Records the pool size and runs the samples on one thread, so
-            # the test starts no process whatever size is asked for.
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers=1)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_threads_capped_at_sample_count(self, tmp_path, pool_sizes):
         run_experiment(small_config(tmp_path, reps=3), threads=5000)
-        assert requested == [3]
+        assert pool_sizes == [3]
+
+    def test_progress_per_sample(self, tmp_path):
+        messages = []
+        run_experiment(small_config(tmp_path, reps=3), progress=messages.append)
+        assert messages == ["sample 1/3", "sample 2/3", "sample 3/3"]
 
 
 class TestParameterCorrelation:
@@ -174,6 +192,28 @@ class TestParameterCorrelation:
         values = [v for _, v, _ in rows]
         assert values == sorted(values, reverse=True)
         assert (tmp_path / "parameter_dcor.csv").exists()
+
+    def test_idempotent(self, tmp_path):
+        run_parameter_correlation(sweep_config(tmp_path / "a"))
+        run_parameter_correlation(sweep_config(tmp_path / "b"))
+        assert (tmp_path / "a" / "parameter_dcor.csv").read_bytes() == \
+            (tmp_path / "b" / "parameter_dcor.csv").read_bytes()
+
+    def test_threads_capped_at_sweep_length(self, tmp_path, pool_sizes):
+        run_parameter_correlation(sweep_config(tmp_path), threads=5000)
+        assert pool_sizes == [4]
+
+    def test_progress_per_sample(self, tmp_path):
+        messages = []
+        run_parameter_correlation(sweep_config(tmp_path), progress=messages.append)
+        assert messages == [f"sample {i}/4" for i in range(1, 5)]
+
+    def test_keeps_run_seed(self, tmp_path):
+        # A sweep draws every sample from the run seed, as load_config sets it.
+        other = replace(sweep_config(tmp_path / "b"),
+                        model=ModelSpec("interpolated", 8, gamma=0.0, seed=99))
+        assert run_parameter_correlation(sweep_config(tmp_path / "a")) == \
+            run_parameter_correlation(other)
 
 
 class TestNegtypeSuite:
