@@ -51,11 +51,11 @@ def _parse(path, parse):
     a configuration error."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)
-    except (ParseError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -197,13 +197,8 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
             resolution, metric_names, out):
     """Chunked elevation-grid pipeline: cubical persistence vs ruggedness."""
     metrics = [parse_metric_spec(m) for m in (metric_names or ("wasserstein:p=2",))]
-    if input_path is None:
-        grid = synth_terrain(size, roughness, seed)
-    else:
-        try:
-            grid = load_grid(Path(input_path))
-        except (ParseError, ValueError) as exc:
-            raise ConfigurationError(f"{input_path}: {exc}") from exc
+    grid = (synth_terrain(size, roughness, seed) if input_path is None
+            else _parse(input_path, load_grid))
     result = dem_from_grid(grid, chunk_size, stride, metrics, out=Path(out),
                            resolution=resolution, max_chunks=max_chunks)
     for label, dcor_tri, dcor_geo in result["rows"]:

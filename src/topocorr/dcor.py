@@ -124,11 +124,13 @@ def permutation_test(dx: DistanceMatrix, dy: DistanceMatrix,
     n = dx.n
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
     exceed = 0
-    # Centering commutes with relabeling, so permute the centered matrix.
+    # Centering commutes with relabeling, so permute the centered matrix into
+    # buffers allocated once; mode="wrap" keeps ``take`` from buffering ``out``.
+    rows, permuted = np.empty((n, n)), np.empty((n, n))
     for _ in range(permutations):
         perm = rng.permutation(n)
-        permuted = b.entries[np.ix_(perm, perm)]
-        stat = float((a.entries * permuted).sum() / (n * n))
-        if stat >= observed:
-            exceed += 1
+        b.entries.take(perm, axis=0, out=rows, mode="wrap")
+        rows.take(perm, axis=1, out=permuted, mode="wrap")
+        stat = float(np.multiply(a.entries, permuted, out=permuted).sum() / (n * n))
+        exceed += stat >= observed
     return (1 + exceed) / (permutations + 1)

@@ -28,75 +28,57 @@ class ChunkSpec:
             raise ConfigurationError("max_chunks must be positive when set")
 
 
-def load_grid(source) -> HeightGrid:
-    """Parse an ESRI-ASCII-grid-style file or a headerless CSV matrix.
+_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
-    ``source`` is a path or a string of file contents.  NODATA cells are
-    rejected.
+
+def load_grid(text: str) -> HeightGrid:
+    """Parse the text of an ESRI ASCII grid or of a headerless CSV matrix.
+
+    Header lines come first; the body is rows of comma- or space-separated
+    numbers.  An ESRI body may wrap its nrows x ncols values across lines;
+    headerless rows must all have the same width.  NODATA cells are rejected.
     """
-    import os
-
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, os.PathLike) or os.path.exists(str(source)):
-        with open(source) as fh:
-            text = fh.read()
-    else:
-        text = str(source)
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
     if not lines:
         raise ParseError("empty grid file", line=1)
-
-    header = {}
-    body_start = 0
-    nodata = None
-    for idx, (ln, line) in enumerate(lines):
+    header, body_start = {}, 0
+    for ln, line in lines:
         parts = line.split()
-        if len(parts) == 2 and parts[0].lower() in (
-                "ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"):
-            try:
-                header[parts[0].lower()] = float(parts[1])
-            except ValueError:
-                raise ParseError(f"bad header value {parts[1]!r}", line=ln) from None
-            body_start = idx + 1
-        else:
+        if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
             break
+        try:
+            header[parts[0].lower()] = float(parts[1])
+        except ValueError:
+            raise ParseError(f"bad header value {parts[1]!r}", line=ln) from None
+        body_start += 1
+    if header and not {"ncols", "nrows"} <= header.keys():
+        raise ParseError("ASCII grid header needs ncols and nrows", line=lines[0][0])
+    rows = []
+    for ln, line in lines[body_start:]:
+        row = []
+        for tok in line.replace(",", " ").split():
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ParseError(f"bad number {tok!r}", line=ln) from None
+        rows.append((ln, row))
+    body_line = lines[min(body_start, len(lines) - 1)][0]
     if header:
-        if "ncols" not in header or "nrows" not in header:
-            raise ParseError("ASCII grid header needs ncols and nrows", line=lines[0][0])
         ncols, nrows = int(header["ncols"]), int(header["nrows"])
-        nodata = header.get("nodata_value")
-        numbers = []
-        for ln, line in lines[body_start:]:
-            for tok in line.replace(",", " ").split():
-                try:
-                    numbers.append(float(tok))
-                except ValueError:
-                    raise ParseError(f"bad number {tok!r}", line=ln) from None
+        numbers = [x for _, row in rows for x in row]
         if len(numbers) != nrows * ncols:
-            raise ParseError(
-                f"expected {nrows * ncols} values, got {len(numbers)}",
-                line=lines[body_start][0] if body_start < len(lines) else lines[-1][0])
+            raise ParseError(f"expected {nrows * ncols} values, got {len(numbers)}",
+                             line=body_line)
         values = np.array(numbers).reshape(nrows, ncols)
     else:
-        rows = []
-        width = None
-        for ln, line in lines:
-            try:
-                row = [float(tok) for tok in line.replace(",", " ").split()]
-            except ValueError:
-                raise ParseError("bad number in row", line=ln) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(f"ragged row: expected {width} columns, got {len(row)}",
-                                 line=ln)
-            rows.append(row)
-        values = np.array(rows)
-    if nodata is not None and np.any(values == nodata):
-        ln = lines[body_start][0] if header else lines[0][0]
-        raise ParseError("NODATA values present", line=ln)
+        width = len(rows[0][1])
+        for ln, row in rows:
+            if len(row) != width:
+                raise ParseError(f"ragged row: expected {width} columns, got {len(row)}", line=ln)
+        values = np.array([row for _, row in rows])
+    if "nodata_value" in header and np.any(values == header["nodata_value"]):
+        raise ParseError("NODATA values present", line=body_line)
     return HeightGrid.from_array(values)
 
 
@@ -137,39 +119,37 @@ def tri(g: HeightGrid) -> float:
 
 
 def synth_terrain(size: int, roughness: float, seed: int) -> HeightGrid:
-    """Diamond-square fractal terrain on a (2^k + 1) grid, deterministic per seed."""
+    """Diamond-square fractal terrain on a (2^k + 1) grid, deterministic per seed.
+
+    Each pass sets square centres, then edge midpoints, to the mean of their
+    on-grid neighbours plus one uniform draw per point, in row-major order."""
     if size < 3 or (size - 1) & (size - 2) != 0:
         raise ConfigurationError("size must be 2^k + 1 for some k >= 1")
     if not 0.0 < roughness <= 1.0:
         raise ConfigurationError("roughness must lie in (0, 1]")
     rng = _rng(derive_seed(seed, 0))
     grid = np.zeros((size, size))
-    for corner in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
-        grid[corner] = rng.uniform(-1.0, 1.0)
-    step = size - 1
-    amplitude = 1.0
+    grid[::size - 1, ::size - 1] = rng.uniform(-1.0, 1.0, (2, 2))
+    step, amplitude = size - 1, 1.0
     while step > 1:
-        half = step // 2
-        # Diamond step: centers of squares.
-        for r in range(half, size, step):
-            for c in range(half, size, step):
-                mean = (grid[r - half, c - half] + grid[r - half, c + half]
-                        + grid[r + half, c - half] + grid[r + half, c + half]) / 4.0
-                grid[r, c] = mean + rng.uniform(-amplitude, amplitude)
-        # Square step: edge midpoints.
-        for r in range(0, size, half):
-            start = half if (r // half) % 2 == 0 else 0
-            for c in range(start, size, step):
-                acc = []
-                if r - half >= 0:
-                    acc.append(grid[r - half, c])
-                if r + half < size:
-                    acc.append(grid[r + half, c])
-                if c - half >= 0:
-                    acc.append(grid[r, c - half])
-                if c + half < size:
-                    acc.append(grid[r, c + half])
-                grid[r, c] = sum(acc) / len(acc) + rng.uniform(-amplitude, amplitude)
+        half, k = step // 2, (size - 1) // step
+        corners = grid[::step, ::step]
+        grid[half::step, half::step] = (
+            (corners[:-1, :-1] + corners[:-1, 1:] + corners[1:, :-1] + corners[1:, 1:])
+            / 4.0 + rng.uniform(-amplitude, amplitude, (k, k)))
+        # k squares per side: k edge midpoints per corner row, k + 1 per centre
+        # row.  Sums run 0 + up + down + left + right; off-grid neighbours are 0.
+        pad = np.zeros((k + 2, k + 2))
+        pad[1:-1, 1:-1] = grid[half::step, half::step]
+        counts = np.r_[3.0, np.full(k - 1, 4.0), 3.0]
+        noise = rng.uniform(-amplitude, amplitude, 2 * k * (k + 1))
+        paired = noise[:k * (2 * k + 1)].reshape(k, 2 * k + 1)
+        grid[::step, half::step] = (
+            (0.0 + pad[:-1, 1:-1] + pad[1:, 1:-1] + corners[:, :-1] + corners[:, 1:])
+            / counts[:, None] + np.vstack([paired[:, :k], noise[-k:]]))
+        grid[half::step, ::step] = (
+            (0.0 + corners[:-1] + corners[1:] + pad[1:-1, :-1] + pad[1:-1, 1:])
+            / counts + paired[:, k:])
         amplitude *= roughness
         step = half
     return HeightGrid.from_array(grid)

@@ -93,11 +93,13 @@ def load_config(path, seed=None, out=None) -> RunConfig:
     """Read a flat key-value config with [model], [run] and optional [sweep] sections."""
     import configparser
 
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigurationError(f"config file {path} not found")
     try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text, source=str(path))
         kind = parser.get("model", "kind")
         n = parser.getint("model", "n")
         gamma = parser.getfloat("model", "gamma", fallback=None)

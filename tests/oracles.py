@@ -236,3 +236,43 @@ def reduce_columns(cx):
         else:
             creators.add(j)
     return pairs, creators
+
+
+def diamond_square_loop(size, roughness, rng):
+    """Diamond-square terrain set one point at a time, drawing one uniform
+    from ``rng`` per point in the order the points are visited.
+
+    The four corners come first.  Each pass of step s (half h) then sets the
+    square centres row by row from their four corners, and the edge midpoints
+    row by row (rows 0, h, 2h, ...) from the mean of the neighbours at
+    distance h that lie on the grid.  The noise amplitude starts at 1 and
+    shrinks by ``roughness`` per pass.
+    """
+    grid = np.zeros((size, size))
+    for corner in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+        grid[corner] = rng.uniform(-1.0, 1.0)
+    step = size - 1
+    amplitude = 1.0
+    while step > 1:
+        half = step // 2
+        for r in range(half, size, step):
+            for c in range(half, size, step):
+                mean = (grid[r - half, c - half] + grid[r - half, c + half]
+                        + grid[r + half, c - half] + grid[r + half, c + half]) / 4.0
+                grid[r, c] = mean + rng.uniform(-amplitude, amplitude)
+        for r in range(0, size, half):
+            start = half if (r // half) % 2 == 0 else 0
+            for c in range(start, size, step):
+                acc = []
+                if r - half >= 0:
+                    acc.append(grid[r - half, c])
+                if r + half < size:
+                    acc.append(grid[r + half, c])
+                if c - half >= 0:
+                    acc.append(grid[r, c - half])
+                if c + half < size:
+                    acc.append(grid[r, c + half])
+                grid[r, c] = sum(acc) / len(acc) + rng.uniform(-amplitude, amplitude)
+        amplitude *= roughness
+        step = half
+    return grid

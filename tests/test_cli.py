@@ -112,6 +112,21 @@ class TestPipelineCommands:
                    "--stride", "4", "--out", str(out)) == 0
         assert (out / "tri.csv").exists()
 
+    def test_dem_grid_formats_agree(self, tmp_path):
+        # One grid as a headerless CSV and as an ESRI grid whose body wraps
+        # at 11 values per line.
+        values = [repr(float(x)) for x in np.random.default_rng(4).random(18 * 18)]
+        csv = tmp_path / "grid.csv"
+        csv.write_text("".join(",".join(values[i:i + 18]) + "\n" for i in range(0, 324, 18)))
+        esri = tmp_path / "grid.asc"
+        esri.write_text("ncols 18\nnrows 18\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+                        + "".join(" ".join(values[i:i + 11]) + "\n" for i in range(0, 324, 11)))
+        for grid in (csv, esri):
+            assert run("dem", "--input", str(grid), "--chunk-size", "8", "--stride", "5",
+                       "--metric", "wasserstein:p=2", "--metric", "betti:p=1",
+                       "--metric", "landscape:p=inf", "--out", str(tmp_path / grid.suffix)) == 0
+        assert tree_bytes(tmp_path / ".csv") == tree_bytes(tmp_path / ".asc")
+
     @pytest.mark.parametrize("source", ["synth", "input"])
     def test_dem_idempotent(self, tmp_path, source):
         argv = ["--size", "33", "--chunk-size", "12", "--stride", "10"]
@@ -183,6 +198,7 @@ class TestExitCodes:
 
 
 DIAGRAM_CSV = "degree,birth,death\n0,0.0,1.0\n1,0.25,0.5\n"
+NOT_UTF8 = b"\xff\xfe\x00bad"
 ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bottleneck\n"
 
 
@@ -225,6 +241,12 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
     ({"cx": "0 0\n0 0\n1 1 0 1\n2 2 2 2\n"}, ["persist", "{cx}"]),
     ({"cx": "0 0\n0 0\n1 1 0 1\n2 2 2\n"}, ["persist", "{cx}"]),
     ({"cx": "-1 0\n0 1 0\n"}, ["persist", "{cx}"]),
+    ({"cx": NOT_UTF8}, ["persist", "{cx}"]),
+    ({"cfg": NOT_UTF8}, ["experiment", "--config", "{cfg}"]),
+    ({"grid": NOT_UTF8}, ["dem", "--input", "{grid}", "--out", "dem"]),
+    ({"cfg": "kind = er\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG + "[model]\nn = 3\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"grid": "ncols inf\nnrows 2\n1 2\n"}, ["dem", "--input", "{grid}", "--out", "dem"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -234,14 +256,35 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
         "simplex-code-overflow", "simplex-code-overflow-config", "dem-chunk-size-2",
         "dem-input-chunk-size-2", "edge-one-vertex", "edge-three-vertices",
         "edge-vertex-twice", "face-listed-twice", "boundary-of-boundary-nonzero",
-        "negative-dimension"])
+        "negative-dimension", "persist-not-utf8", "config-not-utf8", "dem-input-not-utf8",
+        "config-no-section-header", "config-duplicate-section", "grid-ncols-inf"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}
     for name, text in {"a": DIAGRAM_CSV, "b": DIAGRAM_CSV, **files}.items():
         paths[name] = tmp_path / name
-        paths[name].write_text(text)
+        paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run(*(arg.format(**paths) for arg in argv)) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n  \n", "line 1: empty grid file"),
+    ("1 2 3\n4 5 6\n\n7 8\n", "line 4: ragged row"),
+    ("ncols 3\nnrows 2\n\n1 2 3\n4 5\n", "line 4: expected 6 values, got 5"),
+    ("ncols 3\nnrows 2\n", "line 2: expected 6 values, got 0"),
+    ("ncols 3\nnrows two\n1 2 3\n4 5 6\n", "line 2: bad header value 'two'"),
+    ("\nncols 3\ncellsize 1\n1 2 3\n", "line 2: ASCII grid header needs ncols and nrows"),
+    ("ncols 2\nnrows 2\nnodata_value -9999\n\n1 2\n3 -9999\n", "line 5: NODATA"),
+    ("1 2\n3 nan\n", "grid values must be finite"),
+    ("1 2\n3 oops\n", "line 2: bad number 'oops'"),
+    ("ncols 2\nnrows 2\n1 2\n3 oops\n", "line 4: bad number 'oops'"),
+], ids=["empty", "ragged", "wrong-count", "wrong-count-no-body", "bad-header-value",
+        "missing-nrows", "nodata", "nan", "bad-token", "bad-token-esri"])
+def test_bad_grid_exits_2_with_line(tmp_path, capsys, text, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    assert run("dem", "--input", str(grid), "--out", str(tmp_path / "dem")) == 2
+    assert message in capsys.readouterr().err
 
 
 DEGREE_1_CSV = "degree,birth,death\n1,0.0,5.0\n1,1.0,3.0\n"

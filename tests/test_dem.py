@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -15,6 +14,8 @@ from topocorr.dem import (
 from topocorr.errors import ConfigurationError, ParseError
 from topocorr.experiment import dem_from_grid
 from topocorr.metrics import parse_metric_spec
+from topocorr.models import derive_seed
+from tests.oracles import diamond_square_loop
 
 
 class TestLoadGrid:
@@ -33,15 +34,6 @@ class TestLoadGrid:
         g = load_grid(text)
         assert (g.rows, g.cols) == (2, 3)
 
-    def test_file_object(self):
-        g = load_grid(io.StringIO("1 2\n3 4\n"))
-        assert g.rows == 2
-
-    def test_path(self, tmp_path):
-        path = tmp_path / "grid.txt"
-        path.write_text("7 8\n9 10\n")
-        assert load_grid(path).values[0, 1] == 8.0
-
     def test_ragged_rows_rejected_with_line(self):
         with pytest.raises(ParseError) as err:
             load_grid("1 2 3\n4 5\n")
@@ -57,8 +49,9 @@ class TestLoadGrid:
             load_grid("ncols 3\nnrows 2\n1 2 3 4 5\n")
 
     def test_bad_token_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="'oops'") as err:
             load_grid("1 2\n3 oops\n")
+        assert err.value.line == 2
 
 
 class TestChunkGrid:
@@ -166,6 +159,15 @@ class TestSynthTerrain:
             synth_terrain(17, 0.0, 0)
         with pytest.raises(ValueError):
             synth_terrain(17, 1.5, 0)
+
+    @pytest.mark.parametrize("size", [3, 5, 9, 17, 33, 65, 129])
+    def test_matches_loop_oracle(self, size):
+        for roughness in (0.25, 0.6, 1.0):
+            for seed in (0, 1, 12345):
+                rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+                expected = diamond_square_loop(size, roughness, rng)
+                got = synth_terrain(size, roughness, seed).values
+                assert got.tobytes() == expected.tobytes(), (roughness, seed)
 
     def test_values_finite(self):
         g = synth_terrain(65, 0.9, 1)
