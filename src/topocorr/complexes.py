@@ -123,10 +123,6 @@ class FilteredComplex:
     def __len__(self):
         return len(self.dims)
 
-    @property
-    def max_value(self):
-        return max(self.values.tolist(), default=0.0)
-
     def validate(self):
         """Check that the cells form a filtered chain complex over GF(2).
 
@@ -290,22 +286,31 @@ def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredCompl
     return _clique_complex(dist, np.triu(dist <= max_radius, 1), max_dim)
 
 
-def build_cubical_complex(grid: HeightGrid) -> FilteredComplex:
-    """Top-cell cubical complex of a height grid.
-
-    One 2-cell per grid entry at that height; every edge and vertex inherits
-    the minimum over its incident 2-cells.  On the doubled lattice, where
-    entry (r, c) is the square at (2r+1, 2c+1), the cell at (i, j) has
-    dimension i % 2 + j % 2, its faces are its neighbours along its odd
-    axes, and its key is (i // 2, j // 2, 1 if only i is odd else 0).
-    """
+def doubled_lattice(grid: HeightGrid):
+    """The value and the construction key of every cell of the grid's
+    top-cell complex, on the doubled lattice where entry (r, c) is the square
+    at (2r+1, 2c+1).  Every edge and vertex takes the minimum over its
+    incident squares; the cell at (i, j) has key (i // 2, j // 2, 1 if only
+    i is odd else 0)."""
     size = (2 * grid.rows + 1, 2 * grid.cols + 1)
     squares = np.full((size[0] + 2, size[1] + 2), np.inf)
     squares[2:-2:2, 2:-2:2] = grid.values
     lowest = np.min([squares[a:a + size[0], b:b + size[1]]
                      for a in range(3) for b in range(3)], axis=0)
     i, j = np.indices(size)
-    codes = i // 2 * 2 * (grid.cols + 2) + j // 2 * 2 + i % 2 * (1 - j % 2)
+    return lowest, i // 2 * 2 * (grid.cols + 2) + j // 2 * 2 + i % 2 * (1 - j % 2)
+
+
+def build_cubical_complex(grid: HeightGrid) -> FilteredComplex:
+    """Top-cell cubical complex of a height grid.
+
+    One 2-cell per grid entry at that height; every edge and vertex inherits
+    the minimum over its incident 2-cells (:func:`doubled_lattice`).  The
+    cell at (i, j) of the doubled lattice has dimension i % 2 + j % 2 and its
+    faces are its neighbours along its odd axes.
+    """
+    lowest, codes = doubled_lattice(grid)
+    i, j = np.indices(lowest.shape)
     levels = []
     for k, steps in enumerate(([], [(-1, -1), (1, 1)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
         ii, jj = np.nonzero(i % 2 + j % 2 == k)

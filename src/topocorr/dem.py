@@ -45,12 +45,15 @@ def load_grid(text: str) -> HeightGrid:
     header, body_start = {}, 0
     for ln, line in lines:
         parts = line.split()
-        if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS:
+        key = parts[0].lower()
+        if len(parts) != 2 or key not in _HEADER_KEYS:
             break
         try:
-            header[parts[0].lower()] = float(parts[1])
+            header[key] = float(parts[1])
         except ValueError:
             raise ParseError(f"bad header value {parts[1]!r}", line=ln) from None
+        if key in ("ncols", "nrows") and not (header[key] >= 1 and header[key].is_integer()):
+            raise ParseError(f"{key} must be a positive whole number, got {parts[1]!r}", line=ln)
         body_start += 1
     if header and not {"ncols", "nrows"} <= header.keys():
         raise ParseError("ASCII grid header needs ncols and nrows", line=lines[0][0])

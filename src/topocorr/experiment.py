@@ -15,6 +15,7 @@ import numpy as np
 
 from topocorr import __version__
 from topocorr.complexes import (
+    HeightGrid,
     build_cubical_complex,
     build_directed_flag_complex,
     build_flag_complex,
@@ -175,8 +176,9 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
     """All summaries a metric list needs, computed once per sample and keyed
     by :attr:`MetricSpec.bundle_key`.
 
-    ``max_dim`` is the top cell dimension of ``cx``; no summary needs it,
-    since the diagram holds no degree above it.
+    ``cx`` is a filtered complex or a height grid, whose cubical complex only
+    a cell count needs.  ``max_dim`` is the top cell dimension of ``cx``; no
+    summary needs it, since the diagram holds no degree above it.
     """
     diagram = compute_persistence(cx)
     bundle = {"diagram": diagram.restrict(degree), "full_diagram": diagram}
@@ -186,6 +188,7 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
         if m.cell_dim is None:
             bundle[m.bundle_key] = summary_for(m.summary_kind, diagram, degree)
         else:
+            cx = build_cubical_complex(cx) if isinstance(cx, HeightGrid) else cx
             bundle[m.bundle_key] = simplex_count_curve(cx, m.cell_dim)
     return bundle
 
@@ -206,10 +209,6 @@ def _sample_bundle(cfg: RunConfig, index: int) -> dict:
         "interpolated", cfg.model.n, gamma=float(cfg.sweep[index]), seed=cfg.seed)
     cx = build_complex(spec.kind, generate(spec, index), cfg.max_dim, cfg.max_radius)
     return compute_bundle(cx, cfg.degree, cfg.metrics, cfg.max_dim)
-
-
-def _chunk_bundle(metrics, block) -> dict:
-    return compute_bundle(build_cubical_complex(block), 1, metrics)
 
 
 def _matrices(make, items, metrics, threads=1, progress=None):
@@ -361,7 +360,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
     blocks = [block for block, _ in chunks]
-    _, mats = _matrices(partial(_chunk_bundle, metrics), blocks, metrics)
+    _, mats = _matrices(partial(compute_bundle, degree=1, metrics=metrics), blocks, metrics)
     tris = [tri(block) for block in blocks]
     tri_mat = parameter_matrix(tris, label="tri")
     # Centre differences are whole multiples of the stride: equal to math.hypot.

@@ -1,15 +1,18 @@
 """Persistent homology over the two-element field.
 
-The persistence pairing comes from two passes.  Degree 0 is union-find over
-the edges in filtration order: a merging edge kills the younger of the two
-components (elder rule).  Higher degrees come from persistent cohomology with
+Degree 0 is elder-rule union-find (:func:`_elder_merges`): a merging edge
+kills the younger of the two components.  One array step first links each
+apparent pair, a vertex whose first edge finds it the younger end; a loop
+runs over the rest.  Higher degrees come from persistent cohomology with
 clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
 (co)homology", Inverse Problems 2011; Bauer, "Ripser", J. Appl. Comput.
-Topol. 2021): the coboundary columns of each degree are reduced in reverse
-filtration order, and the cells that killed a class one degree down are
-skipped, since their columns reduce to zero.  The pairing does not depend on
-the method, so the diagram is the one the boundary-matrix reduction gives.
-Columns are Python integers used as bitmasks; column addition is XOR.
+Topol. 2021), with columns as integer bitmasks.  A height grid builds no
+complex: its top-cell filtration is planar, so H1 is H0 of the dual, the
+squares plus one outside node over the edges in reverse order (Garin, Heiss,
+Maggs, Bleile and Robins, "Duality in persistent homology of images",
+arXiv:2005.04597; Kaji, Sudo and Ahara, "Cubical Ripser", arXiv:2005.12692),
+and two union-find passes give the diagram.  The pairing does not depend on
+the method, so every diagram is the one the boundary-matrix reduction gives.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topocorr.complexes import FilteredComplex
+from topocorr.complexes import FilteredComplex, HeightGrid, doubled_lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +73,6 @@ class PersistenceDiagram:
         return self.points[:, :2]
 
 
-def _columns(cx: FilteredComplex):
-    """The boundary matrix column by column, each as a bitmask integer."""
-    ptr, faces = cx.indptr.tolist(), cx.indices.tolist()
-    for j in range(len(cx)):
-        col = 0
-        for f in faces[ptr[j]:ptr[j + 1]]:
-            col ^= 1 << f
-        yield col
-
-
 def _coboundary(cx: FilteredComplex):
     """The transposed boundary matrix in CSR form: the cofaces of cell i are
     ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
@@ -89,27 +82,44 @@ def _coboundary(cx: FilteredComplex):
             owners[np.argsort(cx.indices, kind="stable")])
 
 
-def _persistence_pairs(cx: FilteredComplex):
-    """The persistence pairing of ``cx``: the birth cells, the death cells
-    they pair with, and the unpaired cells, as three index arrays."""
-    dims, n = cx.dims, len(cx)
-    births, deaths = [], []
-    # H0 by union-find over the edges in filtration order.  Every root is its
-    # component's oldest vertex, so a merging edge kills the younger root.
-    root = list(range(n))
-    edges = np.flatnonzero(dims == 1)
-    first = cx.indptr[edges]
-    for e, u, v in zip(edges.tolist(), cx.indices[first].tolist(),
-                       cx.indices[first + 1].tolist()):
+def _elder_merges(ends):
+    """Elder-rule union-find over ``ends``, an (m, 2) array of edges in
+    processing order between nodes labelled by age (0 the oldest).
+
+    Returns, per edge, the younger root it merges, or -1.  An apparent pair,
+    an edge that comes first among those of its younger end, is linked in
+    one array step: no earlier edge reaches that end or a node linked below
+    it, so the loop over the other edges finds the same roots.
+    """
+    m = len(ends)
+    older, younger = np.minimum(*ends.T), np.maximum(*ends.T)
+    first = np.full(int(younger.max(initial=-1)) + 1, m)
+    np.minimum.at(first, ends.ravel(), np.arange(m).repeat(2))
+    apparent = first[younger] == np.arange(m)
+    root = np.arange(len(first))
+    root[younger[apparent]] = older[apparent]
+    kills, root, rest = np.where(apparent, younger, -1), root.tolist(), ~apparent
+    for e, u, v in zip(np.flatnonzero(rest).tolist(), older[rest].tolist(),
+                       younger[rest].tolist()):
         while root[u] != u:  # path halving
             root[u] = u = root[root[u]]
         while root[v] != v:
             root[v] = v = root[root[v]]
         if u != v:
-            u, v = max(u, v), min(u, v)
-            root[u] = v
-            births.append(u)
-            deaths.append(e)
+            root[max(u, v)] = min(u, v)
+            kills[e] = max(u, v)
+    return kills
+
+
+def _persistence_pairs(cx: FilteredComplex):
+    """The persistence pairing of ``cx``: the birth cells, the death cells
+    they pair with, and the unpaired cells, as three index arrays."""
+    dims, n = cx.dims, len(cx)
+    # H0: a vertex's age is its place in the filtration.
+    edges = np.flatnonzero(dims == 1)
+    kills = _elder_merges(cx.indices[cx.indptr[edges, None] + [0, 1]])
+    merges = np.flatnonzero(kills >= 0)
+    births, deaths = kills[merges].tolist(), edges[merges].tolist()
     # Higher degrees by persistent cohomology with clearing: a cell that
     # killed a class one degree down has a coboundary that reduces to zero.
     paired = np.zeros(n, dtype=bool)
@@ -148,25 +158,59 @@ def _persistence_pairs(cx: FilteredComplex):
             np.flatnonzero(~paired))
 
 
-def compute_persistence(cx: FilteredComplex, cap=None) -> PersistenceDiagram:
-    """Persistence diagram of a filtered complex.
+def _grid_pairs(grid: HeightGrid):
+    """The pairing of ``build_cubical_complex(grid)``, without building it:
+    the cell values and dimensions, vertices, edges and squares each in
+    filtration order, and the birth, death and unpaired cells as indices into
+    them.  The H1 pass ages the squares in reverse, under one outside node
+    older than all; an edge that joins two pairs with the younger root.
+    """
+    lowest, codes = doubled_lattice(grid)
+    i, j = np.indices(lowest.shape).reshape(2, -1)
+    dims, n = i % 2 + j % 2, lowest.size
+    cells = [np.flatnonzero(dims == k) for k in range(3)]
+    nv, ne = len(cells[0]), len(cells[1])
+    cells = np.concatenate([c[np.lexsort((codes.ravel()[c], lowest.ravel()[c]))] for c in cells])
+    # Each cell's index in that order, in a frame whose outside is n.
+    index = np.pad(np.argsort(cells).reshape(lowest.shape), 1, constant_values=n)
+    # An edge's vertices lie along its odd axis, its squares along the other.
+    ii, jj = i[cells[nv:nv + ne]], j[cells[nv:nv + ne]]
+    a, b, ii, jj = ii % 2, jj % 2, ii + 1, jj + 1
+    kills = _elder_merges(np.column_stack((index[ii - a, jj - b], index[ii + a, jj + b])))
+    killed = _elder_merges(n - np.column_stack(
+        (index[ii - b, jj - a], index[ii + b, jj + a]))[::-1])
+    # Pairs come by edge, and H1 pairs by edge reversed, as _persistence_pairs
+    # finds them.  It finds apparent pairs first, but here those have length
+    # 0: an edge enters with its earliest square.
+    merges, steps = np.flatnonzero(kills >= 0), np.flatnonzero(killed >= 0)
+    return lowest.ravel()[cells], dims[cells], (
+        np.concatenate((kills[merges], nv + ne - 1 - steps)),
+        np.concatenate((nv + merges, n - killed[steps])), np.zeros(1, dtype=np.int64))
+
+
+def compute_persistence(source: FilteredComplex | HeightGrid, cap=None) -> PersistenceDiagram:
+    """Persistence diagram of a filtered complex, or of the top-cell cubical
+    complex of a height grid (see :func:`_grid_pairs`).
 
     Pair (i, j) yields the interval [value(i), value(j)); unpaired cells are
     capped at ``cap`` (default: the maximum filtration value).  Zero-length
     intervals are dropped.
     """
-    max_value = cx.max_value
+    values, dims, (paired, killers, unpaired) = (
+        _grid_pairs(source) if isinstance(source, HeightGrid)
+        else (source.values, source.dims, _persistence_pairs(source)))
+    # The first maximal cell in the filtration, as the sign of a zero may differ.
+    max_value = max(values.tolist(), default=0.0)
     if cap is None:
         cap = max_value
     elif cap < max_value:
         raise ValueError(f"cap {cap} below maximum filtration value {max_value}")
-    paired, killers, unpaired = _persistence_pairs(cx)
     # Finite bars go before capped ones: the diagram's stable sort then puts a
     # finite bar ahead of a capped bar with the same birth and death.
     cells = np.concatenate((paired, unpaired))
     essential = np.arange(len(cells)) >= len(paired)
-    deaths = np.concatenate((cx.values[killers], np.full(len(unpaired), cap, dtype=float)))
-    points = np.column_stack((cx.values[cells], deaths, cx.dims[cells]))
+    deaths = np.concatenate((values[killers], np.full(len(unpaired), cap, dtype=float)))
+    points = np.column_stack((values[cells], deaths, dims[cells]))
     keep = points[:, 0] < deaths
     return PersistenceDiagram(points[keep], cap=cap, essential=essential[keep])
 
@@ -196,7 +240,9 @@ def persistent_betti(cx: FilteredComplex, a: float, b: float, k: int) -> int:
         raise ValueError("need a <= b")
     if k < 0:
         raise ValueError("degree must be non-negative")
-    columns = list(_columns(cx))
+    # The boundary matrix column by column, each as a bitmask integer.
+    ptr, faces = cx.indptr.tolist(), cx.indices.tolist()
+    columns = [sum(1 << f for f in faces[ptr[j]:ptr[j + 1]]) for j in range(len(cx))]
     dims, values = cx.dims, cx.values
     k_cells_a = np.flatnonzero((dims == k) & (values <= a)).tolist()
     rank_da = _rank([columns[j] for j in k_cells_a])

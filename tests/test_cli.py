@@ -278,8 +278,13 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     ("1 2\n3 nan\n", "grid values must be finite"),
     ("1 2\n3 oops\n", "line 2: bad number 'oops'"),
     ("ncols 2\nnrows 2\n1 2\n3 oops\n", "line 4: bad number 'oops'"),
+    ("ncols 2.7\nnrows 2.9\n1 2\n3 4\n", "line 1: ncols must be a positive whole number"),
+    ("ncols -2\nnrows -3\n1 2 3\n4 5 6\n", "line 1: ncols must be a positive whole number"),
+    ("ncols 0\nnrows 0\n", "line 1: ncols must be a positive whole number"),
+    ("ncols 2\nnrows 1.5\n1 2\n", "line 2: nrows must be a positive whole number"),
 ], ids=["empty", "ragged", "wrong-count", "wrong-count-no-body", "bad-header-value",
-        "missing-nrows", "nodata", "nan", "bad-token", "bad-token-esri"])
+        "missing-nrows", "nodata", "nan", "bad-token", "bad-token-esri", "fractional-counts",
+        "negative-counts", "zero-counts", "fractional-nrows"])
 def test_bad_grid_exits_2_with_line(tmp_path, capsys, text, message):
     grid = tmp_path / "grid.txt"
     grid.write_text(text)

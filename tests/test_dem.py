@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from topocorr.complexes import HeightGrid
+from topocorr.complexes import HeightGrid, build_cubical_complex
 from topocorr.dem import (
     ChunkSpec,
     chunk_grid,
@@ -13,8 +13,10 @@ from topocorr.dem import (
 )
 from topocorr.errors import ConfigurationError, ParseError
 from topocorr.experiment import dem_from_grid
-from topocorr.metrics import parse_metric_spec
+from topocorr.metrics import pairwise_matrix, parse_metric_spec
 from topocorr.models import derive_seed
+from topocorr.persistence import compute_persistence
+from topocorr.summaries import simplex_count_curve
 from tests.oracles import diamond_square_loop
 
 
@@ -130,6 +132,19 @@ class TestDemFromGrid:
         assert geo[0, -1] == geo[-1, 0] == 50.0
         assert geo.tolist() == [[10.0 * math.hypot(a[0] - b[0], a[1] - b[1])
                                  for b in centers] for a in centers]
+
+    def test_count_and_diagram_matrices_match_cubical_complex(self):
+        # The run takes each chunk's diagram from the grid and builds its
+        # cubical complex only for the count; both agree with the complex.
+        grid = self.grid(12, 11)
+        metrics = [parse_metric_spec(spec) for spec in ("count1:p=1", "wasserstein:p=2")]
+        result = dem_from_grid(grid, 5, 3, metrics)
+        complexes = [build_cubical_complex(block) for block, _ in chunk_grid(grid, ChunkSpec(5, 3))]
+        expected = [
+            pairwise_matrix([simplex_count_curve(cx, 1) for cx in complexes], metrics[0]),
+            pairwise_matrix([compute_persistence(cx).restrict(1) for cx in complexes], metrics[1])]
+        for got, want in zip(result["matrices"], expected, strict=True):
+            assert got.entries.tobytes() == want.entries.tobytes()
 
     def test_rejects_bad_resolution(self):
         for resolution in (0.0, -1.0):

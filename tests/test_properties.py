@@ -1,5 +1,6 @@
 """Property tests of the distances, the diagrams and the diagram CSV on float
-inputs, and of the persistence pairing against the boundary-matrix reduction."""
+inputs, of the persistence pairing against the boundary-matrix reduction, and
+of grid diagrams against those of the cubical complex."""
 
 import math
 
@@ -251,3 +252,39 @@ def test_pairing_matches_boundary_reduction(cx):
     pairs, creators = reduce_columns(cx)
     assert sorted(zip(births.tolist(), deaths.tolist())) == sorted(pairs)
     assert unpaired.tolist() == sorted(creators)
+
+
+def assert_same_bytes(d1, d2):
+    assert d1.points.tobytes() == d2.points.tobytes()
+    assert d1.essential.tobytes() == d2.essential.tobytes()
+    assert np.float64(d1.cap).tobytes() == np.float64(d2.cap).tobytes()
+
+
+# Few distinct heights, so that many cells tie, and both signed zeros, which
+# compare equal but differ in their bytes.
+tied_grids = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(shape, st.sampled_from([-0.0, 0.0, 1.0, -1.0])))
+
+
+@settings(checked, max_examples=240)
+@given(values=tied_grids)
+@example(values=np.array([[-0.0]]))
+# The first maximal cell, a vertex at 0.0, gives the cap its sign.
+@example(values=np.array([[0.0, -0.0]]))
+@example(values=np.full((3, 4), 2.0))
+@example(values=np.array([[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -1.5]]))
+# A ring of 1s around a 5: the hole is one finite H1 bar, (1, 5).
+@example(values=np.array([[1.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 1.0, 1.0]]))
+def test_grid_diagram_matches_cubical_complex(values):
+    grid = HeightGrid.from_array(values)
+    assert_same_bytes(compute_persistence(grid), compute_persistence(build_cubical_complex(grid)))
+
+
+@pytest.mark.parametrize("build", [lambda grid: grid, build_cubical_complex],
+                         ids=["grid", "complex"])
+def test_cap_below_grid_maximum_rejected(build):
+    grid = HeightGrid.from_array([[0.0, 3.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="cap 2.5 below maximum filtration value 3.0"):
+        compute_persistence(build(grid), cap=2.5)
+    assert_same_bytes(compute_persistence(build(grid), cap=4.0),
+                      compute_persistence(build_cubical_complex(grid), cap=4.0))
