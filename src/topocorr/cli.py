@@ -59,6 +59,16 @@ def _parse(path, parse):
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
+def _matrix_pair(path_x, path_y):
+    """Two distance matrices over the same 2 or more samples, read from files."""
+    dx, dy = _parse(path_x, matrix_from_csv), _parse(path_y, matrix_from_csv)
+    if dx.n != dy.n:
+        raise ConfigurationError("matrices must have the same sample count")
+    if dx.n < 2:
+        raise ConfigurationError("need at least 2 samples")
+    return dx, dy
+
+
 @click.group()
 def cli():
     """Persistent-homology summaries, exact metrics, and distance correlation."""
@@ -136,10 +146,7 @@ def distmat_cmd(diagram_files, metric, degree, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def dcor_cmd(matrix_x, matrix_y, out):
     """Distance-correlation report between two distance matrices."""
-    dx, dy = _parse(matrix_x, matrix_from_csv), _parse(matrix_y, matrix_from_csv)
-    if dx.n != dy.n:
-        raise ConfigurationError("matrices must have the same sample count")
-    _write(out, sample_dcor(dx, dy).to_text())
+    _write(out, sample_dcor(*_matrix_pair(matrix_x, matrix_y)).to_text())
 
 
 @cli.command("permtest")
@@ -152,10 +159,7 @@ def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
     """Permutation p-value for independence of two distance matrices."""
     if permutations < 1:
         raise ConfigurationError("permutations must be >= 1")
-    dx, dy = _parse(matrix_x, matrix_from_csv), _parse(matrix_y, matrix_from_csv)
-    if dx.n != dy.n:
-        raise ConfigurationError("matrices must have the same sample count")
-    p = permutation_test(dx, dy, permutations, seed)
+    p = permutation_test(*_matrix_pair(matrix_x, matrix_y), permutations, seed)
     _write(out, f"p_value={p!r}\n")
 
 
@@ -173,7 +177,7 @@ def negtype_cmd(matrix_file, tol, out):
     if verdict.negative_type:
         _write(out, "negative_type\n")
     else:
-        weights = " ".join(repr(w) for w in verdict.witness)
+        weights = " ".join(repr(w) for w in verdict.witness.tolist())
         _write(out, f"violated worst_value={verdict.worst_value!r}\nwitness {weights}\n")
 
 

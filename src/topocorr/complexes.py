@@ -64,18 +64,6 @@ class DirectedWeightedGraph:
             np.fill_diagonal(mask, False)
         object.__setattr__(self, "present", mask)
 
-    @classmethod
-    def from_edges(cls, n, edges):
-        """Build from an iterable of ``(u, v, weight)`` directed edges."""
-        w = np.zeros((n, n))
-        mask = np.zeros((n, n), dtype=bool)
-        for u, v, weight in edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            w[u, v] = weight
-            mask[u, v] = True
-        return cls(n, w, mask)
-
 
 @dataclass(frozen=True)
 class HeightGrid:
@@ -279,8 +267,8 @@ def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredCompl
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty list of vectors")
-    if max_radius <= 0:
-        raise ValueError("max_radius must be positive")
+    if not max_radius > 0:
+        raise ConfigurationError("max_radius must be positive")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     return _clique_complex(dist, np.triu(dist <= max_radius, 1), max_dim)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix
 from topocorr.models import derive_seed
 
@@ -48,12 +49,15 @@ class DcorReport:
 
 
 def double_center(d: DistanceMatrix) -> CenteredMatrix:
-    """A_{k,l} = a_{k,l} - rowmean_k - colmean_l + grandmean."""
+    """A_{k,l} = a_{k,l} - rowmean_k - colmean_l + grandmean; NumericalFailure unless
+    the squares of A have a finite sum, so that no dcov overflows (Cauchy-Schwarz)."""
     a = d.entries
-    row = a.mean(axis=1, keepdims=True)
-    col = a.mean(axis=0, keepdims=True)
-    grand = a.mean()
-    return CenteredMatrix(d.n, a - row - col + grand)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
+        finite = np.isfinite(np.vdot(centered, centered))
+    if not finite:
+        raise NumericalFailure("centered distances overflow: their squares have no finite sum")
+    return CenteredMatrix(d.n, centered)
 
 
 def sample_dcov(a: CenteredMatrix, b: CenteredMatrix) -> float:
@@ -74,6 +78,8 @@ def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
     dcov = sample_dcov(a, b)
     dvar_x = sample_dcov(a, a)
     dvar_y = sample_dcov(b, b)
+    if not np.isfinite(dvar_x * dvar_y):
+        raise NumericalFailure("dvar_x * dvar_y overflows")
     if dvar_x > 0 and dvar_y > 0:
         dcor = dcov / np.sqrt(dvar_x * dvar_y)
         negative = dcov < 0

@@ -76,7 +76,7 @@ class RunConfig:
             raise ConfigurationError("at least one metric spec required")
         if self.max_dim < 1:
             raise ConfigurationError("max_dim must be >= 1")
-        if self.max_radius <= 0:
+        if not self.max_radius > 0:
             raise ConfigurationError("max_radius must be positive")
         if not 0 <= self.degree <= self.max_dim:
             raise ConfigurationError(f"degree must lie in [0, max_dim = {self.max_dim}]")
@@ -354,7 +354,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
                   out: Path | None = None, resolution=10.0, max_chunks=None) -> dict:
     """Elevation-grid run: chunks -> cubical persistence -> summaries ->
     dCor against per-chunk ruggedness (TRI) and center distance."""
-    if resolution <= 0:
+    if not resolution > 0:
         raise ConfigurationError("resolution must be positive")
     chunks = chunk_grid(grid, ChunkSpec(chunk_size, stride, max_chunks))
     if len(chunks) < 2:

@@ -154,19 +154,6 @@ def _lp_pieces(ts, f, p):
         return h * np.where(f[:-1] * f[1:] < 0, crossing, one_sign)
 
 
-def _breakpoints(landscapes):
-    """Every breakpoint of ``landscapes`` as flat arrays (t, value, level,
-    owner), in order of owner, then level, then t; levels count from 0."""
-    levels = [level for lan in landscapes for level in lan.levels]
-    if not levels:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    sizes = [len(level) for level in levels]
-    points = np.concatenate(levels)
-    level = np.repeat([k for lan in landscapes for k in range(len(lan.levels))], sizes)
-    owner = np.repeat([j for j, lan in enumerate(landscapes) for _ in lan.levels], sizes)
-    return points[:, 0], points[:, 1], level, owner
-
-
 def _evaluate(keys, ts, values, grid, grid_t, R):
     """Values at the keys ``grid`` (times ``grid_t``) of the levels whose
     sorted breakpoint keys are ``keys``; a key's level is key // R.
@@ -196,10 +183,9 @@ def landscape_row(lan: PersistenceLandscape, others, p) -> np.ndarray:
     (levelwise, then p-summed), a block of ``others`` at a time."""
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or infinity")
-    own = sum(len(level) for level in lan.levels)
     blocks, total = [[]], 0
     for other in others:
-        size = own + sum(len(level) for level in other.levels)
+        size = len(lan.knots) + len(other.knots)
         if blocks[-1] and total + size > _BLOCK_POINTS:
             blocks.append([])
             total = 0
@@ -211,9 +197,11 @@ def landscape_row(lan: PersistenceLandscape, others, p) -> np.ndarray:
 def _landscape_block(lan, others, p):
     """landscape_row on one block, in one set of array calls (module docstring)."""
     n = len(others)
-    t, value, level, owner = _breakpoints([lan, *others])
-    if not len(t):
+    knots = np.concatenate([lan.knots, *(other.knots for other in others)])
+    if not len(knots):
         return np.zeros(n)
+    owner = np.repeat(np.arange(n + 1), [len(lan.knots), *(len(other.knots) for other in others)])
+    t, value, level = knots[:, 0], knots[:, 1], knots[:, 2].astype(np.int64)
     ts, rank = np.unique(t, return_inverse=True)
     R, K = len(ts), int(level.max()) + 1
     # Key (pair·K + level)·R + rank, sorted like the breakpoints; lan's

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topocorr.errors import NumericalFailure
+from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.metrics import DistanceMatrix
 from topocorr.persistence import PersistenceDiagram
 
@@ -55,8 +55,8 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
     centered vectors (J the centering projector).  An eigenvalue above
     ``tol`` yields a violation; its eigenvector is the witness weights.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not tol >= 0:
+        raise ConfigurationError("tol must be non-negative")
     n = d.n
     j = np.eye(n) - np.ones((n, n)) / n
     centered = j @ d.entries @ j

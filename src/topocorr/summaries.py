@@ -1,8 +1,9 @@
 """Landscapes, Betti/Euler curves and simplex-count curves.
 
-Landscapes are stored with exact breakpoints (no sampling grid); step curves
-are right-continuous and zero outside their breakpoints.  Both hold numpy
-arrays and evaluate whole arrays of points at once.
+Landscapes are stored with exact breakpoints (no sampling grid), as one
+(m, 3) array of (t, value, level) rows; step curves are right-continuous and
+zero outside their breakpoints, hold numpy arrays and evaluate whole arrays
+of points at once.
 """
 
 from __future__ import annotations
@@ -18,33 +19,21 @@ from topocorr.persistence import PersistenceDiagram
 
 @dataclass(frozen=True, eq=False)
 class PersistenceLandscape:
-    """Levels λ_1 >= λ_2 >= ... as (m, 2) float arrays of sorted (t, value)
-    breakpoints.
+    """Levels λ_1 >= λ_2 >= ... as one (m, 3) float array ``knots`` of
+    (t, value, level) breakpoint rows, ordered by level (counted from 0) and
+    then by t.
 
     Each level is zero outside its first/last breakpoint and piecewise linear
     with slopes in {-1, 0, +1} in between.
     """
 
-    levels: tuple[np.ndarray, ...]
+    knots: np.ndarray
 
-    def level_count(self):
-        return len(self.levels)
-
-    def level(self, k):
-        """Breakpoints of λ_k (1-based); an empty (0, 2) array past the last level."""
-        if k < 1:
-            raise ValueError("levels are 1-based")
-        return self.levels[k - 1] if k <= len(self.levels) else np.empty((0, 2))
-
-    def evaluate(self, k, t):
-        """Values of λ_k (1-based) at t, a number or an array of points."""
-        level = self.level(k)
-        if not len(level):
-            return np.zeros(np.shape(t))
-        return np.interp(t, level[:, 0], level[:, 1], left=0.0, right=0.0)
-
-    def max_value(self):
-        return max((float(level[:, 1].max()) for level in self.levels), default=0.0)
+    @property
+    def levels(self):
+        """Per-level (t, value) views of ``knots``, λ_1 first."""
+        cuts = np.flatnonzero(np.diff(self.knots[:, 2])) + 1
+        return tuple(np.split(self.knots[:, :2], cuts)) if len(self.knots) else ()
 
 
 def _simplify(level):
@@ -66,18 +55,16 @@ def _simplify(level):
     return tuple(out)
 
 
-def landscape_from_diagram(d: PersistenceDiagram, k_max=None) -> PersistenceLandscape:
+def landscape_from_diagram(d: PersistenceDiagram) -> PersistenceLandscape:
     """Exact persistence landscape: λ_k(t) is the k-th largest tent value.
 
     Uses the standard sweep that peels one level at a time, keeping leftover
     bar overlaps for the deeper levels.
     """
-    if k_max is not None and k_max < 1:
-        raise ValueError("k_max must be >= 1")
     pairs = d.pairs()
     bars = pairs[np.lexsort((-pairs[:, 1], pairs[:, 0]))].tolist()
-    levels = []
-    while bars and (k_max is None or len(levels) < k_max):
+    knots, depth = [], 0
+    while bars:
         b, death = bars.pop(0)
         level = [(b, 0.0), ((b + death) / 2.0, (death - b) / 2.0)]
         pos = 0
@@ -100,8 +87,9 @@ def landscape_from_diagram(d: PersistenceDiagram, k_max=None) -> PersistenceLand
                 pos += 1
             level.append(((b2 + d2) / 2.0, (d2 - b2) / 2.0))
             b, death = b2, d2
-        levels.append(np.array(_simplify(level), dtype=float))
-    return PersistenceLandscape(tuple(levels))
+        knots += [(t, v, depth) for t, v in _simplify(level)]
+        depth += 1
+    return PersistenceLandscape(np.array(knots, dtype=float).reshape(-1, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +116,6 @@ class StepCurve:
         """Values at a, a number or an array of points."""
         padded = np.concatenate(([0], self.values, [0]))
         return padded[np.searchsorted(self.breakpoints, a, side="right")]
-
-    def l1_norm(self):
-        return float(np.sum(np.abs(self.values) * np.diff(self.breakpoints)))
 
 
 def _curve_from_events(positions, deltas):

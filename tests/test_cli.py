@@ -93,6 +93,19 @@ class TestPipelineCommands:
         assert run("negtype", str(mat), "--out", str(out)) == 0
         assert out.read_text() == "negative_type\n"
 
+    def test_negtype_matrix_witness_fields_are_floats(self, tmp_path):
+        # The path metric of K_{2,3} is not of negative type.
+        mat = tmp_path / "k23.csv"
+        mat.write_text(K23_CSV)
+        out = tmp_path / "verdict.txt"
+        assert run("negtype", str(mat), "--out", str(out)) == 0
+        verdict, witness = out.read_text().splitlines()
+        key, _, worst = verdict.partition(" worst_value=")
+        assert key == "violated" and float(worst) == pytest.approx(0.4)
+        tag, *weights = witness.split()
+        assert tag == "witness" and len(weights) == 5
+        assert sum(float(w) for w in weights) == pytest.approx(0.0, abs=1e-12)
+
     def test_dem(self, tmp_path):
         out = tmp_path / "dem"
         assert run("dem", "--size", "33", "--chunk-size", "12", "--stride", "10",
@@ -198,6 +211,7 @@ class TestExitCodes:
 
 
 DIAGRAM_CSV = "degree,birth,death\n0,0.0,1.0\n1,0.25,0.5\n"
+K23_CSV = "d,d,d,d,d\n0,2,1,1,1\n2,0,1,1,1\n1,1,0,2,2\n1,1,2,0,2\n1,1,2,2,0\n"
 NOT_UTF8 = b"\xff\xfe\x00bad"
 ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bottleneck\n"
 
@@ -247,6 +261,13 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
     ({"cfg": "kind = er\n"}, ["experiment", "--config", "{cfg}"]),
     ({"cfg": ER_CONFIG + "[model]\nn = 3\n"}, ["experiment", "--config", "{cfg}"]),
     ({"grid": "ncols inf\nnrows 2\n1 2\n"}, ["dem", "--input", "{grid}", "--out", "dem"]),
+    ({"m": "d\n0.0\n"}, ["dcor", "{m}", "{m}"]),
+    ({"m": "d\n0.0\n"}, ["permtest", "{m}", "{m}"]),
+    ({"m": K23_CSV}, ["negtype", "{m}", "--tol", "nan"]),
+    ({}, ["generate", "--kind", "torus", "--n", "5", "--max-radius", "nan"]),
+    ({"cfg": ER_CONFIG.replace("kind = er", "kind = torus") + "max_radius = nan\n"},
+     ["experiment", "--config", "{cfg}"]),
+    ({}, ["dem", "--resolution", "nan", "--out", "dem"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -257,7 +278,9 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
         "dem-input-chunk-size-2", "edge-one-vertex", "edge-three-vertices",
         "edge-vertex-twice", "face-listed-twice", "boundary-of-boundary-nonzero",
         "negative-dimension", "persist-not-utf8", "config-not-utf8", "dem-input-not-utf8",
-        "config-no-section-header", "config-duplicate-section", "grid-ncols-inf"])
+        "config-no-section-header", "config-duplicate-section", "grid-ncols-inf",
+        "dcor-one-sample", "permtest-one-sample", "negtype-tol-nan", "max-radius-nan",
+        "max-radius-nan-config", "dem-resolution-nan"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}
@@ -294,6 +317,13 @@ def test_bad_grid_exits_2_with_line(tmp_path, capsys, text, message):
 
 DEGREE_1_CSV = "degree,birth,death\n1,0.0,5.0\n1,1.0,3.0\n"
 WIDE_CSV = "degree,birth,death\n1,0.0,40.0\n1,1.0,30.0\n"
+LINE_3 = "x,x,x\n0.0,1.0,2.0\n1.0,0.0,1.5\n2.0,1.5,0.0\n"
+
+
+def far_apart(n, distance):
+    """Matrix CSV of n samples, each ``distance`` from every other."""
+    return "d\n" + "".join(",".join("0.0" if i == j else distance for j in range(n)) + "\n"
+                           for i in range(n))
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -307,9 +337,16 @@ WIDE_CSV = "degree,birth,death\n1,0.0,40.0\n1,1.0,30.0\n"
      ["distmat", "{a}", "{b}", "--metric", "betti:p=2000"], "p=2000"),
     ({"a": WIDE_CSV, "b": "degree,birth,death\n1,0.0,1e200\n"},
      ["distmat", "{a}", "{b}", "--metric", "landscape:p=2"], "p=2"),
+    ({"x": far_apart(2, "1e308")}, ["dcor", "{x}", "{x}"], "centered distances overflow"),
+    ({"x": far_apart(3, "1e308"), "y": LINE_3}, ["dcor", "{x}", "{y}"],
+     "centered distances overflow"),
+    ({"x": far_apart(3, "1e308"), "y": LINE_3},
+     ["permtest", "{y}", "{x}", "--permutations", "9"], "centered distances overflow"),
+    ({"x": far_apart(3, "1e100")}, ["dcor", "{x}", "{x}"], "dvar_x * dvar_y overflows"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
         "landscape-integral-overflow", "betti-integral-overflow",
-        "landscape-value-overflow"])
+        "landscape-value-overflow", "dcor-dcov-overflow", "dcor-centering-overflow",
+        "permtest-centering-overflow", "dcor-dvar-product-overflow"])
 def test_bad_numerics_exit_3(tmp_path, capsys, files, argv, message):
     paths = {}
     for name, text in {"a": DEGREE_1_CSV, **files}.items():

@@ -137,7 +137,7 @@ class TestLandscapeFixtures:
 
         diagrams, _ = fixture_landscape_l1()
         for d in diagrams:
-            assert landscape_from_diagram(d).level_count() == 1
+            assert len(landscape_from_diagram(d).levels) == 1
 
     def test_linf_pattern_and_form(self):
         from topocorr.summaries import landscape_from_diagram

@@ -36,6 +36,7 @@ from tests.oracles import (
     reduce_columns,
     sup_landscape_distance,
 )
+from tests.test_complexes import digraph_from_edges
 
 # Fixed examples, so every run of the suite checks the same diagrams.
 checked = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -242,7 +243,7 @@ cubical_complexes = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 # essential H0 bar.
 @example(cx=build_flag_complex(WeightedGraph(1, [[0.0]]), 1))
 @example(cx=build_rips_complex([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 2, 1.0))
-@example(cx=build_directed_flag_complex(DirectedWeightedGraph.from_edges(
+@example(cx=build_directed_flag_complex(digraph_from_edges(
     4, [(0, 1, 1.0), (2, 3, 1.0)]), 2))
 # A triangle whose faces the file lists out of order.
 @example(cx=FilteredComplex.from_text(

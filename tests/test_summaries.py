@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topocorr.metrics import curve_distance
 from topocorr.persistence import PersistenceDiagram, compute_persistence
 from topocorr.summaries import (
     StepCurve,
@@ -28,43 +29,58 @@ def dyadic_diagram(rng, max_points=8):
     return diagram(*pts)
 
 
+def landscape_value(lan, k, t):
+    """λ_k (1-based) of ``lan`` at t, interpolated between the breakpoints of
+    its level; 0 past the last level."""
+    if k > len(lan.levels):
+        return 0.0
+    level = lan.levels[k - 1]
+    return np.interp(t, level[:, 0], level[:, 1], left=0.0, right=0.0)
+
+
 class TestLandscape:
     def test_levels_are_a_tuple_of_breakpoint_arrays(self):
-        # The breakpoint count and the text writer both read ``levels``.
+        # One (t, value, level) array; the breakpoint count and the text
+        # writer read its per-level (t, value) views.
         lan = landscape_from_diagram(diagram((0, 4), (1, 3), (5, 6)))
-        assert isinstance(lan.levels, tuple) and len(lan.levels) == lan.level_count() == 2
-        for level in lan.levels:
+        assert lan.knots.dtype == float and lan.knots.shape == (6 + 3, 3)
+        assert lan.knots[:, 2].tolist() == [0.0] * 6 + [1.0] * 3
+        assert isinstance(lan.levels, tuple) and len(lan.levels) == 2
+        for k, level in enumerate(lan.levels):
             assert isinstance(level, np.ndarray) and level.dtype == float
             assert level.ndim == 2 and level.shape[1] == 2
+            assert np.all(np.diff(level[:, 0]) >= 0)
+            assert np.array_equal(level, lan.knots[lan.knots[:, 2] == k, :2])
         assert sum(len(level) for level in lan.levels) == 6 + 3
-        assert landscape_from_diagram(diagram()).levels == ()
+        empty = landscape_from_diagram(diagram())
+        assert empty.knots.shape == (0, 3) and empty.levels == ()
 
     def test_single_bar_tent(self):
         lan = landscape_from_diagram(diagram((0, 2)))
-        assert lan.level_count() == 1
-        assert lan.evaluate(1, 1.0) == 1.0
-        assert lan.evaluate(1, 0.5) == 0.5
-        assert lan.evaluate(1, 2.0) == 0.0
-        assert lan.evaluate(2, 1.0) == 0.0
+        assert len(lan.levels) == 1
+        assert landscape_value(lan, 1, 1.0) == 1.0
+        assert landscape_value(lan, 1, 0.5) == 0.5
+        assert landscape_value(lan, 1, 2.0) == 0.0
+        assert landscape_value(lan, 2, 1.0) == 0.0
 
     def test_nested_bars_two_levels(self):
         lan = landscape_from_diagram(diagram((0, 4), (1, 3)))
-        assert lan.level_count() == 2
-        assert lan.evaluate(1, 2.0) == 2.0
-        assert lan.evaluate(2, 2.0) == 1.0
+        assert len(lan.levels) == 2
+        assert landscape_value(lan, 1, 2.0) == 2.0
+        assert landscape_value(lan, 2, 2.0) == 1.0
 
     def test_crossing_bars_second_level(self):
         # Overlap [2, 4) of (0,4) and (2,6) feeds the second level.
         lan = landscape_from_diagram(diagram((0, 4), (2, 6)))
-        assert lan.evaluate(2, 3.0) == 1.0
-        assert lan.evaluate(1, 2.0) == 2.0
-        assert lan.evaluate(1, 3.0) == 1.0
-        assert lan.evaluate(1, 4.0) == 2.0
+        assert landscape_value(lan, 2, 3.0) == 1.0
+        assert landscape_value(lan, 1, 2.0) == 2.0
+        assert landscape_value(lan, 1, 3.0) == 1.0
+        assert landscape_value(lan, 1, 4.0) == 2.0
 
     def test_empty_diagram(self):
         lan = landscape_from_diagram(PersistenceDiagram(()))
-        assert lan.level_count() == 0
-        assert lan.evaluate(1, 0.0) == 0.0
+        assert len(lan.levels) == 0
+        assert landscape_value(lan, 1, 0.0) == 0.0
 
     def test_bounded_by_half_max_persistence(self):
         rng = np.random.default_rng(0)
@@ -72,7 +88,7 @@ class TestLandscape:
             d = dyadic_diagram(rng)
             lan = landscape_from_diagram(d)
             bound = max(death - b for b, death, _ in d.points) / 2.0
-            assert lan.max_value() <= bound + 1e-12
+            assert lan.knots[:, 1].max() <= bound + 1e-12
 
     def test_matches_sup_definition(self):
         rng = np.random.default_rng(42)
@@ -81,8 +97,8 @@ class TestLandscape:
             lan = landscape_from_diagram(d)
             for _ in range(20):
                 t = rng.integers(-16, 128) / 16.0
-                for k in range(1, lan.level_count() + 2):
-                    assert lan.evaluate(k, t) == sup_landscape_value(d, k, t)
+                for k in range(1, len(lan.levels) + 2):
+                    assert landscape_value(lan, k, t) == sup_landscape_value(d, k, t)
 
 
 class TestStepCurve:
@@ -94,7 +110,9 @@ class TestStepCurve:
         assert c.evaluate(2.0) == 0
 
     def test_l1_norm(self):
-        assert StepCurve((0.0, 1.0, 3.0), (2, -1)).l1_norm() == 4.0
+        # The L^1 norm is the L^1 distance from the zero curve.
+        zero = StepCurve((), ())
+        assert curve_distance(StepCurve((0.0, 1.0, 3.0), (2, -1)), zero, 1) == 4.0
 
     def test_rejects_unsorted_breakpoints(self):
         with pytest.raises(ValueError):
@@ -112,7 +130,8 @@ class TestBettiCurve:
         for _ in range(10):
             d = dyadic_diagram(rng)
             total = sum(death - b for b, death, _ in d.points)
-            assert betti_curve(d, 1).l1_norm() == pytest.approx(total, abs=1e-12)
+            c = betti_curve(d, 1)
+            assert np.sum(c.values * np.diff(c.breakpoints)) == pytest.approx(total, abs=1e-12)
 
     def test_counts_overlaps(self):
         c = betti_curve(diagram((0, 2), (1, 3)), 1)
