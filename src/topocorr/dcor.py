@@ -49,8 +49,10 @@ class DcorReport:
 
 
 def double_center(d: DistanceMatrix) -> CenteredMatrix:
-    """A_{k,l} = a_{k,l} - rowmean_k - colmean_l + grandmean; NumericalFailure unless
-    the squares of A have a finite sum, so that no dcov overflows (Cauchy-Schwarz)."""
+    """A_{k,l} = a_{k,l} - rowmean_k - colmean_l + grandmean; ValueError below 2 samples,
+    NumericalFailure unless the squares of A have a finite sum (Cauchy-Schwarz)."""
+    if d.n < 2:
+        raise ValueError("need at least 2 samples")
     a = d.entries
     with np.errstate(over="ignore", invalid="ignore"):
         centered = a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
@@ -71,8 +73,6 @@ def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
     """Full distance correlation report between two distance matrices."""
     if dx.n != dy.n:
         raise ValueError("distance matrices must have equal size")
-    if dx.n < 2:
-        raise ValueError("need at least 2 samples")
     a = double_center(dx)
     b = double_center(dy)
     dcov = sample_dcov(a, b)

@@ -7,10 +7,12 @@ that overflows raises NumericalFailure.  All G <= 0, so a full assignment is
 optimal, and its own cost is returned: c for pairs with G < 0, the diagonal
 cost for every other point.  G ties pairings whose costs lie below the
 rounding of dx + dy, so a diagram is at 0 from itself by an equality test.
-Bottleneck binary-searches the costs between each point's cheapest match at
-the worst point (probed first) and the all-to-diagonal cost; a threshold is
-feasible when the costs within it, on the (m+n) square where
-diagonal-to-diagonal moves are free, admit a perfect matching.
+Bottleneck ranks the costs from lb, each point's cheapest match at the worst
+point, to ub, the all-to-diagonal cost, on the (m+n) square with free
+diagonal-to-diagonal moves.  One assignment of the weights 0 at lb, 2^(0.9
+rank) above (rank clipped at 1,000) and inf above ub is a perfect matching
+within some rank top; one bipartite matching at rank top - 1 certifies top or
+starts a binary search below it (after Gabow and Tarjan, J. Algorithms 1988).
 
 A landscape row compares one landscape A with a list B_0, B_1, ... in one
 fixed set of array calls per block of the list: as many pairs as fit in
@@ -28,6 +30,7 @@ that overflows raises NumericalFailure.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -98,7 +101,7 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
-    """Exact bottleneck distance via binary search over candidate costs."""
+    """Exact bottleneck distance from one assignment and bipartite matchings."""
     xs, ys = d1.pairs(), d2.pairs()
     m, n = len(xs), len(ys)
     cost = np.zeros((m + n, m + n))
@@ -109,25 +112,22 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     lb = max(cost[:m].min(axis=1, initial=math.inf).max(initial=0.0),
              cost[:, :n].min(axis=0, initial=math.inf).max(initial=0.0))
     ub = max(cost[:m, n:].max(initial=0.0), cost[m:, :n].max(initial=0.0))
-    # lb is a cost (or 0 for two empty diagrams), so it heads the candidates.
-    candidates = np.union1d(cost[(cost > lb) & (cost <= ub)], lb)
+    candidates = np.union1d(cost[(cost > lb) & (cost <= ub)], lb)  # lb (a cost, or 0) heads them
+    rank = np.searchsorted(candidates, cost)  # 0 at or below lb, len(candidates) above ub
+    levels = 2.0 ** (0.9 * np.minimum(np.arange(1, len(candidates)), 1000))
+    weight = np.r_[0.0, levels, math.inf][rank]
 
-    def feasible(threshold):
-        within = cost <= threshold  # CSR from arrays: half the cost of csr_matrix(within)
+    def feasible(r):
+        within = rank <= r  # CSR from arrays: half the cost of csr_matrix(within)
         indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
         graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
                             within.nonzero()[1].astype(np.int32), indptr), shape=cost.shape)
-        matching = maximum_bipartite_matching(graph, perm_type="column")
-        return int((matching >= 0).sum()) == cost.shape[0]
+        return (maximum_bipartite_matching(graph, perm_type="column") >= 0).all()
 
-    lo, hi = (0, 0) if feasible(lb) else (1, len(candidates) - 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    top = int(rank[linear_sum_assignment(weight)].max(initial=0))
+    if top and feasible(top - 1):
+        top = bisect.bisect_left(range(top - 1), True, key=feasible)
+    return float(candidates[top])
 
 
 def _lp_pieces(ts, f, p):
@@ -262,12 +262,23 @@ def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> fl
     return float(s.sum() / (8.0 * math.pi * sigma))
 
 
+def pss_prepare(f: PersistenceDiagram, sigma: float):
+    """``f`` with its self-kernel k(f, f), as :func:`pss_row` takes it."""
+    return f, pss_kernel(f, f, sigma)
+
+
+def pss_row(prepared, others, sigma: float) -> np.ndarray:
+    """Kernel-induced L^2 distances from one prepared diagram to each of ``others``."""
+    f, kff = prepared
+    radicand = np.array([kff + kgg - 2.0 * pss_kernel(f, g, sigma) for g, kgg in others])
+    if (radicand < -1e-12).any():
+        raise NumericalFailure(f"kernel distance radicand {radicand.min()} below tolerance")
+    return np.sqrt(np.maximum(radicand, 0.0))
+
+
 def pss_distance(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
-    """Kernel-induced L^2 distance for the scale space kernel."""
-    radicand = pss_kernel(f, f, sigma) + pss_kernel(g, g, sigma) - 2.0 * pss_kernel(f, g, sigma)
-    if radicand < -1e-12:
-        raise NumericalFailure(f"kernel distance radicand {radicand} below tolerance")
-    return math.sqrt(max(radicand, 0.0))
+    """Kernel-induced L^2 distance for the scale space kernel: the row on ``[g]``."""
+    return float(pss_row(pss_prepare(f, sigma), [pss_prepare(g, sigma)], sigma)[0])
 
 
 def sliced_wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, lines: int = 10) -> float:
@@ -315,22 +326,23 @@ _POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _LINES = (int, lambda v: v >= 1, "an integer >= 1")
 
 # Metric name -> (summary kind, required parameters, optional parameters,
-# distance, row).  Parameters map their names to their types; the distance
-# takes two summaries of the kind and the parameters as keywords.  The row,
-# where there is one, takes a summary, a list of summaries and the parameters
-# and returns the distances from the one to each; without one, a row maps the
-# distance over the list.  "count<d>" stands for count0, count1, ...: L^p
-# between cumulative counts of d-cells.
+# distance, row, prepare).  Parameters map their names to their types; the
+# distance takes two summaries of the kind and the parameters as keywords.
+# The row, where there is one, takes a summary, a list of summaries and the
+# parameters and returns the distances from the one to each; without one, a
+# row maps the distance over the list.  The prepare, where there is one, runs
+# once per sample and gives the row its summaries.  "count<d>" stands for
+# count0, count1, ...: L^p between cumulative counts of d-cells.
 METRICS = {
-    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein, None),
-    "bottleneck": ("diagram", {}, {}, bottleneck, None),
-    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance, None),
-    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein, None),
-    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance, None),
-    "landscape": ("landscape", {"p": _P}, {}, landscape_distance, landscape_row),
-    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance, None),
-    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance, None),
-    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance, None),
+    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein, None, None),
+    "bottleneck": ("diagram", {}, {}, bottleneck, None, None),
+    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance, pss_row, pss_prepare),
+    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein, None, None),
+    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance, None, None),
+    "landscape": ("landscape", {"p": _P}, {}, landscape_distance, landscape_row, None),
+    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance, None, None),
+    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance, None, None),
+    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance, None, None),
 }
 
 
@@ -365,7 +377,7 @@ class MetricSpec:
         return METRICS[self.family][3](a, b, **self.params)
 
     def row(self, a, others):
-        """Distances from ``a`` to each summary of ``others``, as an array."""
+        """Distances from ``a`` to each summary of ``others`` (both prepared), as an array."""
         row = METRICS[self.family][4]
         if row is None:
             return np.array([self.distance(a, b) for b in others], dtype=float)
@@ -418,10 +430,11 @@ def pairwise_matrix(samples, metric: MetricSpec) -> DistanceMatrix:
     if n < 2:
         raise ValueError("need at least 2 samples")
     entries = np.zeros((n, n))
-    for i in range(n - 1):
-        try:
-            row = metric.row(samples[i], samples[i + 1:])
-        except (AttributeError, TypeError) as exc:
-            raise ValueError(f"metric {metric.label!r} does not fit samples") from exc
-        entries[i, i + 1:] = entries[i + 1:, i] = row
+    prepare = METRICS[metric.family][5] or (lambda sample, **params: sample)
+    try:
+        prepared = [prepare(sample, **metric.params) for sample in samples]
+        for i in range(n - 1):
+            entries[i, i + 1:] = entries[i + 1:, i] = metric.row(prepared[i], prepared[i + 1:])
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"metric {metric.label!r} does not fit samples") from exc
     return DistanceMatrix(n, entries, metric.label)

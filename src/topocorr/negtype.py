@@ -59,16 +59,18 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
         raise ConfigurationError("tol must be non-negative")
     n = d.n
     j = np.eye(n) - np.ones((n, n)) / n
-    centered = j @ d.entries @ j
-    centered = (centered + centered.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = j @ d.entries @ j
+        centered = (centered + centered.T) / 2.0
+    if not np.isfinite(centered).all():
+        raise NumericalFailure("centered distances overflow")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(centered)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolver failed to converge") from exc
     worst = float(eigenvalues[-1])
     if worst > tol:
-        witness = j @ eigenvectors[:, -1]
-        return NegTypeVerdict(False, witness, worst)
+        return NegTypeVerdict(False, j @ eigenvectors[:, -1], worst)
     return NegTypeVerdict(True, None, worst)
 
 

@@ -9,6 +9,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 def brute_wasserstein(d1, d2, p):
@@ -70,6 +72,45 @@ def brute_bottleneck(d1, d2):
 
     recurse(0, frozenset(), 0.0)
     return best[0]
+
+
+def bottleneck_binary_search(d1, d2):
+    """Bottleneck distance by binary search over the candidate costs, each
+    step one bipartite matching.
+
+    On the (m+n) square where diagonal-to-diagonal moves are free, the
+    search runs over the costs between lb, each point's cheapest match at
+    the worst point (probed first), and ub, the all-to-diagonal cost; a
+    threshold is feasible when the costs within it admit a perfect matching.
+    """
+    xs, ys = d1.pairs(), d2.pairs()
+    m, n = len(xs), len(ys)
+    cost = np.zeros((m + n, m + n))
+    cost[:m, :n] = np.maximum(np.abs(xs[:, None, 0] - ys[None, :, 0]),
+                              np.abs(xs[:, None, 1] - ys[None, :, 1]))
+    cost[:m, n:] = ((xs[:, 1] - xs[:, 0]) / 2.0)[:, None]
+    cost[m:, :n] = ((ys[:, 1] - ys[:, 0]) / 2.0)[None, :]
+    lb = max(cost[:m].min(axis=1, initial=math.inf).max(initial=0.0),
+             cost[:, :n].min(axis=0, initial=math.inf).max(initial=0.0))
+    ub = max(cost[:m, n:].max(initial=0.0), cost[m:, :n].max(initial=0.0))
+    candidates = np.union1d(cost[(cost > lb) & (cost <= ub)], lb)
+
+    def feasible(threshold):
+        within = cost <= threshold
+        indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
+        graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
+                            within.nonzero()[1].astype(np.int32), indptr), shape=cost.shape)
+        matching = maximum_bipartite_matching(graph, perm_type="column")
+        return int((matching >= 0).sum()) == cost.shape[0]
+
+    lo, hi = (0, 0) if feasible(lb) else (1, len(candidates) - 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 def _tent_values(diagram, t, depth):

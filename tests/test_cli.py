@@ -343,10 +343,12 @@ def far_apart(n, distance):
     ({"x": far_apart(3, "1e308"), "y": LINE_3},
      ["permtest", "{y}", "{x}", "--permutations", "9"], "centered distances overflow"),
     ({"x": far_apart(3, "1e100")}, ["dcor", "{x}", "{x}"], "dvar_x * dvar_y overflows"),
+    ({"x": far_apart(5, "1.7e308")}, ["negtype", "{x}"], "centered distances overflow"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
         "landscape-integral-overflow", "betti-integral-overflow",
         "landscape-value-overflow", "dcor-dcov-overflow", "dcor-centering-overflow",
-        "permtest-centering-overflow", "dcor-dvar-product-overflow"])
+        "permtest-centering-overflow", "dcor-dvar-product-overflow",
+        "negtype-centering-overflow"])
 def test_bad_numerics_exit_3(tmp_path, capsys, files, argv, message):
     paths = {}
     for name, text in {"a": DEGREE_1_CSV, **files}.items():

@@ -102,6 +102,11 @@ class TestPermutationTest:
         p = permutation_test(abs_matrix(x), abs_matrix(y, "y"), 199, seed=4)
         assert p > 0.05
 
+    def test_one_sample_rejected(self):
+        one = abs_matrix([0.0])
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            permutation_test(one, one, 9, seed=1)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         x, y = rng.random(30), rng.random(30)

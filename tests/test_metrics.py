@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.metrics import (
@@ -23,7 +25,12 @@ from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import StepCurve, betti_curve, landscape_from_diagram
 from topocorr.experiment import build_complex, compute_bundle
 from topocorr.models import ModelSpec, derive_seed, generate
-from tests.oracles import brute_bottleneck, brute_wasserstein, sup_landscape_distance
+from tests.oracles import (
+    bottleneck_binary_search,
+    brute_bottleneck,
+    brute_wasserstein,
+    sup_landscape_distance,
+)
 from tests.test_summaries import diagram
 
 
@@ -34,6 +41,27 @@ def random_diagram(rng, max_points=5):
         b = float(rng.uniform(0, 5))
         pts.append((b, b + float(rng.uniform(0.05, 3))))
     return diagram(*pts) if pts else PersistenceDiagram(())
+
+
+@functools.cache
+def er_diagrams(seed, count=20):
+    """Degree-1 diagrams of the first ``count`` ER n=25 samples of ``seed``."""
+    metrics = (parse_metric_spec("bottleneck"),)
+    spec = ModelSpec("er", 25, seed=seed)
+    return tuple(compute_bundle(build_complex("er", generate(spec, k), 2), 1, metrics)["diagram"]
+                 for k in range(count))
+
+
+def counted_matchings(monkeypatch):
+    """A list that gains one entry per bipartite matching ``bottleneck`` runs."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return maximum_bipartite_matching(*args, **kwargs)
+
+    monkeypatch.setattr("topocorr.metrics.maximum_bipartite_matching", counting)
+    return calls
 
 
 class TestDistanceMatrix:
@@ -101,6 +129,31 @@ class TestBottleneck:
 
     def test_point_to_diagonal(self):
         assert bottleneck(diagram((0, 4)), PersistenceDiagram(())) == 2.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_binary_search_on_er_diagrams(self, seed):
+        diagrams = er_diagrams(seed)
+        for i, d1 in enumerate(diagrams):
+            for d2 in diagrams[i + 1:]:
+                assert bottleneck(d1, d2) == bottleneck_binary_search(d1, d2)
+
+    def test_ends_at_lb_without_a_matching(self, monkeypatch):
+        # The point's cheapest match, 1, is lb, and the assignment uses only it.
+        calls = counted_matchings(monkeypatch)
+        assert bottleneck(diagram((0, 4)), diagram((1, 4))) == 1.0
+        assert calls == []
+
+    def test_falls_back_to_binary_search(self, monkeypatch):
+        # lb is 2 and the candidates above it are 3 (rank 1) and 3.5 (rank 2).
+        # The bottleneck plan pays 3 twice, (6, 9)-(5, 12) and (4, 10) to the
+        # diagonal, and pairs (6, 12)-(6, 13) at 1.  The cheapest-sum plan
+        # pays 3.5 once instead, (5, 12) to the diagonal, since 2^1.8 < 2 * 2^0.9.
+        # So the matching at rank 1 succeeds and the search below it runs.
+        d1, d2 = diagram((6, 9), (6, 12)), diagram((4, 10), (5, 12), (6, 13))
+        calls = counted_matchings(monkeypatch)
+        assert bottleneck(d1, d2) == bottleneck_binary_search(d1, d2) == 3.0
+        assert brute_bottleneck(d1, d2) == 3.0
+        assert len(calls) == 2
 
 
 class TestLandscapeDistance:
@@ -233,6 +286,18 @@ class TestPSS:
             assert pss_distance(a, c, 1.0) <= \
                 pss_distance(a, b, 1.0) + pss_distance(b, c, 1.0) + 1e-9
 
+    @pytest.mark.parametrize("sigma", [0.01, 1.0])
+    def test_matrix_entries_equal_three_kernels_per_pair(self, sigma):
+        # Self-kernels prepared once per sample give each pair's value bit for bit.
+        diagrams = er_diagrams(1)
+        entries = pairwise_matrix(diagrams, parse_metric_spec(f"pss:sigma={sigma}")).entries
+        for i, f in enumerate(diagrams):
+            for j in range(i + 1, len(diagrams)):
+                g = diagrams[j]
+                radicand = (pss_kernel(f, f, sigma) + pss_kernel(g, g, sigma)
+                            - 2.0 * pss_kernel(f, g, sigma))
+                assert entries[i, j] == entries[j, i] == math.sqrt(max(radicand, 0.0))
+
 
 class TestSlicedWasserstein:
     def test_identical_zero(self):
@@ -326,9 +391,11 @@ class TestMetricSpecs:
 
     @pytest.mark.parametrize("spec, kind", [("landscape:p=1", "diagram"),
                                             ("landscape:p=inf", "betti"),
-                                            ("wasserstein:p=1", "landscape")])
+                                            ("wasserstein:p=1", "landscape"),
+                                            ("pss:sigma=1", "landscape")])
     def test_pairwise_matrix_rejects_samples_of_another_kind(self, spec, kind):
-        # Batched rows and rows mapped pair by pair give the same error.
+        # Batched rows, rows mapped pair by pair and prepared samples give
+        # the same error.
         d = diagram((0, 2), (1, 3))
         sample = {"diagram": d, "betti": betti_curve(d, 1),
                   "landscape": landscape_from_diagram(d)}[kind]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix, bottleneck, wasserstein
 from topocorr.negtype import (
     WeightedConfiguration,
@@ -62,6 +63,20 @@ class TestNegtypeCheck:
         cfg = WeightedConfiguration(diagram_matrix(diagrams, 1.0), verdict.witness)
         assert quadratic_form(cfg) > 0.0
         assert abs(sum(verdict.witness)) < 1e-9
+
+    def test_centered_overflow_is_numerical_failure(self):
+        # Row 0 is 1.7e308 from every other sample: J D J has entries near -2e308.
+        e = np.zeros((5, 5))
+        e[0, 1:] = e[1:, 0] = 1.7e308
+        with pytest.raises(NumericalFailure, match="centered distances overflow"):
+            negtype_check(DistanceMatrix(5, e, "big"))
+
+    def test_equal_huge_distances_center_finitely(self):
+        # Equal off-diagonal distances d center to -d J (J the centering
+        # projector), which is finite and negative semidefinite.
+        e = np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308))
+        verdict = negtype_check(DistanceMatrix(3, e, "equal"))
+        assert verdict.negative_type and verdict.worst_value <= 1e-9
 
 
 class TestSmallPFixture:
