@@ -166,7 +166,9 @@ def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
 @cli.command("negtype")
 @click.argument("matrix_file", required=False,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True,
+              help="Relative tolerance: a violation needs a centered eigenvalue above "
+                   "tol times the largest |eigenvalue|.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def negtype_cmd(matrix_file, tol, out):
     """Check a distance matrix for negative type, or run the fixture suite."""

@@ -1,5 +1,11 @@
 """Exact distances between topological summaries and pairwise distance matrices.
 
+A metric's row gives the distances from one summary to a list of others,
+all prepared once per sample; a pair's distance is the row on a list of one.
+Diagram rows broadcast the costs to a block of the list at a time (as many
+diagrams as fit 8,192 cross entries, and at least one) and solve each
+pair's assignment apart.
+
 p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
 G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
 and dx, dy the powered costs of sending them to the diagonal; a powered cost
@@ -9,10 +15,12 @@ cost for every other point.  G ties pairings whose costs lie below the
 rounding of dx + dy, so a diagram is at 0 from itself by an equality test.
 Bottleneck ranks the costs from lb, each point's cheapest match at the worst
 point, to ub, the all-to-diagonal cost, on the (m+n) square with free
-diagonal-to-diagonal moves.  One assignment of the weights 0 at lb, 2^(0.9
-rank) above (rank clipped at 1,000) and inf above ub is a perfect matching
-within some rank top; one bipartite matching at rank top - 1 certifies top or
-starts a binary search below it (after Gabow and Tarjan, J. Algorithms 1988).
+diagonal-to-diagonal moves; the square only repeats the m x n block, the two
+diagonal vectors and 0, so only those are ranked.  One assignment of the
+weights 0 at lb, 2^(0.9 rank) above (rank clipped at 1,000) and inf above
+ub is a perfect matching within some rank top; one bipartite matching at
+rank top - 1 certifies top or starts a binary search below it (after Gabow
+and Tarjan, J. Algorithms 1988).
 
 A landscape row compares one landscape A with a list B_0, B_1, ... in one
 fixed set of array calls per block of the list: as many pairs as fit in
@@ -79,55 +87,115 @@ def diagonal_distance(points, p):
     return 2.0 ** (1.0 / p - 1.0) * (points[..., 1] - points[..., 0])
 
 
-def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
-    """Exact p-Wasserstein distance with L^p ground metric (q = p)."""
+# Bounds on one block of a row: the breakpoints a landscape block merges
+# (both sides, every pair) and the entries of a diagram block's cost
+# matrices.  Whole landscape rows raised the ER experiment's peak RSS by
+# 5 MiB, whole diagram rows the gamma sweep's by 3 MiB (and 16,384-entry
+# blocks by 1 MiB, 8,192-entry ones by 0.3 MiB, at the same speed).
+_BLOCK_POINTS = 1 << 12
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _blocks(items, sizes, limit):
+    """Consecutive runs of ``items``: one item, or items whose ``sizes`` sum
+    to at most ``limit``."""
+    block, total = [], 0
+    for item, size in zip(items, sizes):
+        if block and total + size > limit:
+            yield block
+            block, total = [], 0
+        block.append(item)
+        total += size
+    if block:
+        yield block
+
+
+def _cross(xs, others, combine):
+    """For each prepared diagram of ``others``, in order, its columns of
+    combine(db, dd, to_ys): db and dd the birth and death distances from the
+    points ``xs`` to those of a block of ``others``, to_ys their diagonal costs."""
+    for block in _blocks(others, [len(xs) * len(ys) for ys, _ in others], _BLOCK_ENTRIES):
+        ys, to_ys = (np.concatenate(items) for items in zip(*block))
+        whole = combine(np.abs(xs[:, None, 0] - ys[None, :, 0]),
+                        np.abs(xs[:, None, 1] - ys[None, :, 1]), to_ys)
+        yield from np.split(whole, np.cumsum([len(ys) for ys, _ in block])[:-1], axis=-1)
+
+
+def diagram_prepare(d: PersistenceDiagram, p=math.inf):
+    """``d``'s (birth, death) rows with their L^p distances to the diagonal,
+    raised to the power p when p is finite."""
+    with np.errstate(over="ignore"):
+        to_diagonal = diagonal_distance(d.pairs(), p)
+        return d.pairs(), to_diagonal if p == math.inf else to_diagonal ** p
+
+
+def wasserstein_row(prepared, others, p) -> np.ndarray:
+    """Exact p-Wasserstein distances (L^p ground metric, q = p) from one
+    prepared diagram to each of ``others``."""
     if p == math.inf or p < 1:
         raise ValueError("p must be finite and >= 1")
-    xs, ys = d1.pairs(), d2.pairs()
-    if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
-        return 0.0
-    with np.errstate(over="ignore"):
-        cost = (np.abs(xs[:, None, 0] - ys[None, :, 0]) ** p
-                + np.abs(xs[:, None, 1] - ys[None, :, 1]) ** p)
-        to_x, to_y = diagonal_distance(xs, p) ** p, diagonal_distance(ys, p) ** p
-    if not (np.isfinite(cost).all() and np.isfinite(to_x.sum() + to_y.sum())):
-        raise NumericalFailure(f"powered transport costs overflow at p={p}")
-    gain = np.minimum(cost - to_x[:, None] - to_y[None, :], 0.0)
-    rows, cols = linear_sum_assignment(gain)
-    paired = gain[rows, cols] < 0
-    x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
-    x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
-    return float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p))
+    (xs, to_x), out = prepared, []
+    x_total = to_x.sum()
+
+    def transport(db, dd, to_ys):  # the costs c and the gains min(c - dx - dy, 0)
+        cost = db ** p + dd ** p
+        return np.stack([cost, np.minimum(cost - to_x[:, None] - to_ys[None, :], 0.0)])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a block overflows
+        for (ys, to_y), (cost, gain) in zip(others, _cross(xs, others, transport)):
+            if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
+                out.append(0.0)
+                continue
+            if not (np.isfinite(cost).all() and np.isfinite(x_total + to_y.sum())):
+                raise NumericalFailure(f"powered transport costs overflow at p={p}")
+            rows, cols = linear_sum_assignment(gain)
+            paired = gain[rows, cols] < 0
+            x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
+            x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
+            out.append(float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p)))
+    return np.array(out)
+
+
+def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
+    """Exact p-Wasserstein distance: the row on ``[d2]``."""
+    return float(wasserstein_row(diagram_prepare(d1, p), [diagram_prepare(d2, p)], p)[0])
+
+
+def bottleneck_row(prepared, others) -> np.ndarray:
+    """Exact bottleneck distances from one prepared diagram to each of ``others``."""
+    (xs, dx), out = prepared, []
+    for (_, dy), block in zip(others, _cross(xs, others, lambda db, dd, _: np.maximum(db, dd))):
+        m, n = block.shape
+        lb = max(np.minimum(block.min(axis=1, initial=math.inf), dx).max(initial=0.0),
+                 np.minimum(block.min(axis=0, initial=math.inf), dy).max(initial=0.0))
+        ub = max(dx.max(initial=0.0), dy.max(initial=0.0))
+        costs = np.concatenate([block.ravel(), dx, dy])  # each cost of the square but its 0s
+        # lb (a cost, or 0) heads the candidates; a cost ranks 0 at or below
+        # lb and len(candidates) above ub.
+        candidates = np.union1d(costs[(costs > lb) & (costs <= ub)], lb)
+        ranks = np.searchsorted(candidates, costs)
+        rank = np.zeros((m + n, m + n), dtype=ranks.dtype)
+        rank[:m, :n], rank[:m, n:], rank[m:, :n] = (
+            ranks[:m * n].reshape(m, n), ranks[m * n:m * n + m, None], ranks[m * n + m:])
+        levels = 2.0 ** (0.9 * np.minimum(np.arange(1, len(candidates)), 1000))
+
+        def feasible(r):
+            within = rank <= r  # CSR from arrays: half the cost of csr_matrix(within)
+            indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
+            graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
+                                within.nonzero()[1].astype(np.int32), indptr), shape=rank.shape)
+            return (maximum_bipartite_matching(graph, perm_type="column") >= 0).all()
+
+        top = int(rank[linear_sum_assignment(np.r_[0.0, levels, math.inf][rank])].max(initial=0))
+        if top and feasible(top - 1):
+            top = bisect.bisect_left(range(top - 1), True, key=feasible)
+        out.append(float(candidates[top]))
+    return np.array(out)
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
-    """Exact bottleneck distance from one assignment and bipartite matchings."""
-    xs, ys = d1.pairs(), d2.pairs()
-    m, n = len(xs), len(ys)
-    cost = np.zeros((m + n, m + n))
-    cost[:m, :n] = np.maximum(np.abs(xs[:, None, 0] - ys[None, :, 0]),
-                              np.abs(xs[:, None, 1] - ys[None, :, 1]))
-    cost[:m, n:] = diagonal_distance(xs, math.inf)[:, None]
-    cost[m:, :n] = diagonal_distance(ys, math.inf)[None, :]
-    lb = max(cost[:m].min(axis=1, initial=math.inf).max(initial=0.0),
-             cost[:, :n].min(axis=0, initial=math.inf).max(initial=0.0))
-    ub = max(cost[:m, n:].max(initial=0.0), cost[m:, :n].max(initial=0.0))
-    candidates = np.union1d(cost[(cost > lb) & (cost <= ub)], lb)  # lb (a cost, or 0) heads them
-    rank = np.searchsorted(candidates, cost)  # 0 at or below lb, len(candidates) above ub
-    levels = 2.0 ** (0.9 * np.minimum(np.arange(1, len(candidates)), 1000))
-    weight = np.r_[0.0, levels, math.inf][rank]
-
-    def feasible(r):
-        within = rank <= r  # CSR from arrays: half the cost of csr_matrix(within)
-        indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
-        graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
-                            within.nonzero()[1].astype(np.int32), indptr), shape=cost.shape)
-        return (maximum_bipartite_matching(graph, perm_type="column") >= 0).all()
-
-    top = int(rank[linear_sum_assignment(weight)].max(initial=0))
-    if top and feasible(top - 1):
-        top = bisect.bisect_left(range(top - 1), True, key=feasible)
-    return float(candidates[top])
+    """Exact bottleneck distance: the row on ``[d2]``."""
+    return float(bottleneck_row(diagram_prepare(d1), [diagram_prepare(d2)])[0])
 
 
 def _lp_pieces(ts, f, p):
@@ -172,26 +240,14 @@ def _evaluate(keys, ts, values, grid, grid_t, R):
     return np.where(inside[j], np.append(slope, 0.0)[j] * (grid_t - ts[j]) + values[j], 0.0)
 
 
-# Bound on the breakpoints (both sides, every pair) that one block of a
-# landscape row merges, so that its arrays stay near 32 kB each: whole rows
-# of the ER experiment (about 35k points) raised its peak RSS by 5 MiB.
-_BLOCK_POINTS = 1 << 12
-
-
 def landscape_row(lan: PersistenceLandscape, others, p) -> np.ndarray:
     """Exact L^p distances from ``lan`` to each landscape of ``others``
     (levelwise, then p-summed), a block of ``others`` at a time."""
     if p != math.inf and p < 1:
         raise ValueError("p must be >= 1 or infinity")
-    blocks, total = [[]], 0
-    for other in others:
-        size = len(lan.knots) + len(other.knots)
-        if blocks[-1] and total + size > _BLOCK_POINTS:
-            blocks.append([])
-            total = 0
-        blocks[-1].append(other)
-        total += size
-    return np.concatenate([_landscape_block(lan, block, p) for block in blocks])
+    sizes = [len(lan.knots) + len(other.knots) for other in others]
+    return np.concatenate([np.zeros(0), *(_landscape_block(lan, block, p)
+                                          for block in _blocks(others, sizes, _BLOCK_POINTS))])
 
 
 def _landscape_block(lan, others, p):
@@ -233,17 +289,33 @@ def landscape_distance(l1: PersistenceLandscape, l2: PersistenceLandscape, p) ->
     return float(landscape_row(l1, [l2], p)[0])
 
 
-def curve_distance(c1: StepCurve, c2: StepCurve, p) -> float:
-    """Exact L^p distance between step curves (integral over the breakpoint union)."""
+def curve_prepare(c: StepCurve, p):
+    """``c``'s breakpoints with its values padded by a 0 on each side."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    ts = np.union1d(c1.breakpoints, c2.breakpoints)
-    diff = np.abs(c1.evaluate(ts[:-1]) - c2.evaluate(ts[:-1]))
+    return c.breakpoints, np.concatenate(([0], c.values, [0]))
+
+
+def curve_row(prepared, others, p) -> np.ndarray:
+    """Exact L^p distances from one prepared step curve to each of
+    ``others``, integrated over the union of each pair's breakpoints."""
+    (b1, v1), totals = prepared, []
     with np.errstate(over="ignore"):
-        total = float(np.sum(diff ** p * np.diff(ts)))
-    if not math.isfinite(total):
+        for b2, v2 in others:
+            ts = np.concatenate([b1, b2])
+            ts.sort()
+            ts = np.concatenate([ts[:1], ts[1:][ts[1:] != ts[:-1]]])  # np.union1d, faster
+            diff = np.abs(v1[b1.searchsorted(ts[:-1], "right")]
+                          - v2[b2.searchsorted(ts[:-1], "right")])
+            totals.append(float((diff ** p * (ts[1:] - ts[:-1])).sum()))
+    if not np.isfinite(totals).all():
         raise NumericalFailure(f"powered curve integral overflows at p={p}")
-    return total ** (1.0 / p)
+    return np.array([total ** (1.0 / p) for total in totals])
+
+
+def curve_distance(c1: StepCurve, c2: StepCurve, p) -> float:
+    """Exact L^p distance between step curves: the row on ``[c2]``."""
+    return float(curve_row(curve_prepare(c1, p), [curve_prepare(c2, p)], p)[0])
 
 
 def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
@@ -281,41 +353,57 @@ def pss_distance(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> 
     return float(pss_row(pss_prepare(f, sigma), [pss_prepare(g, sigma)], sigma)[0])
 
 
-def sliced_wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, lines: int = 10) -> float:
-    """Sliced Wasserstein distance, averaged over equidistributed lines.
-
-    The mean over angles i*pi/lines equals the circle average because
-    antipodal directions give identical 1-D transport costs.
-    """
+def sw_prepare(d: PersistenceDiagram, lines: int = 10):
+    """Projections of ``d``'s points and of their diagonal images onto the
+    lines at angles i·pi/lines: as within a side of two or more points, then
+    each set alone, as a side opposite an empty diagram projects.  numpy's
+    stack of one matrix-vector product per line rounds like projecting line
+    by line, unlike one (lines, m) product, but a side of one point apart."""
     if lines < 1:
         raise ValueError("lines must be >= 1")
-    p1, p2 = d1.pairs(), d2.pairs()
-    diag1 = np.repeat(p1.mean(axis=1, keepdims=True), 2, axis=1)
-    diag2 = np.repeat(p2.mean(axis=1, keepdims=True), 2, axis=1)
-    side1 = np.concatenate([p1, diag2])
-    side2 = np.concatenate([p2, diag1])
     angles = [i * math.pi / lines for i in range(lines)]
     directions = np.array([[math.cos(theta), math.sin(theta)] for theta in angles])[:, :, None]
-    # A stack of one matrix-vector product per line rounds like projecting
-    # line by line; one (lines, m) matrix product does not.
-    a = np.sort(np.matmul(side1, directions)[..., 0], axis=1)
-    b = np.sort(np.matmul(side2, directions)[..., 0], axis=1)
-    # The per-line costs, summed in line order.
-    return float(np.cumsum(np.abs(a - b).sum(axis=1))[-1]) / lines
+    points = d.pairs()
+    images = np.repeat(points.mean(axis=1, keepdims=True), 2, axis=1)
+    both = np.matmul(np.concatenate([points, images]), directions)[..., 0]
+    return ((both[:, :len(points)], both[:, len(points):]),
+            (np.matmul(points, directions)[..., 0], np.matmul(images, directions)[..., 0]))
+
+
+def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
+    """Sliced Wasserstein distances from one prepared diagram to each of
+    ``others``: each diagram's points against the other's diagonal images,
+    averaged over lines at angles i*pi/lines, which equals the circle
+    average because antipodal directions give identical 1-D costs."""
+    totals = []
+    for other in others:
+        alone = int(not (prepared[0][0].size and other[0][0].size))  # one side is one diagram
+        (p1, q1), (p2, q2) = prepared[alone], other[alone]
+        a = np.sort(np.concatenate([p1, q2], axis=1), axis=1)
+        b = np.sort(np.concatenate([p2, q1], axis=1), axis=1)
+        totals.append(np.cumsum(np.abs(a - b).sum(axis=1))[-1])  # summed in line order
+    return np.array(totals, dtype=float) / lines
+
+
+def sliced_wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, lines: int = 10) -> float:
+    """Sliced Wasserstein distance: the row on ``[d2]``."""
+    return float(sw_row(sw_prepare(d1, lines), [sw_prepare(d2, lines)], lines)[0])
+
+
+def swk_row(prepared, others, sigma: float, lines: int = 10) -> np.ndarray:
+    """Distances induced by the Gaussian sliced Wasserstein kernel from one
+    diagram prepared by :func:`sw_prepare` to each of ``others``."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    two_var = 2.0 * sigma * sigma  # 0 when sigma's square underflows: the sigma -> 0 limit
+    return np.sqrt([2.0 - 2.0 * (math.exp(-sw / two_var) if two_var > 0 else float(sw == 0))
+                    for sw in sw_row(prepared, others, lines).tolist()])
 
 
 def sw_kernel_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
                        sigma: float, lines: int = 10) -> float:
-    """Distance induced by the Gaussian sliced Wasserstein kernel."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    sw = sliced_wasserstein(d1, d2, lines)
-    # A sigma whose square underflows to 0 takes the sigma -> 0 limit.
-    two_var = 2.0 * sigma * sigma
-    radicand = 2.0 - 2.0 * (math.exp(-sw / two_var) if two_var > 0 else float(sw == 0))
-    if radicand < -1e-12:
-        raise NumericalFailure(f"kernel distance radicand {radicand} below tolerance")
-    return math.sqrt(max(radicand, 0.0))
+    """Distance induced by the Gaussian sliced Wasserstein kernel: the row on ``[d2]``."""
+    return float(swk_row(sw_prepare(d1, lines), [sw_prepare(d2, lines)], sigma, lines)[0])
 
 
 # A metric parameter type: (conversion from text, validity test, the rule
@@ -328,21 +416,21 @@ _LINES = (int, lambda v: v >= 1, "an integer >= 1")
 # Metric name -> (summary kind, required parameters, optional parameters,
 # distance, row, prepare).  Parameters map their names to their types; the
 # distance takes two summaries of the kind and the parameters as keywords.
-# The row, where there is one, takes a summary, a list of summaries and the
-# parameters and returns the distances from the one to each; without one, a
-# row maps the distance over the list.  The prepare, where there is one, runs
-# once per sample and gives the row its summaries.  "count<d>" stands for
-# count0, count1, ...: L^p between cumulative counts of d-cells.
+# The prepare, where there is one, runs once per sample on a summary and the
+# parameters; the row takes one prepared summary, a list of them and the
+# parameters and returns the distances from the one to each.  "count<d>"
+# stands for count0, count1, ...: L^p between cumulative counts of d-cells.
 METRICS = {
-    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein, None, None),
-    "bottleneck": ("diagram", {}, {}, bottleneck, None, None),
+    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein, wasserstein_row, diagram_prepare),
+    "bottleneck": ("diagram", {}, {}, bottleneck, bottleneck_row, diagram_prepare),
     "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance, pss_row, pss_prepare),
-    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein, None, None),
-    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance, None, None),
+    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein, sw_row, sw_prepare),
+    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance, swk_row,
+            lambda d, sigma, lines=10: sw_prepare(d, lines)),
     "landscape": ("landscape", {"p": _P}, {}, landscape_distance, landscape_row, None),
-    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance, None, None),
-    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance, None, None),
-    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance, None, None),
+    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance, curve_row, curve_prepare),
+    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance, curve_row, curve_prepare),
+    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance, curve_row, curve_prepare),
 }
 
 
@@ -378,10 +466,7 @@ class MetricSpec:
 
     def row(self, a, others):
         """Distances from ``a`` to each summary of ``others`` (both prepared), as an array."""
-        row = METRICS[self.family][4]
-        if row is None:
-            return np.array([self.distance(a, b) for b in others], dtype=float)
-        return row(a, others, **self.params)
+        return METRICS[self.family][4](a, others, **self.params)
 
 
 def _typed(text, ptype, what):

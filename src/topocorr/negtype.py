@@ -52,8 +52,10 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
     """Finite-sample negative-type check via the centered spectrum.
 
     The matrix is of negative type iff J D J is negative semidefinite on
-    centered vectors (J the centering projector).  An eigenvalue above
-    ``tol`` yields a violation; its eigenvector is the witness weights.
+    centered vectors (J the centering projector).  The top eigenvalue yields
+    a violation when it exceeds ``tol`` times the largest |eigenvalue|, so
+    the verdict does not change when the distances are scaled; its
+    eigenvector is the witness weights.
     """
     if not tol >= 0:
         raise ConfigurationError("tol must be non-negative")
@@ -61,7 +63,7 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
     j = np.eye(n) - np.ones((n, n)) / n
     with np.errstate(over="ignore", invalid="ignore"):
         centered = j @ d.entries @ j
-        centered = (centered + centered.T) / 2.0
+        centered = centered / 2.0 + centered.T / 2.0  # finite wherever J D J is
     if not np.isfinite(centered).all():
         raise NumericalFailure("centered distances overflow")
     try:
@@ -69,7 +71,7 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolver failed to converge") from exc
     worst = float(eigenvalues[-1])
-    if worst > tol:
+    if worst > tol * np.abs(eigenvalues).max():
         return NegTypeVerdict(False, j @ eigenvectors[:, -1], worst)
     return NegTypeVerdict(True, None, worst)
 

@@ -2,8 +2,7 @@
 
 Landscapes are stored with exact breakpoints (no sampling grid), as one
 (m, 3) array of (t, value, level) rows; step curves are right-continuous and
-zero outside their breakpoints, hold numpy arrays and evaluate whole arrays
-of points at once.
+zero outside their breakpoints and hold numpy arrays.
 """
 
 from __future__ import annotations
@@ -111,11 +110,6 @@ class StepCurve:
             raise ValueError("need one value per interval between breakpoints")
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-
-    def evaluate(self, a):
-        """Values at a, a number or an array of points."""
-        padded = np.concatenate(([0], self.values, [0]))
-        return padded[np.searchsorted(self.breakpoints, a, side="right")]
 
 
 def _curve_from_events(positions, deltas):

@@ -1,16 +1,22 @@
 """Independent brute-force reference implementations used only by tests.
 
 These are written straight from the defining formulas, with no shared code
-paths with the package implementations they check.
+paths with the package implementations they check.  The ``*_pair``
+functions are the per-pair bodies that the metric rows replaced, kept as
+references that the rows must equal bit for bit.
 """
 
+import bisect
 import functools
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+
+from topocorr.errors import NumericalFailure
 
 
 def brute_wasserstein(d1, d2, p):
@@ -74,15 +80,10 @@ def brute_bottleneck(d1, d2):
     return best[0]
 
 
-def bottleneck_binary_search(d1, d2):
-    """Bottleneck distance by binary search over the candidate costs, each
-    step one bipartite matching.
-
-    On the (m+n) square where diagonal-to-diagonal moves are free, the
-    search runs over the costs between lb, each point's cheapest match at
-    the worst point (probed first), and ub, the all-to-diagonal cost; a
-    threshold is feasible when the costs within it admit a perfect matching.
-    """
+def _bottleneck_square(d1, d2):
+    """The (m+n) square of L^inf costs where diagonal-to-diagonal moves are
+    free, lb (each point's cheapest match at the worst point) and the
+    candidate costs: those in (lb, ub], ub the all-to-diagonal cost, and lb."""
     xs, ys = d1.pairs(), d2.pairs()
     m, n = len(xs), len(ys)
     cost = np.zeros((m + n, m + n))
@@ -93,24 +94,104 @@ def bottleneck_binary_search(d1, d2):
     lb = max(cost[:m].min(axis=1, initial=math.inf).max(initial=0.0),
              cost[:, :n].min(axis=0, initial=math.inf).max(initial=0.0))
     ub = max(cost[:m, n:].max(initial=0.0), cost[m:, :n].max(initial=0.0))
-    candidates = np.union1d(cost[(cost > lb) & (cost <= ub)], lb)
+    return cost, lb, np.union1d(cost[(cost > lb) & (cost <= ub)], lb)
 
-    def feasible(threshold):
-        within = cost <= threshold
-        indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
-        graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
-                            within.nonzero()[1].astype(np.int32), indptr), shape=cost.shape)
-        matching = maximum_bipartite_matching(graph, perm_type="column")
-        return int((matching >= 0).sum()) == cost.shape[0]
 
-    lo, hi = (0, 0) if feasible(lb) else (1, len(candidates) - 1)
+def _perfect(within):
+    """Whether the boolean square ``within`` holds a perfect matching."""
+    indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
+    graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
+                        within.nonzero()[1].astype(np.int32), indptr), shape=within.shape)
+    return (maximum_bipartite_matching(graph, perm_type="column") >= 0).all()
+
+
+def bottleneck_binary_search(d1, d2):
+    """Bottleneck distance by binary search over the candidate costs, each
+    step one bipartite matching: a threshold is feasible when the costs
+    within it admit a perfect matching; lb is probed first."""
+    cost, lb, candidates = _bottleneck_square(d1, d2)
+    lo, hi = (0, 0) if _perfect(cost <= lb) else (1, len(candidates) - 1)
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
+        if _perfect(cost <= candidates[mid]):
             hi = mid
         else:
             lo = mid + 1
     return float(candidates[lo])
+
+
+def wasserstein_pair(d1, d2, p):
+    """p-Wasserstein distance of one pair as one m x n assignment of the
+    gains min(c - dx - dy, 0), returning the plan's own cost; 0 for equal
+    diagrams, NumericalFailure when a powered cost overflows."""
+    xs, ys = d1.pairs(), d2.pairs()
+    if np.array_equal(xs, ys):
+        return 0.0
+    with np.errstate(over="ignore"):
+        cost = (np.abs(xs[:, None, 0] - ys[None, :, 0]) ** p
+                + np.abs(xs[:, None, 1] - ys[None, :, 1]) ** p)
+        to_x = (2.0 ** (1.0 / p - 1.0) * (xs[:, 1] - xs[:, 0])) ** p
+        to_y = (2.0 ** (1.0 / p - 1.0) * (ys[:, 1] - ys[:, 0])) ** p
+    if not (np.isfinite(cost).all() and np.isfinite(to_x.sum() + to_y.sum())):
+        raise NumericalFailure(f"powered transport costs overflow at p={p}")
+    gain = np.minimum(cost - to_x[:, None] - to_y[None, :], 0.0)
+    rows, cols = linear_sum_assignment(gain)
+    paired = gain[rows, cols] < 0
+    x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
+    x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
+    return float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p))
+
+
+def bottleneck_pair(d1, d2):
+    """Bottleneck distance of one pair from one assignment of rank weights
+    on the whole (m+n) square and a certifying matching, as
+    ``topocorr.metrics`` describes, with every cost of the square ranked."""
+    cost, _, candidates = _bottleneck_square(d1, d2)
+    rank = np.searchsorted(candidates, cost)
+    levels = 2.0 ** (0.9 * np.minimum(np.arange(1, len(candidates)), 1000))
+    weight = np.r_[0.0, levels, math.inf][rank]
+    top = int(rank[linear_sum_assignment(weight)].max(initial=0))
+    if top and _perfect(rank <= top - 1):
+        top = bisect.bisect_left(range(top - 1), True, key=lambda r: _perfect(rank <= r))
+    return float(candidates[top])
+
+
+def sliced_wasserstein_pair(d1, d2, lines=10):
+    """Sliced Wasserstein distance of one pair: both sides projected onto
+    every line in one stacked matrix-vector product and sorted."""
+    p1, p2 = d1.pairs(), d2.pairs()
+    diag1 = np.repeat(p1.mean(axis=1, keepdims=True), 2, axis=1)
+    diag2 = np.repeat(p2.mean(axis=1, keepdims=True), 2, axis=1)
+    side1 = np.concatenate([p1, diag2])
+    side2 = np.concatenate([p2, diag1])
+    angles = [i * math.pi / lines for i in range(lines)]
+    directions = np.array([[math.cos(theta), math.sin(theta)] for theta in angles])[:, :, None]
+    a = np.sort(np.matmul(side1, directions)[..., 0], axis=1)
+    b = np.sort(np.matmul(side2, directions)[..., 0], axis=1)
+    return float(np.cumsum(np.abs(a - b).sum(axis=1))[-1]) / lines
+
+
+def sw_kernel_distance_pair(d1, d2, sigma, lines=10):
+    """Gaussian sliced Wasserstein kernel distance of one pair."""
+    sw = sliced_wasserstein_pair(d1, d2, lines)
+    two_var = 2.0 * sigma * sigma
+    radicand = 2.0 - 2.0 * (math.exp(-sw / two_var) if two_var > 0 else float(sw == 0))
+    return math.sqrt(max(radicand, 0.0))
+
+
+def curve_distance_pair(c1, c2, p):
+    """L^p distance of two step curves on the union of their breakpoints."""
+    ts = np.union1d(c1.breakpoints, c2.breakpoints)
+
+    def values(c):
+        padded = np.concatenate(([0], c.values, [0]))
+        return padded[np.searchsorted(c.breakpoints, ts[:-1], side="right")]
+
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(values(c1) - values(c2)) ** p * np.diff(ts)))
+    if not math.isfinite(total):
+        raise NumericalFailure(f"powered curve integral overflows at p={p}")
+    return total ** (1.0 / p)
 
 
 def _tent_values(diagram, t, depth):

@@ -326,6 +326,12 @@ def far_apart(n, distance):
                            for i in range(n))
 
 
+def one_far(n, distance):
+    """Matrix CSV of n samples, sample 0 ``distance`` from the others, which coincide."""
+    return "d\n" + "".join(",".join(distance if (i == 0) != (j == 0) else "0.0"
+                                     for j in range(n)) + "\n" for i in range(n))
+
+
 @pytest.mark.parametrize("files, argv, message", [
     ({"c": "degree,birth,death\n1,100.0,200.0\n"},
      ["distmat", "{a}", "{c}", "--metric", "wasserstein:p=400"], "p=400"),
@@ -343,7 +349,8 @@ def far_apart(n, distance):
     ({"x": far_apart(3, "1e308"), "y": LINE_3},
      ["permtest", "{y}", "{x}", "--permutations", "9"], "centered distances overflow"),
     ({"x": far_apart(3, "1e100")}, ["dcor", "{x}", "{x}"], "dvar_x * dvar_y overflows"),
-    ({"x": far_apart(5, "1.7e308")}, ["negtype", "{x}"], "centered distances overflow"),
+    # J D J already holds -inf (equal distances of 1.7e308 center finitely).
+    ({"x": one_far(5, "1.7e308")}, ["negtype", "{x}"], "centered distances overflow"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
         "landscape-integral-overflow", "betti-integral-overflow",
         "landscape-value-overflow", "dcor-dcov-overflow", "dcor-centering-overflow",

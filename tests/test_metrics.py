@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from topocorr import metrics
 from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.metrics import (
     DistanceMatrix,
@@ -27,9 +28,14 @@ from topocorr.experiment import build_complex, compute_bundle
 from topocorr.models import ModelSpec, derive_seed, generate
 from tests.oracles import (
     bottleneck_binary_search,
+    bottleneck_pair,
     brute_bottleneck,
     brute_wasserstein,
+    curve_distance_pair,
+    sliced_wasserstein_pair,
     sup_landscape_distance,
+    sw_kernel_distance_pair,
+    wasserstein_pair,
 )
 from tests.test_summaries import diagram
 
@@ -44,12 +50,42 @@ def random_diagram(rng, max_points=5):
 
 
 @functools.cache
+def er_bundles(seed, count=20):
+    """Degree-1 diagrams, Betti and Euler curves of the first ``count`` ER
+    n=25 samples of ``seed``."""
+    metrics = tuple(parse_metric_spec(m) for m in ("bottleneck", "betti:p=1", "euler:p=1"))
+    spec = ModelSpec("er", 25, seed=seed)
+    return tuple(compute_bundle(build_complex("er", generate(spec, k), 2), 1, metrics)
+                 for k in range(count))
+
+
 def er_diagrams(seed, count=20):
     """Degree-1 diagrams of the first ``count`` ER n=25 samples of ``seed``."""
-    metrics = (parse_metric_spec("bottleneck"),)
-    spec = ModelSpec("er", 25, seed=seed)
-    return tuple(compute_bundle(build_complex("er", generate(spec, k), 2), 1, metrics)["diagram"]
-                 for k in range(count))
+    return tuple(bundle["diagram"] for bundle in er_bundles(seed, count))
+
+
+# The per-pair bodies that each metric's row replaced.
+PAIR_BODIES = {
+    "wasserstein:p=1": lambda a, b: wasserstein_pair(a, b, 1.0),
+    "wasserstein:p=2": lambda a, b: wasserstein_pair(a, b, 2.0),
+    "bottleneck": bottleneck_pair,
+    "sw": sliced_wasserstein_pair,
+    "sw:lines=3": lambda a, b: sliced_wasserstein_pair(a, b, 3),
+    "swk:sigma=1": lambda a, b: sw_kernel_distance_pair(a, b, 1.0),
+    "swk:sigma=0.01": lambda a, b: sw_kernel_distance_pair(a, b, 0.01),
+    "betti:p=1": lambda a, b: curve_distance_pair(a, b, 1.0),
+    "betti:p=2": lambda a, b: curve_distance_pair(a, b, 2.0),
+    "euler:p=1": lambda a, b: curve_distance_pair(a, b, 1.0),
+    "euler:p=2": lambda a, b: curve_distance_pair(a, b, 2.0),
+}
+
+
+def assert_entries_equal_pair_bodies(spec, samples):
+    """Every entry of ``spec``'s matrix over ``samples`` equals the pair's old body."""
+    entries = pairwise_matrix(samples, parse_metric_spec(spec)).entries
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            assert entries[i, j] == entries[j, i] == PAIR_BODIES[spec](samples[i], samples[j])
 
 
 def counted_matchings(monkeypatch):
@@ -62,6 +98,52 @@ def counted_matchings(monkeypatch):
 
     monkeypatch.setattr("topocorr.metrics.maximum_bipartite_matching", counting)
     return calls
+
+
+class TestRows:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("spec", PAIR_BODIES)
+    def test_equal_pair_bodies_on_er_samples(self, seed, spec):
+        kind = parse_metric_spec(spec).summary_kind
+        assert_entries_equal_pair_bodies(spec, [bundle[kind] for bundle in er_bundles(seed)])
+
+    @pytest.mark.parametrize("spec", ["wasserstein:p=1", "wasserstein:p=3.5", "bottleneck"])
+    @pytest.mark.parametrize("limit", [1, 30, None])
+    def test_entries_do_not_depend_on_blocks(self, monkeypatch, spec, limit):
+        # Each pair a block of its own, a few pairs per block, or the default.
+        if limit is not None:
+            monkeypatch.setattr("topocorr.metrics._BLOCK_ENTRIES", limit)
+        rng = np.random.default_rng(8)
+        diagrams = [diagram((0, 2.5), (0.5, 1.25), (1, 4), (3, 3.5))]
+        diagrams += [random_diagram(rng, 6) for _ in range(9)]
+        sizes = [len(diagrams[0].points) * len(d.points) for d in diagrams[1:]]
+        blocks = list(metrics._blocks(diagrams[1:], sizes, metrics._BLOCK_ENTRIES))
+        assert len(blocks) >= (3 if limit else 1)
+        entries = pairwise_matrix(diagrams, parse_metric_spec(spec)).entries
+        p = parse_metric_spec(spec).params.get("p")
+        for j, d in enumerate(diagrams[1:], 1):
+            if p is None:
+                assert entries[0, j] == bottleneck_pair(diagrams[0], d)
+            else:
+                assert entries[0, j] == wasserstein_pair(diagrams[0], d, p)
+
+    def test_blocks_cover_the_row_in_order(self):
+        assert list(metrics._blocks("abcde", [3, 1, 4, 1, 5], 5)) == [
+            ["a", "b"], ["c", "d"], ["e"]]
+        assert list(metrics._blocks("ab", [9, 9], 5)) == [["a"], ["b"]]
+        assert list(metrics._blocks("", [], 5)) == []
+
+    def test_identical_overflowing_pair_is_zero(self):
+        # (1e200)^2 overflows, but a diagram is at 0 from itself first.
+        d = diagram((0, 1e200), (1, 2))
+        assert wasserstein(d, d, 2) == 0.0
+        entries = pairwise_matrix([d, d, d], parse_metric_spec("wasserstein:p=2")).entries
+        assert not entries.any()
+
+    def test_overflowing_pair_in_a_row_is_numerical_failure(self):
+        samples = [diagram((0, 1)), diagram((0, 1e200)), diagram((0, 2e200))]
+        with pytest.raises(NumericalFailure, match="p=2.0"):
+            pairwise_matrix(samples, parse_metric_spec("wasserstein:p=2"))
 
 
 class TestDistanceMatrix:
@@ -392,10 +474,14 @@ class TestMetricSpecs:
     @pytest.mark.parametrize("spec, kind", [("landscape:p=1", "diagram"),
                                             ("landscape:p=inf", "betti"),
                                             ("wasserstein:p=1", "landscape"),
-                                            ("pss:sigma=1", "landscape")])
+                                            ("bottleneck", "betti"),
+                                            ("pss:sigma=1", "landscape"),
+                                            ("sw", "landscape"),
+                                            ("swk:sigma=1", "betti"),
+                                            ("betti:p=1", "diagram"),
+                                            ("euler:p=2", "landscape")])
     def test_pairwise_matrix_rejects_samples_of_another_kind(self, spec, kind):
-        # Batched rows, rows mapped pair by pair and prepared samples give
-        # the same error.
+        # Every prepare and every row gives the same error.
         d = diagram((0, 2), (1, 3))
         sample = {"diagram": d, "betti": betti_curve(d, 1),
                   "landscape": landscape_from_diagram(d)}[kind]

@@ -56,6 +56,20 @@ class TestNegtypeCheck:
             verdict = negtype_check(euclidean_matrix(rng.normal(size=(n, dim))))
             assert verdict.negative_type
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+    def test_euclidean_never_violates_at_any_scale(self, scale):
+        # An absolute tolerance read rounding as violations: 2 of these 50
+        # sets at scale 1e6 and 20 at 1e12.
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            assert negtype_check(euclidean_matrix(scale * rng.normal(size=(10, 3)))).negative_type
+
+    def test_equal_distances_at_the_float_limit_read_negative_type(self):
+        # -d J is finite, and its rounding (a top eigenvalue near 1e292) is
+        # far below tol times d.
+        e = np.full((5, 5), 1.7e308) - np.diag(np.full(5, 1.7e308))
+        assert negtype_check(DistanceMatrix(5, e, "equal")).negative_type
+
     def test_violation_reports_witness(self):
         diagrams, _ = fixture_small_p()
         verdict = negtype_check(diagram_matrix(diagrams, 1.0))

@@ -37,6 +37,7 @@ from tests.oracles import (
     sup_landscape_distance,
 )
 from tests.test_complexes import digraph_from_edges
+from tests.test_metrics import PAIR_BODIES, assert_entries_equal_pair_bodies
 
 # Fixed examples, so every run of the suite checks the same diagrams.
 checked = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -141,6 +142,18 @@ def test_landscape_row_matches_sup_definition(p, row):
     assert got.shape == (len(row) - 1,)
     for d, value in zip(row[1:], got):
         assert value == pytest.approx(sup_landscape_distance(row[0], d, p), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", PAIR_BODIES)
+@checked
+@given(row=diagram_rows)
+# Empty diagrams, single points (numpy rounds a one-point projection apart)
+# and identical diagrams.
+@example(row=[degree_1([]), degree_1([(0.1, 0.7)]), degree_1([]), degree_1([(0.1, 0.7)])])
+@example(row=[degree_1([(2.0, 9.3)]), degree_1([(0.3, 1.0), (2.0, 9.3)]), degree_1([(0.3, 1.0)])])
+def test_rows_equal_pair_bodies(spec, row):
+    kind = parse_metric_spec(spec).summary_kind
+    assert_entries_equal_pair_bodies(spec, [summary_for(kind, d, 1) for d in row])
 
 
 @checked
