@@ -3,8 +3,8 @@
 A metric's row gives the distances from one summary to a list of others,
 all prepared once per sample; a pair's distance is the row on a list of one.
 Diagram rows broadcast the costs to a block of the list at a time (as many
-diagrams as fit 8,192 cross entries, and at least one) and solve each
-pair's assignment apart.
+diagrams as fit 8,192 cross entries, and at least one), solve each pair's
+assignment apart, and take bounds, overflow tests and read-outs per block.
 
 p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
 G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
@@ -15,12 +15,13 @@ cost for every other point.  G ties pairings whose costs lie below the
 rounding of dx + dy, so a diagram is at 0 from itself by an equality test.
 Bottleneck ranks the costs from lb, each point's cheapest match at the worst
 point, to ub, the all-to-diagonal cost, on the (m+n) square with free
-diagonal-to-diagonal moves; the square only repeats the m x n block, the two
-diagonal vectors and 0, so only those are ranked.  One assignment of the
-weights 0 at lb, 2^(0.9 rank) above (rank clipped at 1,000) and inf above
-ub is a perfect matching within some rank top; one bipartite matching at
-rank top - 1 certifies top or starts a binary search below it (after Gabow
-and Tarjan, J. Algorithms 1988).
+diagonal-to-diagonal moves; only the m x n block and the two diagonal vectors
+that the square repeats are ranked, by one argsort of those in (lb, ub] (with
+none, lb = ub).  One assignment of the weights 0 at lb, 2^(0.9 rank) above
+(rank clipped at 1,000) and inf above ub is a perfect matching within some
+rank top; a 0/1 assignment of rank > r totals 0 exactly when one exists
+within rank r, and at r = top - 1 it certifies top or starts a binary search
+below it (Gabow and Tarjan 1988).
 
 A landscape row compares one landscape A with a list B_0, B_1, ... in one
 fixed set of array calls per block of the list: as many pairs as fit in
@@ -44,8 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.persistence import PersistenceDiagram
@@ -110,23 +109,22 @@ def _blocks(items, sizes, limit):
         yield block
 
 
-def _cross(xs, others, combine):
-    """For each prepared diagram of ``others``, in order, its columns of
-    combine(db, dd, to_ys): db and dd the birth and death distances from the
-    points ``xs`` to those of a block of ``others``, to_ys their diagonal costs."""
-    for block in _blocks(others, [len(xs) * len(ys) for ys, _ in others], _BLOCK_ENTRIES):
-        ys, to_ys = (np.concatenate(items) for items in zip(*block))
-        whole = combine(np.abs(xs[:, None, 0] - ys[None, :, 0]),
-                        np.abs(xs[:, None, 1] - ys[None, :, 1]), to_ys)
-        yield from np.split(whole, np.cumsum([len(ys) for ys, _ in block])[:-1], axis=-1)
+def _cross(xs, others):
+    """Each block of the prepared diagrams ``others``, with its diagonal costs,
+    where each of its diagrams' columns start (then end), and the birth and
+    death distances from the points ``xs`` to its points."""
+    for block in _blocks(others, [len(xs) * len(ys) for ys, *_ in others], _BLOCK_ENTRIES):
+        ys, to_ys = (np.concatenate([item[k] for item in block]) for k in (0, 1))
+        yield (block, to_ys, np.cumsum([0] + [len(item[0]) for item in block]),
+               np.abs(xs[:, None, 0] - ys[None, :, 0]), np.abs(xs[:, None, 1] - ys[None, :, 1]))
 
 
 def diagram_prepare(d: PersistenceDiagram, p=math.inf):
-    """``d``'s (birth, death) rows with their L^p distances to the diagonal,
-    raised to the power p when p is finite."""
+    """``d``'s (birth, death) rows, their L^p distances to the diagonal and
+    the L^p norm of those, each raised to the power p when p is finite."""
     with np.errstate(over="ignore"):
-        to_diagonal = diagonal_distance(d.pairs(), p)
-        return d.pairs(), to_diagonal if p == math.inf else to_diagonal ** p
+        costs = diagonal_distance(d.pairs(), p) ** (1.0 if p == math.inf else p)
+        return d.pairs(), costs, costs.max(initial=0.0) if p == math.inf else costs.sum()
 
 
 def wasserstein_row(prepared, others, p) -> np.ndarray:
@@ -134,25 +132,32 @@ def wasserstein_row(prepared, others, p) -> np.ndarray:
     prepared diagram to each of ``others``."""
     if p == math.inf or p < 1:
         raise ValueError("p must be finite and >= 1")
-    (xs, to_x), out = prepared, []
-    x_total = to_x.sum()
-
-    def transport(db, dd, to_ys):  # the costs c and the gains min(c - dx - dy, 0)
-        cost = db ** p + dd ** p
-        return np.stack([cost, np.minimum(cost - to_x[:, None] - to_ys[None, :], 0.0)])
-
+    (xs, to_x, x_total), m, out = prepared, len(prepared[0]), []
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a block overflows
-        for (ys, to_y), (cost, gain) in zip(others, _cross(xs, others, transport)):
-            if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
-                out.append(0.0)
-                continue
-            if not (np.isfinite(cost).all() and np.isfinite(x_total + to_y.sum())):
-                raise NumericalFailure(f"powered transport costs overflow at p={p}")
-            rows, cols = linear_sum_assignment(gain)
-            paired = gain[rows, cols] < 0
-            x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
-            x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
-            out.append(float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p)))
+        for block, to_ys, starts, db, dd in _cross(xs, others):
+            cost = db ** p + dd ** p
+            gain = np.minimum(cost - to_x[:, None] - to_ys[None, :], 0.0)
+            finite = np.isfinite(cost).all() and np.isfinite([x_total + y for *_, y in block]).all()
+            rows, cols, same = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], []
+            for (ys, _, total), s, e in zip(block, starts, starts[1:]):
+                same.append(np.array_equal(xs, ys))  # gains cannot break ties (module docstring)
+                if same[-1]:
+                    continue
+                if not (finite or np.isfinite(x_total + total) and np.isfinite(cost[:, s:e]).all()):
+                    raise NumericalFailure(f"powered transport costs overflow at p={p}")
+                plan = linear_sum_assignment(gain[:, s:e])
+                rows.append(plan[0]), cols.append(plan[1] + s)
+            rows, cols = np.concatenate(rows), np.concatenate(cols)
+            rows, cols = np.compress(gain[rows, cols] < 0, [rows, cols], axis=1)  # the paired
+            x_cost = np.repeat(to_x[None, :], len(block), axis=0)
+            x_cost[np.searchsorted(starts, cols, side="right") - 1, rows] = cost[rows, cols]
+            left = np.bincount(cols, minlength=len(to_ys)) == 0  # the unpaired ys
+            # Pair after pair: its x costs (to_x or the paired cost), then its unpaired y costs.
+            lay = np.concatenate([part for k, (s, e) in enumerate(zip(starts, starts[1:]))
+                                  for part in (x_cost[k], to_ys[s:e][left[s:e]])])
+            ends = starts - np.searchsorted(np.sort(cols), starts) + m * np.arange(len(block) + 1)
+            out += [0.0 if z else float(lay[a:b].sum() ** (1.0 / p))
+                    for z, a, b in zip(same, ends, ends[1:])]
     return np.array(out)
 
 
@@ -161,35 +166,47 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
     return float(wasserstein_row(diagram_prepare(d1, p), [diagram_prepare(d2, p)], p)[0])
 
 
+_WEIGHTS = np.append(0.0, 2.0 ** (0.9 * np.arange(1, 1001)))  # by rank: 0 at lb, 2^(0.9 rank)
+
+
+def _within(rank, r):
+    """Whether the square ``rank`` holds a perfect matching of entries at
+    most r: an assignment of the 0/1 costs rank > r that totals 0."""
+    over = rank > r
+    return not over[linear_sum_assignment(over)].any()
+
+
 def bottleneck_row(prepared, others) -> np.ndarray:
     """Exact bottleneck distances from one prepared diagram to each of ``others``."""
-    (xs, dx), out = prepared, []
-    for (_, dy), block in zip(others, _cross(xs, others, lambda db, dd, _: np.maximum(db, dd))):
-        m, n = block.shape
-        lb = max(np.minimum(block.min(axis=1, initial=math.inf), dx).max(initial=0.0),
-                 np.minimum(block.min(axis=0, initial=math.inf), dy).max(initial=0.0))
-        ub = max(dx.max(initial=0.0), dy.max(initial=0.0))
-        costs = np.concatenate([block.ravel(), dx, dy])  # each cost of the square but its 0s
-        # lb (a cost, or 0) heads the candidates; a cost ranks 0 at or below
-        # lb and len(candidates) above ub.
-        candidates = np.union1d(costs[(costs > lb) & (costs <= ub)], lb)
-        ranks = np.searchsorted(candidates, costs)
-        rank = np.zeros((m + n, m + n), dtype=ranks.dtype)
-        rank[:m, :n], rank[:m, n:], rank[m:, :n] = (
-            ranks[:m * n].reshape(m, n), ranks[m * n:m * n + m, None], ranks[m * n + m:])
-        levels = 2.0 ** (0.9 * np.minimum(np.arange(1, len(candidates)), 1000))
-
-        def feasible(r):
-            within = rank <= r  # CSR from arrays: half the cost of csr_matrix(within)
-            indptr = np.concatenate([[0], np.cumsum(within.sum(axis=1))]).astype(np.int32)
-            graph = csr_matrix((np.ones(indptr[-1], dtype=bool),
-                                within.nonzero()[1].astype(np.int32), indptr), shape=rank.shape)
-            return (maximum_bipartite_matching(graph, perm_type="column") >= 0).all()
-
-        top = int(rank[linear_sum_assignment(np.r_[0.0, levels, math.inf][rank])].max(initial=0))
-        if top and feasible(top - 1):
-            top = bisect.bisect_left(range(top - 1), True, key=feasible)
-        out.append(float(candidates[top]))
+    (xs, dx, x_max), m, out = prepared, len(prepared[0]), []
+    for block, to_ys, starts, db, dd in _cross(xs, others):
+        whole = np.maximum(db, dd)
+        # lb: each point's cheapest match at the worst point; x_max against an empty diagram.
+        lbs, full = np.full(len(block), x_max), starts[1:] > starts[:-1]
+        cuts, y_min = starts[:-1][full], np.minimum(whole.min(axis=0, initial=math.inf), to_ys)
+        x_min = np.minimum(np.minimum.reduceat(whole, cuts, axis=1), dx[:, None])
+        lbs[full] = np.maximum(x_min.max(axis=0, initial=0.0), np.maximum.reduceat(y_min, cuts))
+        for (_, dy, y_max), s, n, lb in zip(block, starts, np.diff(starts), lbs.tolist()):
+            costs = np.concatenate([whole[:, s:s + n].ravel(), dx, dy])  # the square's, but its 0s
+            mid = np.flatnonzero((costs > lb) & (costs <= max(x_max, y_max)))
+            if not len(mid):  # lb = ub: the all-to-diagonal matching is within lb
+                out.append(lb)
+                continue
+            order = mid[costs[mid].argsort()]
+            ranked = costs[order]  # the costs in (lb, ub], sorted
+            # Dense ranks: 0 up to lb, from 1 in (lb, ub], and K, the candidate count, past ub.
+            rank_of = np.cumsum(ranked > np.concatenate([[lb], ranked[:-1]]))
+            K = int(rank_of[-1]) + 1
+            ranks = np.where(costs > lb, K, 0)
+            ranks[order] = rank_of
+            rank = np.zeros((m + n, m + n), dtype=np.intp)
+            rank[:m, :n], rank[:m, n:], rank[m:, :n] = (
+                ranks[:m * n].reshape(m, n), ranks[m * n:m * n + m, None], ranks[m * n + m:])
+            weight = np.append(_WEIGHTS[np.minimum(np.arange(K), 1000)], math.inf)[rank]
+            top = int(rank[linear_sum_assignment(weight)].max(initial=0))
+            if top and _within(rank, top - 1):
+                top = bisect.bisect_left(range(top - 1), True, key=lambda r: _within(rank, r))
+            out.append(float(ranked[rank_of.searchsorted(top)]) if top else lb)
     return np.array(out)
 
 
@@ -354,20 +371,15 @@ def pss_distance(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> 
 
 
 def sw_prepare(d: PersistenceDiagram, lines: int = 10):
-    """Projections of ``d``'s points and of their diagonal images onto the
-    lines at angles i·pi/lines: as within a side of two or more points, then
-    each set alone, as a side opposite an empty diagram projects.  numpy's
-    stack of one matrix-vector product per line rounds like projecting line
-    by line, unlike one (lines, m) product, but a side of one point apart."""
+    """Projections x cos(theta) + y sin(theta) of ``d``'s points (x, y) and
+    of their diagonal images onto the lines at angles theta = i·pi/lines,
+    elementwise, so a point projects alike in any diagram."""
     if lines < 1:
         raise ValueError("lines must be >= 1")
     angles = [i * math.pi / lines for i in range(lines)]
-    directions = np.array([[math.cos(theta), math.sin(theta)] for theta in angles])[:, :, None]
-    points = d.pairs()
-    images = np.repeat(points.mean(axis=1, keepdims=True), 2, axis=1)
-    both = np.matmul(np.concatenate([points, images]), directions)[..., 0]
-    return ((both[:, :len(points)], both[:, len(points):]),
-            (np.matmul(points, directions)[..., 0], np.matmul(images, directions)[..., 0]))
+    cos, sin = np.array([[math.cos(theta), math.sin(theta)] for theta in angles]).T[:, :, None]
+    points, middles = d.pairs(), d.pairs().mean(axis=1)
+    return points[:, 0] * cos + points[:, 1] * sin, middles * cos + middles * sin
 
 
 def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
@@ -375,10 +387,8 @@ def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
     ``others``: each diagram's points against the other's diagonal images,
     averaged over lines at angles i*pi/lines, which equals the circle
     average because antipodal directions give identical 1-D costs."""
-    totals = []
-    for other in others:
-        alone = int(not (prepared[0][0].size and other[0][0].size))  # one side is one diagram
-        (p1, q1), (p2, q2) = prepared[alone], other[alone]
+    (p1, q1), totals = prepared, []
+    for p2, q2 in others:
         a = np.sort(np.concatenate([p1, q2], axis=1), axis=1)
         b = np.sort(np.concatenate([p2, q1], axis=1), axis=1)
         totals.append(np.cumsum(np.abs(a - b).sum(axis=1))[-1])  # summed in line order

@@ -158,17 +158,19 @@ def bottleneck_pair(d1, d2):
 
 def sliced_wasserstein_pair(d1, d2, lines=10):
     """Sliced Wasserstein distance of one pair: both sides projected onto
-    every line in one stacked matrix-vector product and sorted."""
+    each line as x cos + y sin, point by point, and sorted."""
     p1, p2 = d1.pairs(), d2.pairs()
     diag1 = np.repeat(p1.mean(axis=1, keepdims=True), 2, axis=1)
     diag2 = np.repeat(p2.mean(axis=1, keepdims=True), 2, axis=1)
     side1 = np.concatenate([p1, diag2])
     side2 = np.concatenate([p2, diag1])
-    angles = [i * math.pi / lines for i in range(lines)]
-    directions = np.array([[math.cos(theta), math.sin(theta)] for theta in angles])[:, :, None]
-    a = np.sort(np.matmul(side1, directions)[..., 0], axis=1)
-    b = np.sort(np.matmul(side2, directions)[..., 0], axis=1)
-    return float(np.cumsum(np.abs(a - b).sum(axis=1))[-1]) / lines
+    total = 0.0
+    for i in range(lines):
+        c, s = math.cos(i * math.pi / lines), math.sin(i * math.pi / lines)
+        a = np.sort(side1[:, 0] * c + side1[:, 1] * s)
+        b = np.sort(side2[:, 0] * c + side2[:, 1] * s)
+        total += np.abs(a - b).sum()
+    return float(total) / lines
 
 
 def sw_kernel_distance_pair(d1, d2, sigma, lines=10):

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topocorr import metrics
 from topocorr.errors import ConfigurationError, NumericalFailure
@@ -20,6 +19,7 @@ from topocorr.metrics import (
     pss_kernel,
     sliced_wasserstein,
     sw_kernel_distance,
+    sw_prepare,
     wasserstein,
 )
 from topocorr.persistence import PersistenceDiagram
@@ -88,15 +88,16 @@ def assert_entries_equal_pair_bodies(spec, samples):
             assert entries[i, j] == entries[j, i] == PAIR_BODIES[spec](samples[i], samples[j])
 
 
-def counted_matchings(monkeypatch):
-    """A list that gains one entry per bipartite matching ``bottleneck`` runs."""
-    calls = []
+def counted_certificates(monkeypatch):
+    """A list that gains the outcome of each feasibility test (a perfect
+    matching within a rank) that ``bottleneck`` runs."""
+    calls, within = [], metrics._within
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return maximum_bipartite_matching(*args, **kwargs)
+    def counting(rank, r):
+        calls.append(within(rank, r))
+        return calls[-1]
 
-    monkeypatch.setattr("topocorr.metrics.maximum_bipartite_matching", counting)
+    monkeypatch.setattr("topocorr.metrics._within", counting)
     return calls
 
 
@@ -221,8 +222,11 @@ class TestBottleneck:
 
     def test_ends_at_lb_without_a_matching(self, monkeypatch):
         # The point's cheapest match, 1, is lb, and the assignment uses only it.
-        calls = counted_matchings(monkeypatch)
+        calls = counted_certificates(monkeypatch)
         assert bottleneck(diagram((0, 4)), diagram((1, 4))) == 1.0
+        # No cost between lb and ub: lb, 2, is the all-to-diagonal cost.
+        assert bottleneck(diagram((0, 4)), diagram((0, 2))) == brute_bottleneck(
+            diagram((0, 4)), diagram((0, 2))) == 2.0
         assert calls == []
 
     def test_falls_back_to_binary_search(self, monkeypatch):
@@ -232,10 +236,21 @@ class TestBottleneck:
         # pays 3.5 once instead, (5, 12) to the diagonal, since 2^1.8 < 2 * 2^0.9.
         # So the matching at rank 1 succeeds and the search below it runs.
         d1, d2 = diagram((6, 9), (6, 12)), diagram((4, 10), (5, 12), (6, 13))
-        calls = counted_matchings(monkeypatch)
+        calls = counted_certificates(monkeypatch)
         assert bottleneck(d1, d2) == bottleneck_binary_search(d1, d2) == 3.0
         assert brute_bottleneck(d1, d2) == 3.0
-        assert len(calls) == 2
+        assert calls == [True, False]
+
+    def test_one_certificate_per_er_pair(self, monkeypatch):
+        # The weighted plan's top rank is the answer on every pair: at most
+        # one feasibility test, which fails, and never the search below it.
+        calls = counted_certificates(monkeypatch)
+        diagrams = er_diagrams(1)
+        for i, d1 in enumerate(diagrams):
+            for d2 in diagrams[i + 1:]:
+                calls.clear()
+                bottleneck(d1, d2)
+                assert calls in ([], [False])
 
 
 class TestLandscapeDistance:
@@ -400,6 +415,16 @@ class TestSlicedWasserstein:
             direction = np.array([math.cos(i * math.pi / 7), math.sin(i * math.pi / 7)])
             costs.append(np.abs(np.sort(side1 @ direction) - np.sort(side2 @ direction)).sum())
         assert sliced_wasserstein(d1, d2, lines=7) == pytest.approx(sum(costs) / 7, rel=1e-15)
+
+    def test_point_projects_alike_alone_and_in_a_diagram(self):
+        # Elementwise x cos + y sin: no BLAS kernel chosen by the side's size.
+        rng = np.random.default_rng(4)
+        d = diagram(*(sorted(rng.uniform(0, 5, 2)) for _ in range(9)))
+        whole = sw_prepare(d, lines=7)
+        for k, pt in enumerate(d.pairs()):
+            alone = sw_prepare(diagram(pt), lines=7)
+            assert np.array_equal(alone[0][:, 0], whole[0][:, k])
+            assert np.array_equal(alone[1][:, 0], whole[1][:, k])
 
     def test_line_count_stability(self):
         # The average over equidistributed lines converges; 10 vs 500 lines

@@ -23,6 +23,7 @@ from topocorr.metrics import (
     bottleneck,
     landscape_distance,
     landscape_row,
+    pairwise_matrix,
     parse_metric_spec,
     wasserstein,
 )
@@ -31,6 +32,8 @@ from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import landscape_from_diagram
 from tests.oracles import (
     bar_count_distance,
+    bottleneck_binary_search,
+    bottleneck_pair,
     brute_bottleneck,
     brute_wasserstein,
     reduce_columns,
@@ -117,6 +120,26 @@ def test_bottleneck_matches_exhaustive_matching(pair):
     assert bottleneck(*pair) == brute_bottleneck(*pair)
 
 
+# Rows of 2-4 diagrams of 0-6 points with integer ends in [0, 6], so that
+# costs tie at lb, inside (lb, ub] and at ub.
+int_points = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+    lambda bd: bd[0] != bd[1]).map(sorted)
+int_rows = st.lists(st.lists(int_points, max_size=6).map(degree_1), min_size=2, max_size=4)
+
+
+@checked
+@given(row=int_rows)
+@example(row=[degree_1([(0, 2), (1, 5)]), degree_1([])])
+@example(row=[degree_1([]), degree_1([])])
+@example(row=[degree_1([(0, 2), (1, 5), (1, 5)])] * 2)
+def test_bottleneck_on_tied_costs(row):
+    assert bottleneck(row[0], row[1]) == brute_bottleneck(row[0], row[1])
+    assert bottleneck(row[0], row[1]) == bottleneck_binary_search(row[0], row[1])
+    entries = pairwise_matrix(row, parse_metric_spec("bottleneck")).entries
+    for j in range(1, len(row)):
+        assert entries[0, j] == bottleneck_pair(row[0], row[j])
+
+
 def diagram_row(pool):
     side = st.lists(st.sampled_from(pool) | points, max_size=6).map(degree_1)
     return st.lists(side, min_size=2, max_size=5)
@@ -147,8 +170,7 @@ def test_landscape_row_matches_sup_definition(p, row):
 @pytest.mark.parametrize("spec", PAIR_BODIES)
 @checked
 @given(row=diagram_rows)
-# Empty diagrams, single points (numpy rounds a one-point projection apart)
-# and identical diagrams.
+# Empty diagrams, single points and identical diagrams.
 @example(row=[degree_1([]), degree_1([(0.1, 0.7)]), degree_1([]), degree_1([(0.1, 0.7)])])
 @example(row=[degree_1([(2.0, 9.3)]), degree_1([(0.3, 1.0), (2.0, 9.3)]), degree_1([(0.3, 1.0)])])
 def test_rows_equal_pair_bodies(spec, row):
