@@ -3,8 +3,8 @@
 A metric's row gives the distances from one summary to a list of others,
 all prepared once per sample; a pair's distance is the row on a list of one.
 Diagram rows broadcast the costs to a block of the list at a time (as many
-diagrams as fit 8,192 cross entries, and at least one), solve each pair's
-assignment apart, and take bounds, overflow tests and read-outs per block.
+diagrams as fit 8,192 cross entries, and at least one) and solve each
+pair's assignment apart.
 
 p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
 G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
@@ -132,32 +132,23 @@ def wasserstein_row(prepared, others, p) -> np.ndarray:
     prepared diagram to each of ``others``."""
     if p == math.inf or p < 1:
         raise ValueError("p must be finite and >= 1")
-    (xs, to_x, x_total), m, out = prepared, len(prepared[0]), []
+    (xs, to_x, x_total), out = prepared, []
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a block overflows
         for block, to_ys, starts, db, dd in _cross(xs, others):
-            cost = db ** p + dd ** p
-            gain = np.minimum(cost - to_x[:, None] - to_ys[None, :], 0.0)
-            finite = np.isfinite(cost).all() and np.isfinite([x_total + y for *_, y in block]).all()
-            rows, cols, same = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], []
-            for (ys, _, total), s, e in zip(block, starts, starts[1:]):
-                same.append(np.array_equal(xs, ys))  # gains cannot break ties (module docstring)
-                if same[-1]:
+            costs = db ** p + dd ** p
+            gains = np.minimum(costs - to_x[:, None] - to_ys[None, :], 0.0)
+            for (ys, to_y, total), s, e in zip(block, starts, starts[1:]):
+                if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
+                    out.append(0.0)
                     continue
-                if not (finite or np.isfinite(x_total + total) and np.isfinite(cost[:, s:e]).all()):
+                cost, gain = costs[:, s:e], gains[:, s:e]
+                if not (np.isfinite(x_total + total) and np.isfinite(cost).all()):
                     raise NumericalFailure(f"powered transport costs overflow at p={p}")
-                plan = linear_sum_assignment(gain[:, s:e])
-                rows.append(plan[0]), cols.append(plan[1] + s)
-            rows, cols = np.concatenate(rows), np.concatenate(cols)
-            rows, cols = np.compress(gain[rows, cols] < 0, [rows, cols], axis=1)  # the paired
-            x_cost = np.repeat(to_x[None, :], len(block), axis=0)
-            x_cost[np.searchsorted(starts, cols, side="right") - 1, rows] = cost[rows, cols]
-            left = np.bincount(cols, minlength=len(to_ys)) == 0  # the unpaired ys
-            # Pair after pair: its x costs (to_x or the paired cost), then its unpaired y costs.
-            lay = np.concatenate([part for k, (s, e) in enumerate(zip(starts, starts[1:]))
-                                  for part in (x_cost[k], to_ys[s:e][left[s:e]])])
-            ends = starts - np.searchsorted(np.sort(cols), starts) + m * np.arange(len(block) + 1)
-            out += [0.0 if z else float(lay[a:b].sum() ** (1.0 / p))
-                    for z, a, b in zip(same, ends, ends[1:])]
+                rows, cols = linear_sum_assignment(gain)
+                paired = gain[rows, cols] < 0
+                x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
+                x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
+                out.append(float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p)))
     return np.array(out)
 
 
@@ -179,15 +170,13 @@ def _within(rank, r):
 def bottleneck_row(prepared, others) -> np.ndarray:
     """Exact bottleneck distances from one prepared diagram to each of ``others``."""
     (xs, dx, x_max), m, out = prepared, len(prepared[0]), []
-    for block, to_ys, starts, db, dd in _cross(xs, others):
+    for block, _, starts, db, dd in _cross(xs, others):
         whole = np.maximum(db, dd)
-        # lb: each point's cheapest match at the worst point; x_max against an empty diagram.
-        lbs, full = np.full(len(block), x_max), starts[1:] > starts[:-1]
-        cuts, y_min = starts[:-1][full], np.minimum(whole.min(axis=0, initial=math.inf), to_ys)
-        x_min = np.minimum(np.minimum.reduceat(whole, cuts, axis=1), dx[:, None])
-        lbs[full] = np.maximum(x_min.max(axis=0, initial=0.0), np.maximum.reduceat(y_min, cuts))
-        for (_, dy, y_max), s, n, lb in zip(block, starts, np.diff(starts), lbs.tolist()):
-            costs = np.concatenate([whole[:, s:s + n].ravel(), dx, dy])  # the square's, but its 0s
+        for (_, dy, y_max), s, n in zip(block, starts, np.diff(starts)):
+            pair = whole[:, s:s + n]
+            lb = max(np.minimum(pair.min(axis=1, initial=math.inf), dx).max(initial=0.0),
+                     np.minimum(pair.min(axis=0, initial=math.inf), dy).max(initial=0.0))
+            costs = np.concatenate([pair.ravel(), dx, dy])  # the square's, but its 0s
             mid = np.flatnonzero((costs > lb) & (costs <= max(x_max, y_max)))
             if not len(mid):  # lb = ub: the all-to-diagonal matching is within lb
                 out.append(lb)

@@ -146,6 +146,12 @@ class TestRows:
         with pytest.raises(NumericalFailure, match="p=2.0"):
             pairwise_matrix(samples, parse_metric_spec("wasserstein:p=2"))
 
+    def test_overflowing_pairing_cost_alone_is_numerical_failure(self):
+        # Both points lie near the diagonal, so only the cost of pairing them overflows.
+        samples = [diagram((0, 1)), diagram((1.2e154, 1.2e154 + 1e140))]
+        with pytest.raises(NumericalFailure, match="p=2.0"):
+            pairwise_matrix(samples, parse_metric_spec("wasserstein:p=2"))
+
 
 class TestDistanceMatrix:
     def test_validates(self):
