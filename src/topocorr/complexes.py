@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topocorr.errors import ConfigurationError
+from topocorr.errors import ConfigurationError, ParseError
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,6 @@ class FilteredComplex:
 
     @classmethod
     def from_text(cls, text):
-        from topocorr.errors import ParseError
-
         dims, values, indptr, indices = [], [], [0], []
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.strip()

@@ -16,14 +16,6 @@ from topocorr.models import derive_seed
 
 
 @dataclass(frozen=True)
-class CenteredMatrix:
-    """Doubly centered distance matrix; all rows and columns sum to zero."""
-
-    n: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class DcorReport:
     """Signed dcov/dvar/dcor together with their square-rooted conventions.
 
@@ -48,9 +40,10 @@ class DcorReport:
         return "\n".join(lines) + "\n"
 
 
-def double_center(d: DistanceMatrix) -> CenteredMatrix:
-    """A_{k,l} = a_{k,l} - rowmean_k - colmean_l + grandmean; ValueError below 2 samples,
-    NumericalFailure unless the squares of A have a finite sum (Cauchy-Schwarz)."""
+def double_center(d: DistanceMatrix) -> np.ndarray:
+    """A_{k,l} = a_{k,l} - rowmean_k - colmean_l + grandmean, whose rows and
+    columns sum to zero; ValueError below 2 samples, NumericalFailure unless
+    the squares of A have a finite sum (Cauchy-Schwarz)."""
     if d.n < 2:
         raise ValueError("need at least 2 samples")
     a = d.entries
@@ -59,14 +52,15 @@ def double_center(d: DistanceMatrix) -> CenteredMatrix:
         finite = np.isfinite(np.vdot(centered, centered))
     if not finite:
         raise NumericalFailure("centered distances overflow: their squares have no finite sum")
-    return CenteredMatrix(d.n, centered)
+    return centered
 
 
-def sample_dcov(a: CenteredMatrix, b: CenteredMatrix) -> float:
-    """V-statistic distance covariance; may be negative off negative-type spaces."""
-    if a.n != b.n:
+def sample_dcov(a: np.ndarray, b: np.ndarray) -> float:
+    """V-statistic distance covariance of two centered matrices; may be
+    negative off negative-type spaces."""
+    if a.shape != b.shape:
         raise ValueError("centered matrices must have equal size")
-    return float((a.entries * b.entries).sum() / (a.n * a.n))
+    return float((a * b).sum() / a.size)
 
 
 def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
@@ -135,8 +129,8 @@ def permutation_test(dx: DistanceMatrix, dy: DistanceMatrix,
     rows, permuted = np.empty((n, n)), np.empty((n, n))
     for _ in range(permutations):
         perm = rng.permutation(n)
-        b.entries.take(perm, axis=0, out=rows, mode="wrap")
+        b.take(perm, axis=0, out=rows, mode="wrap")
         rows.take(perm, axis=1, out=permuted, mode="wrap")
-        stat = float(np.multiply(a.entries, permuted, out=permuted).sum() / (n * n))
+        stat = float(np.multiply(a, permuted, out=permuted).sum() / (n * n))
         exceed += stat >= observed
     return (1 + exceed) / (permutations + 1)

@@ -2,30 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from topocorr.complexes import HeightGrid
 from topocorr.errors import ConfigurationError, ParseError
 from topocorr.models import _rng, derive_seed
-
-
-@dataclass(frozen=True)
-class ChunkSpec:
-    """Sliding-window extraction parameters; stride = chunk_size/2 gives 50% overlap."""
-
-    chunk_size: int
-    stride: int
-    max_chunks: int | None = None
-
-    def __post_init__(self):
-        if self.chunk_size < 3:
-            raise ConfigurationError("chunk_size must be >= 3: tri needs an interior pixel")
-        if not 1 <= self.stride <= self.chunk_size:
-            raise ConfigurationError("need 1 <= stride <= chunk_size")
-        if self.max_chunks is not None and self.max_chunks < 1:
-            raise ConfigurationError("max_chunks must be positive when set")
 
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
@@ -85,9 +66,17 @@ def load_grid(text: str) -> HeightGrid:
     return HeightGrid.from_array(values)
 
 
-def chunk_grid(g: HeightGrid, spec: ChunkSpec):
-    """Row-major sliding blocks; returns (HeightGrid, (center_row, center_col)) pairs."""
-    s, t = spec.chunk_size, spec.stride
+def chunk_grid(g: HeightGrid, chunk_size: int, stride: int, max_chunks: int | None = None):
+    """Row-major sliding blocks, at most ``max_chunks`` of them; returns
+    (HeightGrid, (center_row, center_col)) pairs.  stride = chunk_size/2
+    gives 50% overlap."""
+    s, t = chunk_size, stride
+    if s < 3:
+        raise ConfigurationError("chunk_size must be >= 3: tri needs an interior pixel")
+    if not 1 <= t <= s:
+        raise ConfigurationError("need 1 <= stride <= chunk_size")
+    if max_chunks is not None and max_chunks < 1:
+        raise ConfigurationError("max_chunks must be positive when set")
     if s > min(g.rows, g.cols):
         raise ConfigurationError("chunk_size exceeds grid extent")
     chunks = []
@@ -96,7 +85,7 @@ def chunk_grid(g: HeightGrid, spec: ChunkSpec):
             block = HeightGrid.from_array(g.values[r0:r0 + s, c0:c0 + s])
             center = (r0 + (s - 1) / 2.0, c0 + (s - 1) / 2.0)
             chunks.append((block, center))
-            if spec.max_chunks is not None and len(chunks) == spec.max_chunks:
+            if len(chunks) == max_chunks:
                 return chunks
     return chunks
 

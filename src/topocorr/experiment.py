@@ -22,12 +22,11 @@ from topocorr.complexes import (
     build_rips_complex,
 )
 from topocorr.dcor import dcor_matrix, sample_dcor
-from topocorr.dem import ChunkSpec, chunk_grid, synth_terrain, tri
+from topocorr.dem import chunk_grid, synth_terrain, tri
 from topocorr.errors import ConfigurationError
 from topocorr.metrics import DistanceMatrix, MetricSpec, pairwise_matrix, parse_metric_spec
 from topocorr.models import ModelSpec, generate
 from topocorr.negtype import (
-    WeightedConfiguration,
     fixture_landscape_l1,
     fixture_landscape_linf,
     fixture_large_p,
@@ -114,18 +113,24 @@ def load_config(path, seed=None, out=None) -> RunConfig:
         max_radius = float(run.get("max_radius", "1.0"))
         sweep = None
         if parser.has_section("sweep"):
-            if parser.has_option("sweep", "gamma_count"):
-                count = parser.getint("sweep", "gamma_count")
-                sweep = tuple(np.linspace(0.0, 1.0, count))
-            elif parser.has_option("sweep", "gamma"):
-                sweep = tuple(float(v) for v in parser.get("sweep", "gamma").split())
+            # A sweep draws one interpolated sample per gamma value.
+            if kind != "interpolated":
+                raise ConfigurationError(f"a sweep needs [model] kind = interpolated, not {kind}")
+            if "repetitions" in run:
+                raise ConfigurationError("a sweep takes no [run] repetitions")
+            given = [key for key in ("gamma", "gamma_count") if parser.has_option("sweep", key)]
+            if len(given) != 1:
+                raise ConfigurationError("[sweep] needs exactly one of gamma and gamma_count")
+            if given == ["gamma_count"]:
+                sweep = tuple(np.linspace(0.0, 1.0, parser.getint("sweep", "gamma_count")))
             else:
-                raise ConfigurationError("sweep section needs gamma or gamma_count")
-            kind = "interpolated"
+                sweep = tuple(float(v) for v in parser.get("sweep", "gamma").split())
         if kind == "interpolated" and gamma is None:
             gamma = 0.0
         model = ModelSpec(kind, n, gamma=gamma if kind == "interpolated" else None,
                           seed=seed if seed is not None else cfg_seed)
+    except ConfigurationError:
+        raise
     except (configparser.Error, ValueError, KeyError) as exc:
         raise ConfigurationError(f"bad config: {exc}") from exc
     metrics = tuple(parse_metric_spec(m) for m in metric_names)
@@ -181,7 +186,7 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
     summary needs it, since the diagram holds no degree above it.
     """
     diagram = compute_persistence(cx)
-    bundle = {"diagram": diagram.restrict(degree), "full_diagram": diagram}
+    bundle = {"diagram": diagram.restrict(degree)}
     for m in metrics:
         if m.bundle_key in bundle:
             continue
@@ -312,7 +317,7 @@ def run_negtype_suite() -> list[dict]:
         # Every fixture point is a degree-1 bar.
         samples = [summary_for(metric.summary_kind, d, 1) for d in diagrams]
         mat = pairwise_matrix(samples, metric)
-        return quadratic_form(WeightedConfiguration(mat, weights))
+        return quadratic_form(mat, weights)
 
     def transport(p):
         return "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
@@ -356,7 +361,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
     dCor against per-chunk ruggedness (TRI) and center distance."""
     if not resolution > 0:
         raise ConfigurationError("resolution must be positive")
-    chunks = chunk_grid(grid, ChunkSpec(chunk_size, stride, max_chunks))
+    chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
     blocks = [block for block, _ in chunks]
@@ -391,7 +396,7 @@ def _heat_color(value, flagged):
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap(matrix, labels, flags=None) -> str:
+def render_heatmap(matrix, labels, flags) -> str:
     """Standalone SVG heatmap with a fixed [0, 1] color scale.
 
     Negative-flagged entries get a sentinel color instead of the scale.
@@ -417,7 +422,7 @@ def render_heatmap(matrix, labels, flags=None) -> str:
             f'<text x="{x}" y="{margin - 8}" transform="rotate(-60 {x} {margin - 8})">{label}</text>')
     for i in range(n):
         for j in range(n):
-            flagged = bool(flags[i][j]) if flags is not None else False
+            flagged = bool(flags[i][j])
             color = _heat_color(matrix[i, j], flagged)
             x = margin + j * cell
             y = margin + i * cell

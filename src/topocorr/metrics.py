@@ -413,23 +413,22 @@ _POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _LINES = (int, lambda v: v >= 1, "an integer >= 1")
 
 # Metric name -> (summary kind, required parameters, optional parameters,
-# distance, row, prepare).  Parameters map their names to their types; the
-# distance takes two summaries of the kind and the parameters as keywords.
-# The prepare, where there is one, runs once per sample on a summary and the
-# parameters; the row takes one prepared summary, a list of them and the
-# parameters and returns the distances from the one to each.  "count<d>"
-# stands for count0, count1, ...: L^p between cumulative counts of d-cells.
+# row, prepare).  Parameters map their names to their types.  The prepare
+# runs once per sample on a summary of the kind and the parameters; the row
+# takes one prepared summary, a list of them and the parameters and returns
+# the distances from the one to each.  "count<d>" stands for count0, count1,
+# ...: L^p between cumulative counts of d-cells.
 METRICS = {
-    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein, wasserstein_row, diagram_prepare),
-    "bottleneck": ("diagram", {}, {}, bottleneck, bottleneck_row, diagram_prepare),
-    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_distance, pss_row, pss_prepare),
-    "sw": ("diagram", {}, {"lines": _LINES}, sliced_wasserstein, sw_row, sw_prepare),
-    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, sw_kernel_distance, swk_row,
+    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein_row, diagram_prepare),
+    "bottleneck": ("diagram", {}, {}, bottleneck_row, diagram_prepare),
+    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_row, pss_prepare),
+    "sw": ("diagram", {}, {"lines": _LINES}, sw_row, sw_prepare),
+    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, swk_row,
             lambda d, sigma, lines=10: sw_prepare(d, lines)),
-    "landscape": ("landscape", {"p": _P}, {}, landscape_distance, landscape_row, None),
-    "betti": ("betti", {"p": _FINITE_P}, {}, curve_distance, curve_row, curve_prepare),
-    "euler": ("euler", {"p": _FINITE_P}, {}, curve_distance, curve_row, curve_prepare),
-    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_distance, curve_row, curve_prepare),
+    "landscape": ("landscape", {"p": _P}, {}, landscape_row, lambda lan, p: lan),
+    "betti": ("betti", {"p": _FINITE_P}, {}, curve_row, curve_prepare),
+    "euler": ("euler", {"p": _FINITE_P}, {}, curve_row, curve_prepare),
+    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_row, curve_prepare),
 }
 
 
@@ -443,7 +442,7 @@ class MetricSpec:
 
     name: str
     params: dict
-    spec: str
+    label: str
     family: str
     cell_dim: int | None
 
@@ -456,16 +455,17 @@ class MetricSpec:
         """Key of the summary this metric compares in a sample bundle."""
         return self.summary_kind if self.cell_dim is None else self.name
 
-    @property
-    def label(self):
-        return self.spec
-
-    def distance(self, a, b):
-        return METRICS[self.family][3](a, b, **self.params)
+    def prepare(self, summary):
+        """``summary`` in the form :meth:`row` takes, computed once per sample."""
+        return METRICS[self.family][4](summary, **self.params)
 
     def row(self, a, others):
         """Distances from ``a`` to each summary of ``others`` (both prepared), as an array."""
-        return METRICS[self.family][4](a, others, **self.params)
+        return METRICS[self.family][3](a, others, **self.params)
+
+    def distance(self, a, b):
+        """The distance between two summaries: the row on ``[b]``."""
+        return float(self.row(self.prepare(a), [self.prepare(b)])[0])
 
 
 def _typed(text, ptype, what):
@@ -514,9 +514,8 @@ def pairwise_matrix(samples, metric: MetricSpec) -> DistanceMatrix:
     if n < 2:
         raise ValueError("need at least 2 samples")
     entries = np.zeros((n, n))
-    prepare = METRICS[metric.family][5] or (lambda sample, **params: sample)
     try:
-        prepared = [prepare(sample, **metric.params) for sample in samples]
+        prepared = [metric.prepare(sample) for sample in samples]
         for i in range(n - 1):
             entries[i, i + 1:] = entries[i + 1:, i] = metric.row(prepared[i], prepared[i + 1:])
     except (AttributeError, TypeError) as exc:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from topocorr.complexes import DirectedWeightedGraph, WeightedGraph
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -53,8 +55,6 @@ class ModelSpec:
 
 def gen_er(n: int, seed: int):
     """Complete graph with i.i.d. uniform [0,1) edge weights."""
-    from topocorr.complexes import WeightedGraph
-
     rng = _rng(seed)
     w = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
@@ -65,8 +65,6 @@ def gen_er(n: int, seed: int):
 
 def gen_directed_er(n: int, seed: int):
     """Complete digraph with n(n-1) independent uniform weights."""
-    from topocorr.complexes import DirectedWeightedGraph
-
     rng = _rng(seed)
     w = rng.random((n, n))
     np.fill_diagonal(w, 0.0)
@@ -93,8 +91,6 @@ def sample_cube(n: int, seed: int) -> np.ndarray:
 def gen_interpolated(n: int, gamma: float, seed: int):
     """Edge weights drawn from uniform noise with probability gamma, else
     from pairwise distances of a fresh uniform point cloud in the unit cube."""
-    from topocorr.complexes import WeightedGraph
-
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     rng = _rng(seed)

@@ -19,26 +19,15 @@ from topocorr.metrics import DistanceMatrix
 from topocorr.persistence import PersistenceDiagram
 
 
-@dataclass(frozen=True)
-class WeightedConfiguration:
-    """A distance matrix plus zero-sum point weights."""
-
-    distances: DistanceMatrix
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (self.distances.n,):
-            raise ValueError("one weight per sample required")
-
-
-def quadratic_form(cfg: WeightedConfiguration) -> float:
-    """Sum over i,j of w_i w_j d(x_i, x_j); positive certifies a violation."""
-    w = cfg.weights
+def quadratic_form(d: DistanceMatrix, weights) -> float:
+    """Sum over i,j of w_i w_j d(x_i, x_j) for zero-sum point ``weights``;
+    positive certifies a violation."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (d.n,):
+        raise ValueError("one weight per sample required")
     if abs(w.sum()) > 1e-12:
         raise ValueError("weights must sum to zero")
-    return float(w @ cfg.distances.entries @ w)
+    return float(w @ d.entries @ w)
 
 
 @dataclass(frozen=True)

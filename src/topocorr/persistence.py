@@ -31,13 +31,12 @@ class PersistenceDiagram:
     ``points`` is an (m, 3) float array of (birth, death, degree) rows, kept in
     (degree, birth, death) order; rows with equal keys keep the order they
     were given in.  ``essential``, an (m,) bool array parallel to ``points``,
-    marks intervals that were capped (their true death is +infinity) at
-    ``cap``; the capped interval is closed at the cap, finite intervals are
-    half-open [birth, death).
+    marks intervals that were capped (their true death is +infinity); a
+    capped interval is closed at its death, finite intervals are half-open
+    [birth, death).
     """
 
     points: np.ndarray
-    cap: float | None = None
     essential: np.ndarray = ()
 
     def __post_init__(self):
@@ -66,7 +65,7 @@ class PersistenceDiagram:
     def restrict(self, degree):
         """Sub-diagram of a single homology degree."""
         keep = self.points[:, 2] == degree
-        return PersistenceDiagram(self.points[keep], self.cap, self.essential[keep])
+        return PersistenceDiagram(self.points[keep], self.essential[keep])
 
     def pairs(self):
         """The (m, 2) array of (birth, death) pairs, degree dropped."""
@@ -188,23 +187,18 @@ def _grid_pairs(grid: HeightGrid):
         np.concatenate((nv + merges, n - killed[steps])), np.zeros(1, dtype=np.int64))
 
 
-def compute_persistence(source: FilteredComplex | HeightGrid, cap=None) -> PersistenceDiagram:
+def compute_persistence(source: FilteredComplex | HeightGrid) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex, or of the top-cell cubical
     complex of a height grid (see :func:`_grid_pairs`).
 
     Pair (i, j) yields the interval [value(i), value(j)); unpaired cells are
-    capped at ``cap`` (default: the maximum filtration value).  Zero-length
-    intervals are dropped.
+    capped at the maximum filtration value.  Zero-length intervals are dropped.
     """
     values, dims, (paired, killers, unpaired) = (
         _grid_pairs(source) if isinstance(source, HeightGrid)
         else (source.values, source.dims, _persistence_pairs(source)))
     # The first maximal cell in the filtration, as the sign of a zero may differ.
-    max_value = max(values.tolist(), default=0.0)
-    if cap is None:
-        cap = max_value
-    elif cap < max_value:
-        raise ValueError(f"cap {cap} below maximum filtration value {max_value}")
+    cap = max(values.tolist(), default=0.0)
     # Finite bars go before capped ones: the diagram's stable sort then puts a
     # finite bar ahead of a capped bar with the same birth and death.
     cells = np.concatenate((paired, unpaired))
@@ -212,7 +206,7 @@ def compute_persistence(source: FilteredComplex | HeightGrid, cap=None) -> Persi
     deaths = np.concatenate((values[killers], np.full(len(unpaired), cap, dtype=float)))
     points = np.column_stack((values[cells], deaths, dims[cells]))
     keep = points[:, 0] < deaths
-    return PersistenceDiagram(points[keep], cap=cap, essential=essential[keep])
+    return PersistenceDiagram(points[keep], essential[keep])
 
 
 def _rank(columns):
@@ -262,8 +256,8 @@ def persistent_betti(cx: FilteredComplex, a: float, b: float, k: int) -> int:
 def diagram_betti_count(diagram: PersistenceDiagram, a: float, b: float, k: int) -> int:
     """Count diagram points of degree k alive on [a, b].
 
-    Finite intervals are [birth, death); capped intervals are closed at the
-    cap.  Matches :func:`persistent_betti` on the originating complex.
+    Finite intervals are [birth, death); capped intervals are closed at
+    their death.  Matches :func:`persistent_betti` on the originating complex.
     """
     birth, death, degree = diagram.points.T
     alive = (degree == k) & (birth <= a) & ((death > b) | (diagram.essential & (death >= b)))

@@ -26,7 +26,7 @@ def diagram_to_csv(d: PersistenceDiagram) -> str:
 
 def diagram_from_csv(text: str) -> PersistenceDiagram:
     """Diagram from :func:`diagram_to_csv` text; the ``essential`` column may be
-    absent.  The cap is the largest death among the essential rows."""
+    absent."""
     reader = csv.reader(io.StringIO(text))
     rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if not rows:
@@ -48,8 +48,7 @@ def diagram_from_csv(text: str) -> PersistenceDiagram:
             raise ParseError("essential must be 0 or 1", line=ln)
         points.append((birth, death, degree))
         flags.append(essential == 1)
-    cap = max((p[1] for p, essential in zip(points, flags) if essential), default=None)
-    return PersistenceDiagram(points, cap=cap, essential=flags)
+    return PersistenceDiagram(points, flags)
 
 
 def landscape_to_text(l: PersistenceLandscape) -> str:

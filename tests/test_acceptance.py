@@ -26,7 +26,6 @@ from topocorr.metrics import (
 )
 from topocorr.models import ModelSpec, derive_seed, gen_er, generate
 from topocorr.negtype import (
-    WeightedConfiguration,
     fixture_landscape_l1,
     fixture_landscape_linf,
     fixture_large_p,
@@ -73,8 +72,7 @@ def test_criterion_01_small_p_counterexample():
         assert np.all(counts == 4)
     forms = {}
     for p in (1.0, 2.0, 2.40, 2.41):
-        forms[p] = quadratic_form(
-            WeightedConfiguration(diagram_matrix(diagrams, p), weights))
+        forms[p] = quadratic_form(diagram_matrix(diagrams, p), weights)
     for p in (1.0, 2.0):
         assert forms[p] == pytest.approx(
             48.0 * 4.0 ** (1.0 / p) - 64.0 * 2.0 ** (1.0 / p), abs=1e-9)
@@ -95,13 +93,11 @@ def test_criterion_02_large_p_counterexample():
                     + 4.0 ** (1.0 / p))
         for i in range(16):
             assert mat[i, :16].sum() == pytest.approx(expected, abs=1e-9)
-        form = quadratic_form(
-            WeightedConfiguration(DistanceMatrix(32, mat, "w"), weights))
+        form = quadratic_form(DistanceMatrix(32, mat, "w"), weights)
         assert form > 0.0
     bmat = diagram_matrix(diagrams, math.inf).entries
     assert np.max(np.abs(bmat[:16, 16:] - 0.5)) <= 1e-9
-    bform = quadratic_form(
-        WeightedConfiguration(DistanceMatrix(32, bmat, "b"), weights))
+    bform = quadratic_form(DistanceMatrix(32, bmat, "b"), weights)
     assert bform > 0.0
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -112,7 +108,7 @@ def test_criterion_02_large_p_counterexample():
 def test_criterion_03_landscape_counterexamples():
     diagrams, weights = fixture_landscape_l1()
     l1 = landscape_matrix(diagrams, 1)
-    form = quadratic_form(WeightedConfiguration(l1, weights))
+    form = quadratic_form(l1, weights)
     assert abs(form) < 1e-12
 
     diagrams, weights = fixture_landscape_linf()
@@ -121,7 +117,7 @@ def test_criterion_03_landscape_counterexamples():
     assert np.array_equal(e[:3, :3], np.ones((3, 3)) - np.eye(3))
     assert np.array_equal(e[3:, 3:], np.ones((3, 3)) - np.eye(3))
     assert np.all(e[:3, 3:] == 0.5)
-    form = quadratic_form(WeightedConfiguration(linf, weights))
+    form = quadratic_form(linf, weights)
     assert form == 3.0
     print("\nPASS criterion 3: landscape L1 form 0, Linf pattern 1/0.5 with form 3")
 
@@ -233,8 +229,7 @@ def test_criterion_09_negtype_sanity():
     diagrams, _ = fixture_small_p()
     verdict = negtype_check(diagram_matrix(diagrams, 1.0))
     assert not verdict.negative_type
-    witness_form = quadratic_form(
-        WeightedConfiguration(diagram_matrix(diagrams, 1.0), verdict.witness))
+    witness_form = quadratic_form(diagram_matrix(diagrams, 1.0), verdict.witness)
     assert witness_form > 0.0
     print(f"\nPASS criterion 9: 1000 Euclidean configs negative type; small-p "
           f"p=1 violated with witness form {witness_form:.4f} > 0")

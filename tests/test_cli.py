@@ -214,13 +214,14 @@ DIAGRAM_CSV = "degree,birth,death\n0,0.0,1.0\n1,0.25,0.5\n"
 K23_CSV = "d,d,d,d,d\n0,2,1,1,1\n2,0,1,1,1\n1,1,0,2,2\n1,1,2,0,2\n1,1,2,2,0\n"
 NOT_UTF8 = b"\xff\xfe\x00bad"
 ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bottleneck\n"
+SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottleneck\n"
 
 
 @pytest.mark.parametrize("files, argv", [
     ({}, ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=abc"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "swk:sigma=1,lines=2.5"]),
     ({"cfg": ER_CONFIG.replace("er", "foo", 1)}, ["experiment", "--config", "{cfg}"]),
-    ({"cfg": ER_CONFIG + "\n[sweep]\ngamma_count = 1\n"},
+    ({"cfg": SWEEP_CONFIG + "\n[sweep]\ngamma_count = 1\n"},
      ["experiment", "--config", "{cfg}"]),
     ({"cfg": ER_CONFIG + "degree = -1\n"}, ["experiment", "--config", "{cfg}"]),
     ({}, ["generate", "--kind", "er", "--n", "5", "--max-dim", "0"]),
@@ -241,7 +242,7 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
     ({"cfg": ER_CONFIG + "max_radius = -1\n"}, ["experiment", "--config", "{cfg}"]),
     ({"cfg": ER_CONFIG.replace("kind = er", "kind = interpolated\ngamma = 2")},
      ["experiment", "--config", "{cfg}"]),
-    ({"cfg": ER_CONFIG + "\n[sweep]\ngamma = 0 2\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": SWEEP_CONFIG + "\n[sweep]\ngamma = 0 2\n"}, ["experiment", "--config", "{cfg}"]),
     ({"m": "d,d\n0.0,1.0\n1.0,0.0\n"}, ["negtype", "{m}", "--tol", "-1"]),
     ({}, ["generate", "--kind", "er", "--n", "100", "--max-dim", "9"]),
     ({"cfg": ER_CONFIG.replace("n = 6", "n = 100") + "max_dim = 9\n"},
@@ -268,6 +269,12 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
     ({"cfg": ER_CONFIG.replace("kind = er", "kind = torus") + "max_radius = nan\n"},
      ["experiment", "--config", "{cfg}"]),
     ({}, ["dem", "--resolution", "nan", "--out", "dem"]),
+    ({"cfg": SWEEP_CONFIG.replace("interpolated", "er") + "\n[sweep]\ngamma_count = 3\n"},
+     ["experiment", "--config", "{cfg}"]),
+    ({"cfg": SWEEP_CONFIG + "\n[sweep]\ngamma = 0 1\ngamma_count = 3\n"},
+     ["experiment", "--config", "{cfg}"]),
+    ({"cfg": SWEEP_CONFIG + "repetitions = 5\n\n[sweep]\ngamma_count = 3\n"},
+     ["experiment", "--config", "{cfg}"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -280,7 +287,8 @@ ER_CONFIG = "[model]\nkind = er\nn = 6\n\n[run]\nrepetitions = 2\nmetrics = bott
         "negative-dimension", "persist-not-utf8", "config-not-utf8", "dem-input-not-utf8",
         "config-no-section-header", "config-duplicate-section", "grid-ncols-inf",
         "dcor-one-sample", "permtest-one-sample", "negtype-tol-nan", "max-radius-nan",
-        "max-radius-nan-config", "dem-resolution-nan"])
+        "max-radius-nan-config", "dem-resolution-nan", "sweep-kind-er",
+        "sweep-gamma-and-gamma-count", "sweep-repetitions"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

@@ -21,14 +21,14 @@ LINE3 = abs_matrix([0.0, 1.0, 2.0])
 
 class TestDoubleCentering:
     def test_line_values(self):
-        a = double_center(LINE3).entries
+        a = double_center(LINE3)
         assert a[0, 0] == pytest.approx(-10.0 / 9.0, abs=1e-15)
         assert a[0, 1] == pytest.approx(2.0 / 9.0, abs=1e-15)
         assert a[0, 2] == pytest.approx(8.0 / 9.0, abs=1e-15)
         assert a[1, 1] == pytest.approx(-4.0 / 9.0, abs=1e-15)
 
     def test_rows_sum_to_zero(self):
-        a = double_center(abs_matrix([0.3, 1.7, 2.2, 5.0])).entries
+        a = double_center(abs_matrix([0.3, 1.7, 2.2, 5.0]))
         assert np.allclose(a.sum(axis=0), 0.0, atol=1e-12)
         assert np.allclose(a.sum(axis=1), 0.0, atol=1e-12)
 

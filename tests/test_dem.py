@@ -5,7 +5,6 @@ import pytest
 
 from topocorr.complexes import HeightGrid, build_cubical_complex
 from topocorr.dem import (
-    ChunkSpec,
     chunk_grid,
     load_grid,
     synth_terrain,
@@ -59,7 +58,7 @@ class TestLoadGrid:
 class TestChunkGrid:
     def test_count_and_shape(self):
         g = HeightGrid.from_array(np.zeros((65, 65)))
-        chunks = chunk_grid(g, ChunkSpec(16, 8, None))
+        chunks = chunk_grid(g, 16, 8)
         assert len(chunks) == 49
         block, center = chunks[0]
         assert (block.rows, block.cols) == (16, 16)
@@ -67,26 +66,28 @@ class TestChunkGrid:
 
     def test_row_major_order(self):
         g = HeightGrid.from_array(np.arange(36.0).reshape(6, 6))
-        chunks = chunk_grid(g, ChunkSpec(3, 3, None))
+        chunks = chunk_grid(g, 3, 3)
         centers = [c for _, c in chunks]
         assert centers == [(1.0, 1.0), (1.0, 4.0), (4.0, 1.0), (4.0, 4.0)]
 
     def test_max_chunks_truncates(self):
         g = HeightGrid.from_array(np.zeros((8, 8)))
-        assert len(chunk_grid(g, ChunkSpec(3, 2, 3))) == 3
+        assert len(chunk_grid(g, 3, 2, max_chunks=3)) == 3
 
     def test_oversized_chunk_rejected(self):
         g = HeightGrid.from_array(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            chunk_grid(g, ChunkSpec(5, 1, None))
+            chunk_grid(g, 5, 1)
 
     def test_chunkspec_validation(self):
-        with pytest.raises(ValueError):
-            ChunkSpec(0, 1, None)
-        with pytest.raises(ConfigurationError):
-            ChunkSpec(2, 1, None)
-        with pytest.raises(ValueError):
-            ChunkSpec(3, 0, None)
+        g = HeightGrid.from_array(np.zeros((8, 8)))
+        for args, message in (((0, 1), "chunk_size must be >= 3"),
+                              ((2, 1), "chunk_size must be >= 3"),
+                              ((3, 0), "need 1 <= stride <= chunk_size"),
+                              ((3, 4), "need 1 <= stride <= chunk_size"),
+                              ((3, 1, 0), "max_chunks must be positive")):
+            with pytest.raises(ConfigurationError, match=message):
+                chunk_grid(g, *args)
 
 
 class TestTri:
@@ -127,7 +128,7 @@ class TestDemFromGrid:
         # 3x3 chunks at stride 1 on a 7x6 grid: centres (1, 1) to (5, 4), a
         # 4-3-5 triangle between the first and the last chunk.
         result = dem_from_grid(self.grid(7, 6), 3, 1, self.METRICS, resolution=10.0)
-        _, centers = zip(*chunk_grid(self.grid(7, 6), ChunkSpec(3, 1)))
+        _, centers = zip(*chunk_grid(self.grid(7, 6), 3, 1))
         geo = result["geo_matrix"].entries
         assert geo[0, -1] == geo[-1, 0] == 50.0
         assert geo.tolist() == [[10.0 * math.hypot(a[0] - b[0], a[1] - b[1])
@@ -139,7 +140,7 @@ class TestDemFromGrid:
         grid = self.grid(12, 11)
         metrics = [parse_metric_spec(spec) for spec in ("count1:p=1", "wasserstein:p=2")]
         result = dem_from_grid(grid, 5, 3, metrics)
-        complexes = [build_cubical_complex(block) for block, _ in chunk_grid(grid, ChunkSpec(5, 3))]
+        complexes = [build_cubical_complex(block) for block, _ in chunk_grid(grid, 5, 3)]
         expected = [
             pairwise_matrix([simplex_count_curve(cx, 1) for cx in complexes], metrics[0]),
             pairwise_matrix([compute_persistence(cx).restrict(1) for cx in complexes], metrics[1])]

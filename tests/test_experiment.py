@@ -18,6 +18,7 @@ from topocorr.experiment import (
 )
 from topocorr.metrics import parse_metric_spec
 from topocorr.models import ModelSpec, generate
+from topocorr.persistence import compute_persistence
 from topocorr.serialize import matrix_from_csv
 from topocorr.summaries import betti_curve, euler_curve
 
@@ -106,6 +107,19 @@ class TestLoadConfig:
         cfg = load_config(cfg_file)
         assert cfg.sweep == (0.0, 0.25, 0.5, 0.75, 1.0)
 
+    @pytest.mark.parametrize("kind, run, sweep, key", [
+        ("er", "", "gamma_count = 3", "kind"),
+        ("interpolated", "", "gamma = 0 1\ngamma_count = 3", "gamma_count"),
+        ("interpolated", "repetitions = 5\n", "gamma_count = 3", "repetitions"),
+    ])
+    def test_sweep_rejects_a_setting_it_would_override(self, tmp_path, kind, run, sweep, key):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(f"[model]\nkind = {kind}\nn = 6\n\n"
+                            f"[run]\n{run}metrics = bottleneck\n\n[sweep]\n{sweep}\n")
+        with pytest.raises(ConfigurationError, match=key) as err:
+            load_config(cfg_file)
+        assert not str(err.value).startswith("bad config")
+
     def test_bad_metric_fails_before_compute(self, tmp_path):
         cfg_file = tmp_path / "run.ini"
         cfg_file.write_text("[model]\nkind = er\nn = 8\n\n"
@@ -140,7 +154,7 @@ class TestRunExperiment:
     def test_euler_curve_sums_every_degree_to_max_dim(self):
         cx = build_complex("er", generate(ModelSpec("er", 10, seed=4), 0), 3)
         bundle = compute_bundle(cx, 1, (parse_metric_spec("euler:p=1"),), 3)
-        diagram = bundle["full_diagram"]
+        diagram = compute_persistence(cx)
         expected = euler_curve([betti_curve(diagram, k) for k in range(4)])
         assert np.array_equal(bundle["euler"].breakpoints, expected.breakpoints)
         assert np.array_equal(bundle["euler"].values, expected.values)
@@ -226,7 +240,7 @@ class TestNegtypeSuite:
 
 class TestRenderHeatmap:
     def test_single_cell(self):
-        svg = render_heatmap(np.array([[1.0]]), ["only"])
+        svg = render_heatmap(np.array([[1.0]]), ["only"], [[False]])
         assert svg.startswith("<svg") and "1.00" in svg
 
     def test_negative_flag_sentinel(self):
@@ -236,4 +250,4 @@ class TestRenderHeatmap:
 
     def test_label_mismatch(self):
         with pytest.raises(ValueError):
-            render_heatmap(np.eye(2), ["a"])
+            render_heatmap(np.eye(2), ["a"], [[False] * 2] * 2)

@@ -51,9 +51,10 @@ def random_diagram(rng, max_points=5):
 
 @functools.cache
 def er_bundles(seed, count=20):
-    """Degree-1 diagrams, Betti and Euler curves of the first ``count`` ER
-    n=25 samples of ``seed``."""
-    metrics = tuple(parse_metric_spec(m) for m in ("bottleneck", "betti:p=1", "euler:p=1"))
+    """Degree-1 diagrams, landscapes, Betti and Euler curves and 1-cell counts
+    of the first ``count`` ER n=25 samples of ``seed``."""
+    metrics = tuple(parse_metric_spec(m) for m in
+                    ("bottleneck", "landscape:p=1", "betti:p=1", "euler:p=1", "count1:p=1"))
     spec = ModelSpec("er", 25, seed=seed)
     return tuple(compute_bundle(build_complex("er", generate(spec, k), 2), 1, metrics)
                  for k in range(count))
@@ -493,6 +494,18 @@ class TestMetricSpecs:
     def test_rejects_malformed_spec(self, spec):
         with pytest.raises(ConfigurationError):
             parse_metric_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "wasserstein:p=1", "bottleneck", "pss:sigma=1", "sw:lines=3", "swk:sigma=0.01,lines=3",
+        "landscape:p=1", "landscape:p=inf", "betti:p=2", "euler:p=1", "count1:p=1"])
+    def test_distance_is_the_matrix_entry(self, spec):
+        # One prepare and one row give both a pair's distance and its entry.
+        metric = parse_metric_spec(spec)
+        samples = [bundle[metric.bundle_key] for bundle in er_bundles(1)[:8]]
+        entries = pairwise_matrix(samples, metric).entries
+        for i in range(8):
+            for j in range(i + 1, 8):
+                assert metric.distance(samples[i], samples[j]) == entries[i, j]
 
     def test_pairwise_matrix(self):
         rng = np.random.default_rng(1)

@@ -6,7 +6,6 @@ import pytest
 from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix, bottleneck, wasserstein
 from topocorr.negtype import (
-    WeightedConfiguration,
     fixture_landscape_l1,
     fixture_landscape_linf,
     fixture_large_p,
@@ -39,11 +38,16 @@ class TestQuadraticForm:
     def test_rejects_nonzero_weight_sum(self):
         mat = euclidean_matrix([[0.0], [1.0]])
         with pytest.raises(ValueError):
-            quadratic_form(WeightedConfiguration(mat, np.array([1.0, 1.0])))
+            quadratic_form(mat, np.array([1.0, 1.0]))
+
+    def test_rejects_wrong_weight_count(self):
+        mat = euclidean_matrix([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="one weight per sample"):
+            quadratic_form(mat, np.array([1.0, -0.5, -0.5]))
 
     def test_two_point_value(self):
         mat = euclidean_matrix([[0.0], [3.0]])
-        form = quadratic_form(WeightedConfiguration(mat, np.array([1.0, -1.0])))
+        form = quadratic_form(mat, np.array([1.0, -1.0]))
         assert form == pytest.approx(-6.0)
 
 
@@ -74,8 +78,7 @@ class TestNegtypeCheck:
         diagrams, _ = fixture_small_p()
         verdict = negtype_check(diagram_matrix(diagrams, 1.0))
         assert not verdict.negative_type
-        cfg = WeightedConfiguration(diagram_matrix(diagrams, 1.0), verdict.witness)
-        assert quadratic_form(cfg) > 0.0
+        assert quadratic_form(diagram_matrix(diagrams, 1.0), verdict.witness) > 0.0
         assert abs(sum(verdict.witness)) < 1e-9
 
     def test_centered_overflow_is_numerical_failure(self):
@@ -114,8 +117,7 @@ class TestSmallPFixture:
     def test_form_closed_form(self):
         diagrams, weights = fixture_small_p()
         for p in (1.0, 2.0, 2.4, 2.41):
-            form = quadratic_form(
-                WeightedConfiguration(diagram_matrix(diagrams, p), weights))
+            form = quadratic_form(diagram_matrix(diagrams, p), weights)
             assert form == pytest.approx(
                 48.0 * 4.0 ** (1.0 / p) - 64.0 * 2.0 ** (1.0 / p), abs=1e-9)
 
@@ -140,8 +142,7 @@ class TestLargePFixture:
     def test_form_positive(self):
         diagrams, weights = fixture_large_p()
         for p in (2.4, 3.0, math.inf):
-            form = quadratic_form(
-                WeightedConfiguration(diagram_matrix(diagrams, p), weights))
+            form = quadratic_form(diagram_matrix(diagrams, p), weights)
             assert form > 0.0
 
 
@@ -157,8 +158,7 @@ class TestLandscapeFixtures:
         for i in range(n):
             for j in range(i + 1, n):
                 entries[i, j] = entries[j, i] = landscape_distance(lans[i], lans[j], 1)
-        form = quadratic_form(
-            WeightedConfiguration(DistanceMatrix(n, entries, "l1"), weights))
+        form = quadratic_form(DistanceMatrix(n, entries, "l1"), weights)
         assert abs(form) < 1e-12
 
     def test_l1_fixture_uses_only_first_level(self):
@@ -183,6 +183,5 @@ class TestLandscapeFixtures:
         assert np.allclose(entries[:3, :3] + np.eye(3), np.ones((3, 3)))
         assert np.allclose(entries[3:, 3:] + np.eye(3), np.ones((3, 3)))
         assert np.allclose(entries[:3, 3:], 0.5)
-        form = quadratic_form(
-            WeightedConfiguration(DistanceMatrix(n, entries, "linf"), weights))
+        form = quadratic_form(DistanceMatrix(n, entries, "linf"), weights)
         assert form == pytest.approx(3.0)

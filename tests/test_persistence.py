@@ -45,16 +45,6 @@ class TestComputePersistence:
     def test_degree_filter(self):
         d = compute_persistence(four_cycle()).restrict(1)
         assert d.degrees() == [1]
-        assert d.cap == 2.0
-
-    def test_cap_override(self):
-        d = compute_persistence(four_cycle(), cap=5.0)
-        assert d.cap == 5.0
-        assert [0.0, 5.0, 0.0] in d.points.tolist()
-
-    def test_cap_below_max_rejected(self):
-        with pytest.raises(ValueError):
-            compute_persistence(four_cycle(), cap=1.5)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from topocorr.complexes import HeightGrid, build_flag_complex
 from topocorr.errors import ParseError
 from topocorr.metrics import DistanceMatrix
+from topocorr.models import ModelSpec, generate
 from topocorr.persistence import PersistenceDiagram, compute_persistence, diagram_betti_count
 from topocorr.serialize import (
     curve_to_csv,
@@ -25,13 +27,24 @@ class TestDiagramCsv:
         d = compute_persistence(four_cycle())
         back = diagram_from_csv(diagram_to_csv(d))
         assert np.array_equal(back.essential, d.essential)
-        assert diagram_betti_count(back, d.cap, d.cap, 0) == \
-            diagram_betti_count(d, d.cap, d.cap, 0) == 1
+        assert diagram_betti_count(back, 2.0, 2.0, 0) == \
+            diagram_betti_count(d, 2.0, 2.0, 0) == 1
+
+    @pytest.mark.parametrize("source", [
+        four_cycle,
+        lambda: build_flag_complex(generate(ModelSpec("er", 12, seed=3)), 2),
+        lambda: HeightGrid.from_array(np.full((3, 4), 2.0)),  # an empty diagram
+    ], ids=["four-cycle", "er-12", "all-equal-grid"])
+    def test_roundtrip_is_byte_exact(self, source):
+        d = compute_persistence(source())
+        back = diagram_from_csv(diagram_to_csv(d))
+        assert back.points.tobytes() == d.points.tobytes()
+        assert back.essential.tobytes() == d.essential.tobytes()
 
     def test_reads_three_column_files(self):
         d = diagram_from_csv("degree,birth,death\n1,0.5,2.0\n0,0.0,1.0\n")
         assert np.array_equal(d.points, [(0.0, 1.0, 0), (0.5, 2.0, 1)])
-        assert d.essential.tolist() == [False, False] and d.cap is None
+        assert d.essential.tolist() == [False, False]
 
     def test_malformed_row(self):
         with pytest.raises(ParseError):
