@@ -89,8 +89,18 @@ class RunConfig:
             raise ConfigurationError("sweep gamma values must lie in [0, 1]")
 
 
+# Config section -> key -> conversion of its text; nothing else is accepted.
+_CONFIG_KEYS = {
+    "model": {"kind": str, "n": int, "gamma": float},
+    "run": {"repetitions": int, "degree": int, "metrics": str.split, "seed": int, "out": str,
+            "max_dim": int, "max_radius": float},
+    "sweep": {"gamma_count": int, "gamma": lambda text: tuple(float(v) for v in text.split())},
+}
+
+
 def load_config(path, seed=None, out=None) -> RunConfig:
-    """Read a flat key-value config with [model], [run] and optional [sweep] sections."""
+    """Read an INI config: [model] with kind and n, [run], and a [sweep] for
+    a parameter sweep, each with the keys of :data:`_CONFIG_KEYS`."""
     import configparser
 
     try:
@@ -100,51 +110,42 @@ def load_config(path, seed=None, out=None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(path))
-        kind = parser.get("model", "kind")
-        n = parser.getint("model", "n")
-        gamma = parser.getfloat("model", "gamma", fallback=None)
-        run = parser["run"]
-        repetitions = int(run.get("repetitions", "2"))
-        degree = int(run.get("degree", "1"))
-        metric_names = run.get("metrics", " ".join(DEFAULT_METRICS)).split()
-        cfg_seed = int(run.get("seed", "0"))
-        cfg_out = run.get("out", "out")
-        max_dim = int(run.get("max_dim", "2"))
-        max_radius = float(run.get("max_radius", "1.0"))
-        sweep = None
-        if parser.has_section("sweep"):
+        cfg = {}
+        for section in parser.sections():
+            if section not in _CONFIG_KEYS:
+                raise ConfigurationError(f"unknown config section [{section}]")
+            cfg[section] = {}
+            for key, value in parser.items(section):
+                if key not in _CONFIG_KEYS[section]:
+                    raise ConfigurationError(f"unknown key {key!r} in [{section}]")
+                cfg[section][key] = _CONFIG_KEYS[section][key](value)
+        model, run, sweep = cfg["model"], cfg["run"], cfg.get("sweep")
+        kind = model["kind"]
+        if sweep is not None:
             # A sweep draws one interpolated sample per gamma value.
             if kind != "interpolated":
                 raise ConfigurationError(f"a sweep needs [model] kind = interpolated, not {kind}")
-            if "repetitions" in run:
-                raise ConfigurationError("a sweep takes no [run] repetitions")
-            given = [key for key in ("gamma", "gamma_count") if parser.has_option("sweep", key)]
-            if len(given) != 1:
+            for section, key in (("model", "gamma"), ("run", "repetitions")):
+                if key in cfg[section]:
+                    raise ConfigurationError(f"a sweep takes no [{section}] {key}")
+            if len(sweep) != 1:
                 raise ConfigurationError("[sweep] needs exactly one of gamma and gamma_count")
-            if given == ["gamma_count"]:
-                sweep = tuple(np.linspace(0.0, 1.0, parser.getint("sweep", "gamma_count")))
-            else:
-                sweep = tuple(float(v) for v in parser.get("sweep", "gamma").split())
-        if kind == "interpolated" and gamma is None:
-            gamma = 0.0
-        model = ModelSpec(kind, n, gamma=gamma if kind == "interpolated" else None,
-                          seed=seed if seed is not None else cfg_seed)
+            sweep = sweep["gamma"] if "gamma" in sweep else tuple(
+                np.linspace(0.0, 1.0, sweep["gamma_count"]))
+        seed = run.get("seed", 0) if seed is None else seed
+        model = ModelSpec(kind, model["n"], seed=seed,
+                          gamma=model.get("gamma", 0.0 if kind == "interpolated" else None))
     except ConfigurationError:
         raise
-    except (configparser.Error, ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise ConfigurationError(f"config needs {exc.args[0]!r}") from exc
+    except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"bad config: {exc}") from exc
-    metrics = tuple(parse_metric_spec(m) for m in metric_names)
     return RunConfig(
-        model=model,
-        repetitions=repetitions,
-        degree=degree,
-        metrics=metrics,
-        out=Path(out if out is not None else cfg_out),
-        seed=seed if seed is not None else cfg_seed,
-        max_dim=max_dim,
-        max_radius=max_radius,
-        sweep=sweep,
-    )
+        model=model, repetitions=run.get("repetitions", 2), degree=run.get("degree", 1),
+        metrics=tuple(parse_metric_spec(m) for m in run.get("metrics", DEFAULT_METRICS)),
+        out=Path(out if out is not None else run.get("out", "out")), seed=seed,
+        max_dim=run.get("max_dim", 2), max_radius=run.get("max_radius", 1.0), sweep=sweep)
 
 
 def build_complex(kind, raw, max_dim=2, max_radius=1.0):
@@ -202,8 +203,17 @@ def _safe_label(label):
     return label.replace(":", "_").replace("=", "_").replace(",", "_").replace("/", "_")
 
 
+def _make_out(out, *subdirs):
+    """Create the output directory ``out`` and its ``subdirs`` before any
+    work, unless ``out`` is None; ConfigurationError if one cannot be made."""
+    try:
+        for path in () if out is None else (out, *(out / sub for sub in subdirs)):
+            path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
+
+
 def _write_rows(path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [header] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
@@ -239,12 +249,7 @@ def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
     """Full pipeline run; writes diagrams, matrices, dCor CSV + SVG and a
     manifest.  ``threads`` > 1 builds the samples in worker processes."""
     out = cfg.out
-    try:
-        (out / "diagrams").mkdir(parents=True, exist_ok=True)
-        (out / "matrices").mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
-
+    _make_out(out, "diagrams", "matrices")
     bundles, mats = _matrices(partial(_sample_bundle, cfg), range(cfg.repetitions),
                               cfg.metrics, threads, progress)
     for i, bundle in enumerate(bundles):
@@ -284,6 +289,7 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
     """dCor between each summary metric and the sweep parameter, sorted descending."""
     if cfg.sweep is None:
         raise ConfigurationError("parameter correlation needs a sweep")
+    _make_out(cfg.out)
     _, mats = _matrices(partial(_sample_bundle, cfg), range(len(cfg.sweep)),
                         cfg.metrics, threads, progress)
     pmat = parameter_matrix(cfg.sweep, label="gamma")
@@ -364,6 +370,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
     chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
+    _make_out(out)
     blocks = [block for block, _ in chunks]
     _, mats = _matrices(partial(compute_bundle, degree=1, metrics=metrics), blocks, metrics)
     tris = [tri(block) for block in blocks]

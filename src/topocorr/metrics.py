@@ -1,7 +1,8 @@
 """Exact distances between topological summaries and pairwise distance matrices.
 
 A metric's row gives the distances from one summary to a list of others,
-all prepared once per sample; a pair's distance is the row on a list of one.
+all prepared once per sample; a pair's distance, :meth:`MetricSpec.distance`,
+is the row on a list of one.
 Diagram rows broadcast the costs to a block of the list at a time (as many
 diagrams as fit 8,192 cross entries, and at least one) and solve each
 pair's assignment apart.
@@ -74,18 +75,6 @@ class DistanceMatrix:
             raise ValueError("entries must be symmetric")
 
 
-def diagonal_distance(points, p):
-    """L^p distances to the diagonal of the (birth, death) rows of ``points``."""
-    points = np.asarray(points, dtype=float)
-    if not np.all(points[..., 0] < points[..., 1]):
-        raise ValueError("birth must precede death")
-    if p != math.inf and p < 1:
-        raise ValueError("p must be >= 1")
-    if p == math.inf:
-        return (points[..., 1] - points[..., 0]) / 2.0
-    return 2.0 ** (1.0 / p - 1.0) * (points[..., 1] - points[..., 0])
-
-
 # Bounds on one block of a row: the breakpoints a landscape block merges
 # (both sides, every pair) and the entries of a diagram block's cost
 # matrices.  Whole landscape rows raised the ER experiment's peak RSS by
@@ -120,11 +109,16 @@ def _cross(xs, others):
 
 
 def diagram_prepare(d: PersistenceDiagram, p=math.inf):
-    """``d``'s (birth, death) rows, their L^p distances to the diagonal and
-    the L^p norm of those, each raised to the power p when p is finite."""
+    """``d``'s (birth, death) rows, their L^p distances to the diagonal,
+    (death - birth) / 2 at p = inf and 2^(1/p - 1) (death - birth) otherwise,
+    and the L^p norm of those, each raised to the power p when p is finite."""
+    pairs = d.pairs()
+    if p == math.inf:
+        costs = (pairs[:, 1] - pairs[:, 0]) / 2.0
+        return pairs, costs, costs.max(initial=0.0)
     with np.errstate(over="ignore"):
-        costs = diagonal_distance(d.pairs(), p) ** (1.0 if p == math.inf else p)
-        return d.pairs(), costs, costs.max(initial=0.0) if p == math.inf else costs.sum()
+        costs = (2.0 ** (1.0 / p - 1.0) * (pairs[:, 1] - pairs[:, 0])) ** p
+        return pairs, costs, costs.sum()
 
 
 def wasserstein_row(prepared, others, p) -> np.ndarray:
@@ -150,11 +144,6 @@ def wasserstein_row(prepared, others, p) -> np.ndarray:
                 x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
                 out.append(float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p)))
     return np.array(out)
-
-
-def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p) -> float:
-    """Exact p-Wasserstein distance: the row on ``[d2]``."""
-    return float(wasserstein_row(diagram_prepare(d1, p), [diagram_prepare(d2, p)], p)[0])
 
 
 _WEIGHTS = np.append(0.0, 2.0 ** (0.9 * np.arange(1, 1001)))  # by rank: 0 at lb, 2^(0.9 rank)
@@ -197,11 +186,6 @@ def bottleneck_row(prepared, others) -> np.ndarray:
                 top = bisect.bisect_left(range(top - 1), True, key=lambda r: _within(rank, r))
             out.append(float(ranked[rank_of.searchsorted(top)]) if top else lb)
     return np.array(out)
-
-
-def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
-    """Exact bottleneck distance: the row on ``[d2]``."""
-    return float(bottleneck_row(diagram_prepare(d1), [diagram_prepare(d2)])[0])
 
 
 def _lp_pieces(ts, f, p):
@@ -290,11 +274,6 @@ def _landscape_block(lan, others, p):
     return totals ** (1.0 / p)
 
 
-def landscape_distance(l1: PersistenceLandscape, l2: PersistenceLandscape, p) -> float:
-    """Exact L^p distance between landscapes: the row kernel on ``[l2]``."""
-    return float(landscape_row(l1, [l2], p)[0])
-
-
 def curve_prepare(c: StepCurve, p):
     """``c``'s breakpoints with its values padded by a 0 on each side."""
     if p < 1:
@@ -317,11 +296,6 @@ def curve_row(prepared, others, p) -> np.ndarray:
     if not np.isfinite(totals).all():
         raise NumericalFailure(f"powered curve integral overflows at p={p}")
     return np.array([total ** (1.0 / p) for total in totals])
-
-
-def curve_distance(c1: StepCurve, c2: StepCurve, p) -> float:
-    """Exact L^p distance between step curves: the row on ``[c2]``."""
-    return float(curve_row(curve_prepare(c1, p), [curve_prepare(c2, p)], p)[0])
 
 
 def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
@@ -354,11 +328,6 @@ def pss_row(prepared, others, sigma: float) -> np.ndarray:
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def pss_distance(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
-    """Kernel-induced L^2 distance for the scale space kernel: the row on ``[g]``."""
-    return float(pss_row(pss_prepare(f, sigma), [pss_prepare(g, sigma)], sigma)[0])
-
-
 def sw_prepare(d: PersistenceDiagram, lines: int = 10):
     """Projections x cos(theta) + y sin(theta) of ``d``'s points (x, y) and
     of their diagonal images onto the lines at angles theta = i·pi/lines,
@@ -384,11 +353,6 @@ def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
     return np.array(totals, dtype=float) / lines
 
 
-def sliced_wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, lines: int = 10) -> float:
-    """Sliced Wasserstein distance: the row on ``[d2]``."""
-    return float(sw_row(sw_prepare(d1, lines), [sw_prepare(d2, lines)], lines)[0])
-
-
 def swk_row(prepared, others, sigma: float, lines: int = 10) -> np.ndarray:
     """Distances induced by the Gaussian sliced Wasserstein kernel from one
     diagram prepared by :func:`sw_prepare` to each of ``others``."""
@@ -397,12 +361,6 @@ def swk_row(prepared, others, sigma: float, lines: int = 10) -> np.ndarray:
     two_var = 2.0 * sigma * sigma  # 0 when sigma's square underflows: the sigma -> 0 limit
     return np.sqrt([2.0 - 2.0 * (math.exp(-sw / two_var) if two_var > 0 else float(sw == 0))
                     for sw in sw_row(prepared, others, lines).tolist()])
-
-
-def sw_kernel_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
-                       sigma: float, lines: int = 10) -> float:
-    """Distance induced by the Gaussian sliced Wasserstein kernel: the row on ``[d2]``."""
-    return float(swk_row(sw_prepare(d1, lines), [sw_prepare(d2, lines)], sigma, lines)[0])
 
 
 # A metric parameter type: (conversion from text, validity test, the rule

@@ -18,12 +18,7 @@ from topocorr.experiment import (
     run_parameter_correlation,
 )
 from topocorr.complexes import build_flag_complex
-from topocorr.metrics import (
-    DistanceMatrix,
-    pairwise_matrix,
-    parse_metric_spec,
-    wasserstein,
-)
+from topocorr.metrics import DistanceMatrix, pairwise_matrix, parse_metric_spec
 from topocorr.models import ModelSpec, derive_seed, gen_er, generate
 from topocorr.negtype import (
     fixture_landscape_l1,
@@ -138,7 +133,8 @@ def test_criterion_04_wasserstein_oracle():
     for i in range(200):
         d1, d2 = random_diagram(), random_diagram()
         p = (1.0, 2.0, 3.0)[i % 3]
-        worst = max(worst, abs(wasserstein(d1, d2, p) - brute_wasserstein(d1, d2, p)))
+        got = parse_metric_spec(f"wasserstein:p={p}").distance(d1, d2)
+        worst = max(worst, abs(got - brute_wasserstein(d1, d2, p)))
     assert worst <= 1e-9
     elapsed = time.time() - start
     assert elapsed < 10.0

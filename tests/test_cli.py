@@ -275,6 +275,16 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
      ["experiment", "--config", "{cfg}"]),
     ({"cfg": SWEEP_CONFIG + "repetitions = 5\n\n[sweep]\ngamma_count = 3\n"},
      ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG.replace("metrics", "metric")}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG + "\n[extra]\nkey = 1\n"}, ["experiment", "--config", "{cfg}"]),
+    ({"cfg": ER_CONFIG.replace("kind = er", "kind = er\ngamma = 0.5")},
+     ["experiment", "--config", "{cfg}"]),
+    ({"cfg": SWEEP_CONFIG.replace("n = 6", "n = 6\ngamma = 0.7") + "\n[sweep]\ngamma_count = 3\n"},
+     ["experiment", "--config", "{cfg}"]),
+    ({"cfg": SWEEP_CONFIG + "\n[sweep]\ngamma_count = 3\n", "file": "not a directory"},
+     ["experiment", "--config", "{cfg}", "--out", "{file}/x"]),
+    ({"file": "not a directory"},
+     ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4", "--out", "{file}/x"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -288,7 +298,9 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "config-no-section-header", "config-duplicate-section", "grid-ncols-inf",
         "dcor-one-sample", "permtest-one-sample", "negtype-tol-nan", "max-radius-nan",
         "max-radius-nan-config", "dem-resolution-nan", "sweep-kind-er",
-        "sweep-gamma-and-gamma-count", "sweep-repetitions"])
+        "sweep-gamma-and-gamma-count", "sweep-repetitions", "config-unknown-key",
+        "config-unknown-section", "gamma-for-er-config", "sweep-model-gamma",
+        "sweep-out-under-a-file", "dem-out-under-a-file"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

@@ -1,5 +1,7 @@
 import concurrent.futures
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match=key) as err:
             load_config(cfg_file)
         assert not str(err.value).startswith("bad config")
+
+    def test_readme_configs_load_as_written(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            (tmp_path / f"{i}.ini").write_text(block)
+            cfg = load_config(tmp_path / f"{i}.ini")
+            assert (cfg.sweep is None) == (i == 0)
 
     def test_bad_metric_fails_before_compute(self, tmp_path):
         cfg_file = tmp_path / "run.ini"

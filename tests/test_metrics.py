@@ -8,19 +8,13 @@ from topocorr import metrics
 from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.metrics import (
     DistanceMatrix,
-    bottleneck,
-    curve_distance,
-    diagonal_distance,
-    landscape_distance,
+    diagram_prepare,
     landscape_row,
     pairwise_matrix,
     parse_metric_spec,
-    pss_distance,
     pss_kernel,
-    sliced_wasserstein,
-    sw_kernel_distance,
     sw_prepare,
-    wasserstein,
+    wasserstein_row,
 )
 from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import StepCurve, betti_curve, landscape_from_diagram
@@ -63,6 +57,12 @@ def er_bundles(seed, count=20):
 def er_diagrams(seed, count=20):
     """Degree-1 diagrams of the first ``count`` ER n=25 samples of ``seed``."""
     return tuple(bundle["diagram"] for bundle in er_bundles(seed, count))
+
+
+def distance(spec, a, b):
+    """``spec``'s distance between two summaries, by the prepares and row of
+    its matrix entries."""
+    return parse_metric_spec(spec).distance(a, b)
 
 
 # The per-pair bodies that each metric's row replaced.
@@ -138,7 +138,7 @@ class TestRows:
     def test_identical_overflowing_pair_is_zero(self):
         # (1e200)^2 overflows, but a diagram is at 0 from itself first.
         d = diagram((0, 1e200), (1, 2))
-        assert wasserstein(d, d, 2) == 0.0
+        assert distance("wasserstein:p=2", d, d) == 0.0
         entries = pairwise_matrix([d, d, d], parse_metric_spec("wasserstein:p=2")).entries
         assert not entries.any()
 
@@ -169,28 +169,30 @@ class TestDistanceMatrix:
 
 class TestDiagonalDistance:
     def test_values(self):
-        assert diagonal_distance((0.0, 2.0), 1) == 2.0
-        assert diagonal_distance((0.0, 2.0), 2) == pytest.approx(math.sqrt(2))
-        assert diagonal_distance((0.0, 2.0), math.inf) == 1.0
+        # diagram_prepare's costs: L^p distances to the diagonal, to the power p.
+        d = diagram((0.0, 2.0))
+        assert diagram_prepare(d, 1)[1].tolist() == [2.0]
+        assert diagram_prepare(d, 2)[1] == pytest.approx([math.sqrt(2) ** 2])
+        assert diagram_prepare(d, math.inf)[1].tolist() == [1.0]
 
 
 class TestWasserstein:
     def test_identical_diagrams(self):
         d = diagram((0, 1), (2, 5))
-        assert wasserstein(d, d, 2) == 0.0
+        assert distance("wasserstein:p=2", d, d) == 0.0
 
     def test_single_point_vs_empty(self):
         d = diagram((0, 2))
         empty = PersistenceDiagram(())
-        assert wasserstein(d, empty, 1) == pytest.approx(2.0)
-        assert wasserstein(d, empty, 2) == pytest.approx(math.sqrt(2))
+        assert distance("wasserstein:p=1", d, empty) == pytest.approx(2.0)
+        assert distance("wasserstein:p=2", d, empty) == pytest.approx(math.sqrt(2))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             d1, d2 = random_diagram(rng), random_diagram(rng)
             for p in (1.0, 2.0, 3.0):
-                assert wasserstein(d1, d2, p) == pytest.approx(
+                assert distance(f"wasserstein:p={p}", d1, d2) == pytest.approx(
                     brute_wasserstein(d1, d2, p), abs=1e-9)
 
     def test_triangle_inequality(self):
@@ -198,12 +200,13 @@ class TestWasserstein:
         for _ in range(20):
             a, b, c = (random_diagram(rng) for _ in range(3))
             for p in (1.0, 2.0):
-                assert wasserstein(a, c, p) <= \
-                    wasserstein(a, b, p) + wasserstein(b, c, p) + 1e-9
+                spec = f"wasserstein:p={p}"
+                assert distance(spec, a, c) <= distance(spec, a, b) + distance(spec, b, c) + 1e-9
 
     def test_rejects_infinite_p(self):
+        prepared = diagram_prepare(diagram((0, 1)), math.inf)
         with pytest.raises(ValueError):
-            wasserstein(diagram((0, 1)), diagram((0, 1)), math.inf)
+            wasserstein_row(prepared, [prepared], math.inf)
 
 
 class TestBottleneck:
@@ -211,28 +214,28 @@ class TestBottleneck:
         rng = np.random.default_rng(5)
         for _ in range(40):
             d1, d2 = random_diagram(rng), random_diagram(rng)
-            assert bottleneck(d1, d2) == pytest.approx(
+            assert distance("bottleneck", d1, d2) == pytest.approx(
                 brute_bottleneck(d1, d2), abs=1e-12)
 
     def test_shifted_point(self):
-        assert bottleneck(diagram((0, 4)), diagram((1, 4))) == 1.0
+        assert distance("bottleneck", diagram((0, 4)), diagram((1, 4))) == 1.0
 
     def test_point_to_diagonal(self):
-        assert bottleneck(diagram((0, 4)), PersistenceDiagram(())) == 2.0
+        assert distance("bottleneck", diagram((0, 4)), PersistenceDiagram(())) == 2.0
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_equals_binary_search_on_er_diagrams(self, seed):
         diagrams = er_diagrams(seed)
         for i, d1 in enumerate(diagrams):
             for d2 in diagrams[i + 1:]:
-                assert bottleneck(d1, d2) == bottleneck_binary_search(d1, d2)
+                assert distance("bottleneck", d1, d2) == bottleneck_binary_search(d1, d2)
 
     def test_ends_at_lb_without_a_matching(self, monkeypatch):
         # The point's cheapest match, 1, is lb, and the assignment uses only it.
         calls = counted_certificates(monkeypatch)
-        assert bottleneck(diagram((0, 4)), diagram((1, 4))) == 1.0
+        assert distance("bottleneck", diagram((0, 4)), diagram((1, 4))) == 1.0
         # No cost between lb and ub: lb, 2, is the all-to-diagonal cost.
-        assert bottleneck(diagram((0, 4)), diagram((0, 2))) == brute_bottleneck(
+        assert distance("bottleneck", diagram((0, 4)), diagram((0, 2))) == brute_bottleneck(
             diagram((0, 4)), diagram((0, 2))) == 2.0
         assert calls == []
 
@@ -244,7 +247,7 @@ class TestBottleneck:
         # So the matching at rank 1 succeeds and the search below it runs.
         d1, d2 = diagram((6, 9), (6, 12)), diagram((4, 10), (5, 12), (6, 13))
         calls = counted_certificates(monkeypatch)
-        assert bottleneck(d1, d2) == bottleneck_binary_search(d1, d2) == 3.0
+        assert distance("bottleneck", d1, d2) == bottleneck_binary_search(d1, d2) == 3.0
         assert brute_bottleneck(d1, d2) == 3.0
         assert calls == [True, False]
 
@@ -256,7 +259,7 @@ class TestBottleneck:
         for i, d1 in enumerate(diagrams):
             for d2 in diagrams[i + 1:]:
                 calls.clear()
-                bottleneck(d1, d2)
+                distance("bottleneck", d1, d2)
                 assert calls in ([], [False])
 
 
@@ -265,33 +268,33 @@ class TestLandscapeDistance:
         # Two unit tents, each of area 1/4.
         l1 = landscape_from_diagram(diagram((0, 1)))
         l2 = landscape_from_diagram(diagram((5, 6)))
-        assert landscape_distance(l1, l2, 1) == pytest.approx(0.5)
+        assert distance("landscape:p=1", l1, l2) == pytest.approx(0.5)
 
     def test_linf_is_max_gap(self):
         l1 = landscape_from_diagram(diagram((0, 2)))
         l2 = landscape_from_diagram(diagram((0, 4)))
         # The tents differ most at t = 2: heights 0 and 2.
-        assert landscape_distance(l1, l2, math.inf) == pytest.approx(2.0)
+        assert distance("landscape:p=inf", l1, l2) == pytest.approx(2.0)
 
     def test_l2_single_tent(self):
         # Integral of the tent squared over [0, 2] is 2/3... distance to zero.
         l1 = landscape_from_diagram(diagram((0, 2)))
         l2 = landscape_from_diagram(PersistenceDiagram(()))
-        assert landscape_distance(l1, l2, 2) == pytest.approx(math.sqrt(2.0 / 3.0))
+        assert distance("landscape:p=2", l1, l2) == pytest.approx(math.sqrt(2.0 / 3.0))
 
     def test_quadrature_free_crossing(self):
         # Difference changes sign; the closed-form split must stay exact.
         l1 = landscape_from_diagram(diagram((0, 2)))
         l2 = landscape_from_diagram(diagram((1, 3)))
         # |f - g| integrates to 1/2 + 1/4 + 1/4 + 1/2 over [0, 3].
-        assert landscape_distance(l1, l2, 1) == pytest.approx(1.5)
+        assert distance("landscape:p=1", l1, l2) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_matches_sup_definition_on_float_diagrams(self, p):
         rng = np.random.default_rng(31)
         for _ in range(40):
             d1, d2 = random_diagram(rng, 6), random_diagram(rng, 6)
-            got = landscape_distance(landscape_from_diagram(d1), landscape_from_diagram(d2), p)
+            got = distance(f"landscape:p={p}", *map(landscape_from_diagram, (d1, d2)))
             assert got == pytest.approx(sup_landscape_distance(d1, d2, p), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -299,7 +302,7 @@ class TestLandscapeDistance:
         # After the short tent ends, the difference runs from 2e-17 up to 1:
         # the lower end is below the rounding of the upper one.
         d1, d2 = diagram((0, 2)), diagram((0, 2e-17))
-        got = landscape_distance(landscape_from_diagram(d1), landscape_from_diagram(d2), p)
+        got = distance(f"landscape:p={p}", *map(landscape_from_diagram, (d1, d2)))
         assert got == pytest.approx(sup_landscape_distance(d1, d2, p), rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -318,8 +321,8 @@ class TestLandscapeDistance:
         for _ in range(10):
             a, b, c = (landscape_from_diagram(random_diagram(rng)) for _ in range(3))
             for p in (1.0, 2.0, math.inf):
-                assert landscape_distance(a, c, p) <= \
-                    landscape_distance(a, b, p) + landscape_distance(b, c, p) + 1e-9
+                spec = f"landscape:p={p}"
+                assert distance(spec, a, c) <= distance(spec, a, b) + distance(spec, b, c) + 1e-9
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
     @pytest.mark.parametrize("block_points", [1, 40, None])
@@ -333,7 +336,8 @@ class TestLandscapeDistance:
         entries = pairwise_matrix(lans, parse_metric_spec(f"landscape:p={p}")).entries
         for i in range(8):
             for j in range(i + 1, 8):
-                assert entries[i, j] == entries[j, i] == landscape_distance(lans[i], lans[j], p)
+                assert entries[i, j] == entries[j, i] == distance(
+                    f"landscape:p={p}", lans[i], lans[j])
 
     def test_row_of_nothing_and_of_empty_landscapes(self):
         lan, empty = landscape_from_diagram(diagram((0, 2))), landscape_from_diagram(diagram())
@@ -347,25 +351,25 @@ class TestLandscapeDistance:
     ])
     def test_powered_integral_overflow_is_numerical_failure(self, d1, d2, p):
         with pytest.raises(NumericalFailure, match=f"p={p}"):
-            landscape_distance(landscape_from_diagram(d1), landscape_from_diagram(d2), p)
+            distance(f"landscape:p={p}", *map(landscape_from_diagram, (d1, d2)))
 
 
 class TestCurveDistance:
     def test_l1(self):
         c1 = StepCurve((0.0, 2.0), (2,))
         c2 = StepCurve((1.0, 3.0), (1,))
-        assert curve_distance(c1, c2, 1) == pytest.approx(2.0 + 1.0 + 1.0)
+        assert distance("betti:p=1", c1, c2) == pytest.approx(2.0 + 1.0 + 1.0)
 
     def test_l2(self):
         c1 = StepCurve((0.0, 1.0), (3,))
         c2 = StepCurve((0.0, 1.0), (1,))
-        assert curve_distance(c1, c2, 2) == pytest.approx(2.0)
+        assert distance("betti:p=2", c1, c2) == pytest.approx(2.0)
 
     def test_powered_integral_overflow_is_numerical_failure(self):
         # 2^2000 overflows; the curves differ by 2 on [1, 2).
         c1, c2 = StepCurve((0.0, 1.0, 2.0), (1, 2)), StepCurve((0.0, 1.0), (1,))
         with pytest.raises(NumericalFailure, match="p=2000"):
-            curve_distance(c1, c2, 2000.0)
+            distance("betti:p=2000", c1, c2)
 
 
 class TestPSS:
@@ -375,20 +379,20 @@ class TestPSS:
 
     def test_self_distance_zero(self):
         d = diagram((0, 1), (1, 3))
-        assert pss_distance(d, d, 1.0) == 0.0
+        assert distance("pss:sigma=1", d, d) == 0.0
 
     def test_kernel_positive_for_near_diagrams(self):
         assert pss_kernel(diagram((0, 2)), diagram((0.1, 2.1)), 1.0) > 0.0
 
     def test_distance_positive_for_distinct(self):
-        assert pss_distance(diagram((0, 2)), diagram((3, 5)), 1.0) > 0.0
+        assert distance("pss:sigma=1", diagram((0, 2)), diagram((3, 5))) > 0.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b, c = (random_diagram(rng) for _ in range(3))
-            assert pss_distance(a, c, 1.0) <= \
-                pss_distance(a, b, 1.0) + pss_distance(b, c, 1.0) + 1e-9
+            assert distance("pss:sigma=1", a, c) <= \
+                distance("pss:sigma=1", a, b) + distance("pss:sigma=1", b, c) + 1e-9
 
     @pytest.mark.parametrize("sigma", [0.01, 1.0])
     def test_matrix_entries_equal_three_kernels_per_pair(self, sigma):
@@ -406,11 +410,11 @@ class TestPSS:
 class TestSlicedWasserstein:
     def test_identical_zero(self):
         d = diagram((0, 1), (2, 4))
-        assert sliced_wasserstein(d, d) == 0.0
+        assert distance("sw", d, d) == 0.0
 
     def test_symmetry(self):
         d1, d2 = diagram((0, 1)), diagram((1, 3), (0, 2))
-        assert sliced_wasserstein(d1, d2) == pytest.approx(sliced_wasserstein(d2, d1))
+        assert distance("sw", d1, d2) == pytest.approx(distance("sw", d2, d1))
 
     def test_matches_per_line_transport(self):
         # The mean over lines of the sorted 1-D transport cost, line by line.
@@ -421,7 +425,7 @@ class TestSlicedWasserstein:
         for i in range(7):
             direction = np.array([math.cos(i * math.pi / 7), math.sin(i * math.pi / 7)])
             costs.append(np.abs(np.sort(side1 @ direction) - np.sort(side2 @ direction)).sum())
-        assert sliced_wasserstein(d1, d2, lines=7) == pytest.approx(sum(costs) / 7, rel=1e-15)
+        assert distance("sw:lines=7", d1, d2) == pytest.approx(sum(costs) / 7, rel=1e-15)
 
     def test_point_projects_alike_alone_and_in_a_diagram(self):
         # Elementwise x cos + y sin: no BLAS kernel chosen by the side's size.
@@ -437,20 +441,20 @@ class TestSlicedWasserstein:
         # The average over equidistributed lines converges; 10 vs 500 lines
         # should already agree to a few percent.
         d1, d2 = diagram((0, 1), (2, 5)), diagram((1, 3))
-        a = sliced_wasserstein(d1, d2, lines=10)
-        b = sliced_wasserstein(d1, d2, lines=500)
+        a = distance("sw:lines=10", d1, d2)
+        b = distance("sw:lines=500", d1, d2)
         assert abs(a - b) / b < 0.05
 
     def test_kernel_distance_range(self):
         d1, d2 = diagram((0, 1)), diagram((4, 9))
-        dist = sw_kernel_distance(d1, d2, sigma=1.0)
+        dist = distance("swk:sigma=1", d1, d2)
         assert 0.0 < dist < math.sqrt(2.0)
 
     def test_kernel_distance_sigma_squared_underflows(self):
         # sigma * sigma is 0.0: the sigma -> 0 limit, sqrt(2) apart and 0 on self.
         d1, d2 = diagram((0, 5), (1, 3)), diagram((0.5, 4))
-        assert sw_kernel_distance(d1, d2, sigma=1e-200) == math.sqrt(2.0)
-        assert sw_kernel_distance(d1, d1, sigma=1e-200) == 0.0
+        assert distance("swk:sigma=1e-200", d1, d2) == math.sqrt(2.0)
+        assert distance("swk:sigma=1e-200", d1, d1) == 0.0
 
 
 class TestMetricSpecs:
@@ -471,7 +475,7 @@ class TestMetricSpecs:
         assert spec.summary_kind == "count"
         assert spec.cell_dim == 2 and spec.bundle_key == "count2"
         c1, c2 = StepCurve((0.0, 2.0), (2,)), StepCurve((1.0, 3.0), (1,))
-        assert spec.distance(c1, c2) == curve_distance(c1, c2, 1.0)
+        assert spec.distance(c1, c2) == distance("betti:p=1", c1, c2) == 4.0
 
     def test_rejects_unknown(self):
         with pytest.raises(ConfigurationError):
@@ -513,7 +517,7 @@ class TestMetricSpecs:
         mat = pairwise_matrix(diagrams, parse_metric_spec("wasserstein:p=1"))
         assert mat.n == 4 and mat.label == "wasserstein:p=1"
         assert mat.entries[1, 2] == pytest.approx(
-            wasserstein(diagrams[1], diagrams[2], 1))
+            distance("wasserstein:p=1", diagrams[1], diagrams[2]))
 
     @pytest.mark.parametrize("spec, kind", [("landscape:p=1", "diagram"),
                                             ("landscape:p=inf", "betti"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topocorr.errors import NumericalFailure
-from topocorr.metrics import DistanceMatrix, bottleneck, wasserstein
+from topocorr.metrics import DistanceMatrix, parse_metric_spec
 from topocorr.negtype import (
     fixture_landscape_l1,
     fixture_landscape_linf,
@@ -23,14 +23,11 @@ def euclidean_matrix(points, label="euclid"):
 
 def diagram_matrix(diagrams, p):
     n = len(diagrams)
+    metric = parse_metric_spec("bottleneck" if p == math.inf else f"wasserstein:p={p}")
     entries = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if p == math.inf:
-                d = bottleneck(diagrams[i], diagrams[j])
-            else:
-                d = wasserstein(diagrams[i], diagrams[j], p)
-            entries[i, j] = entries[j, i] = d
+            entries[i, j] = entries[j, i] = metric.distance(diagrams[i], diagrams[j])
     return DistanceMatrix(n, entries, f"p={p}")
 
 
@@ -149,15 +146,14 @@ class TestLargePFixture:
 class TestLandscapeFixtures:
     def test_l1_form_zero(self):
         from topocorr.summaries import landscape_from_diagram
-        from topocorr.metrics import landscape_distance
 
         diagrams, weights = fixture_landscape_l1()
         lans = [landscape_from_diagram(d) for d in diagrams]
-        n = len(lans)
+        n, metric = len(lans), parse_metric_spec("landscape:p=1")
         entries = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                entries[i, j] = entries[j, i] = landscape_distance(lans[i], lans[j], 1)
+                entries[i, j] = entries[j, i] = metric.distance(lans[i], lans[j])
         form = quadratic_form(DistanceMatrix(n, entries, "l1"), weights)
         assert abs(form) < 1e-12
 
@@ -170,16 +166,14 @@ class TestLandscapeFixtures:
 
     def test_linf_pattern_and_form(self):
         from topocorr.summaries import landscape_from_diagram
-        from topocorr.metrics import landscape_distance
 
         diagrams, weights = fixture_landscape_linf()
         lans = [landscape_from_diagram(d) for d in diagrams]
-        n = len(lans)
+        n, metric = len(lans), parse_metric_spec("landscape:p=inf")
         entries = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                entries[i, j] = entries[j, i] = landscape_distance(
-                    lans[i], lans[j], np.inf)
+                entries[i, j] = entries[j, i] = metric.distance(lans[i], lans[j])
         assert np.allclose(entries[:3, :3] + np.eye(3), np.ones((3, 3)))
         assert np.allclose(entries[3:, 3:] + np.eye(3), np.ones((3, 3)))
         assert np.allclose(entries[:3, 3:], 0.5)

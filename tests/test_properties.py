@@ -19,14 +19,7 @@ from topocorr.complexes import (
     build_rips_complex,
 )
 from topocorr.experiment import DEFAULT_METRICS, summary_for
-from topocorr.metrics import (
-    bottleneck,
-    landscape_distance,
-    landscape_row,
-    pairwise_matrix,
-    parse_metric_spec,
-    wasserstein,
-)
+from topocorr.metrics import landscape_row, pairwise_matrix, parse_metric_spec
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import landscape_from_diagram
@@ -106,7 +99,8 @@ diagram_pairs = st.lists(points, min_size=1, max_size=6).flatmap(diagram_pair)
 @checked
 @given(pair=diagram_pairs)
 def test_wasserstein_matches_exhaustive_matching(p, pair):
-    assert wasserstein(*pair, p) == pytest.approx(brute_wasserstein(*pair, p), rel=1e-12)
+    assert distance(f"wasserstein:p={p}", *pair) == pytest.approx(
+        brute_wasserstein(*pair, p), rel=1e-12)
 
 
 @checked
@@ -117,7 +111,7 @@ def test_wasserstein_matches_exhaustive_matching(p, pair):
 # only one of them can take, so the other pays more than its cheapest match.
 @example(pair=(degree_1([(0.0, 3.0), (0.25, 3.5)]), degree_1([(0.0, 4.0)])))
 def test_bottleneck_matches_exhaustive_matching(pair):
-    assert bottleneck(*pair) == brute_bottleneck(*pair)
+    assert distance("bottleneck", *pair) == brute_bottleneck(*pair)
 
 
 # Rows of 2-4 diagrams of 0-6 points with integer ends in [0, 6], so that
@@ -133,8 +127,8 @@ int_rows = st.lists(st.lists(int_points, max_size=6).map(degree_1), min_size=2, 
 @example(row=[degree_1([]), degree_1([])])
 @example(row=[degree_1([(0, 2), (1, 5), (1, 5)])] * 2)
 def test_bottleneck_on_tied_costs(row):
-    assert bottleneck(row[0], row[1]) == brute_bottleneck(row[0], row[1])
-    assert bottleneck(row[0], row[1]) == bottleneck_binary_search(row[0], row[1])
+    assert distance("bottleneck", row[0], row[1]) == brute_bottleneck(row[0], row[1])
+    assert distance("bottleneck", row[0], row[1]) == bottleneck_binary_search(row[0], row[1])
     entries = pairwise_matrix(row, parse_metric_spec("bottleneck")).entries
     for j in range(1, len(row)):
         assert entries[0, j] == bottleneck_pair(row[0], row[j])
@@ -183,9 +177,7 @@ def test_rows_equal_pair_bodies(spec, row):
 def test_landscape_stability(d1, d2):
     # Bubenik (JMLR 2015): the sup distance of landscapes is at most the
     # bottleneck distance of their diagrams.
-    a, b = d1.restrict(1), d2.restrict(1)
-    assert landscape_distance(landscape_from_diagram(a), landscape_from_diagram(b),
-                              math.inf) <= bottleneck(a, b) + 1e-12
+    assert distance("landscape:p=inf", d1, d2) <= distance("bottleneck", d1, d2) + 1e-12
 
 
 @pytest.mark.parametrize("spec, p, degree", [("betti:p=1", 1, 1), ("betti:p=2", 2, 1),
@@ -216,7 +208,8 @@ def assert_bottleneck_stable(cx_f, cx_g, sup_distance):
     # is at most the sup distance of the filtrations.
     df, dg = compute_persistence(cx_f), compute_persistence(cx_g)
     for k in range(3):
-        assert bottleneck(df.restrict(k), dg.restrict(k)) <= sup_distance + 1e-12
+        bottleneck = parse_metric_spec("bottleneck").distance(df.restrict(k), dg.restrict(k))
+        assert bottleneck <= sup_distance + 1e-12
 
 
 @checked

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topocorr.metrics import curve_distance
+from topocorr.metrics import parse_metric_spec
 from topocorr.persistence import PersistenceDiagram, compute_persistence
 from topocorr.summaries import (
     StepCurve,
@@ -117,7 +117,8 @@ class TestStepCurve:
     def test_l1_norm(self):
         # The L^1 norm is the L^1 distance from the zero curve.
         zero = StepCurve((), ())
-        assert curve_distance(StepCurve((0.0, 1.0, 3.0), (2, -1)), zero, 1) == 4.0
+        curve = StepCurve((0.0, 1.0, 3.0), (2, -1))
+        assert parse_metric_spec("betti:p=1").distance(curve, zero) == 4.0
 
     def test_rejects_unsorted_breakpoints(self):
         with pytest.raises(ValueError):
