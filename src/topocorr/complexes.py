@@ -5,12 +5,14 @@ ordered by (filtration value, dimension, construction key), so faces always
 precede cofaces and the order is deterministic for a given input.  A
 construction key is encoded as one integer per cell: the base-n digits of a
 vertex tuple, or ``r * 2 * (cols + 2) + 2 * c + orientation`` for the grid
-cell at lattice position (r, c).
+cell at lattice position (r, c).  The clique builders filter a clique skeleton
+by one weight matrix; flag complexes share a cached skeleton per (n, max_dim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,72 +181,88 @@ class FilteredComplex:
         return cx.validate()
 
 
-def _assemble(levels):
-    """One filtration from per-dimension ``(codes, values, face_codes)``.
+def _assemble(codes, dims, values, faces):
+    """One filtration from cells listed level by level, dimension ascending.
 
-    Level k lists the k-cells: ``codes`` order them as their construction
-    keys do, and row i of ``face_codes`` names the faces of cell i by their
-    codes among the (k-1)-cells (None for the vertices).  Cells are ordered
-    by (value, dim, code).
+    Cell i has construction key ``codes[i]``, dimension ``dims[i]`` and value
+    ``values[i]``; row j of ``faces[k - 1]`` lists the cells (by that listing)
+    that are faces of the j-th k-cell.  Cells are ordered by (value, dim, code).
     """
-    codes, values, face_codes = zip(*levels)
-    sizes = [len(c) for c in codes]
-    starts = np.cumsum([0] + sizes)
-    dims = np.repeat(np.arange(len(levels)), sizes)
-    values = np.concatenate(values)
-    order = np.lexsort((np.concatenate(codes), dims, values))
+    order = np.lexsort((codes, dims, values))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    widths = np.array([0] + [faces.shape[1] for faces in face_codes[1:]])
+    widths = np.array([0] + [f.shape[1] for f in faces])
     indptr = np.concatenate(([0], np.cumsum(widths[dims[order]])))
     indices = np.empty(indptr[-1], dtype=np.int64)
-    for k in range(1, len(levels)):
-        sorter = np.argsort(codes[k - 1])
-        local = sorter[np.searchsorted(codes[k - 1], face_codes[k], sorter=sorter)]
-        slots = indptr[rank[starts[k]:starts[k + 1]], None] + np.arange(widths[k])
-        indices[slots] = np.sort(rank[starts[k - 1] + local], axis=1)
+    for k, local in enumerate(faces, start=1):
+        slots = indptr[rank[dims == k], None] + np.arange(widths[k])
+        indices[slots] = np.sort(rank[local], axis=1)
     return FilteredComplex(dims[order], values[order], indptr, indices)
 
 
-def _clique_complex(weights, present, max_dim):
-    """Cliques of up to ``max_dim + 1`` vertices of the digraph ``present``.
+def _clique_skeleton(present, max_dim):
+    """Cliques of up to ``max_dim + 1`` vertices of the digraph ``present``:
+    their codes and dims, and per level k >= 1 the (k-1)-clique each grew
+    from, the flat indices of its new edges and its faces for :func:`_assemble`.
 
     A clique is a vertex tuple with an edge from each vertex to every later
-    one; it enters at the largest weight of those edges (vertices at 0).
-    Cliques grow by appending a vertex that every member has an edge to, so
-    an upper-triangular ``present`` yields the increasing tuples of a flag
-    complex and a full one the ordered tuples of a directed flag complex.
+    one.  Cliques grow in code order by appending a vertex that every member
+    has an edge to, so an upper-triangular ``present`` yields the increasing
+    tuples of a flag complex and a full one the ordered tuples of a directed
+    flag complex.
     """
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
-    n = len(weights)
+    n = len(present)
     if n ** (max_dim + 1) > np.iinfo(np.int64).max:
         raise ConfigurationError(f"{n} vertices at max_dim {max_dim} overflow the simplex codes")
     cliques = np.arange(n)[:, None]
-    values = np.zeros(n)
     common = present  # common[i, v]: every member of clique i has an edge to v
-    levels = [(cliques[:, 0], values, None)]
+    codes, levels, start = [cliques[:, 0]], [], 0
     for k in range(1, max_dim + 1):
         rows, new = np.nonzero(common)
         if not len(rows):
             break
-        values = np.maximum(values[rows], weights[cliques[rows], new[:, None]].max(axis=1))
         common = common[rows] & present[new]
         cliques = np.column_stack((cliques[rows], new))
         place = n ** np.arange(k, -1, -1)
         face_codes = np.column_stack([np.delete(cliques, i, axis=1) @ place[1:]
                                       for i in range(k + 1)])
-        levels.append((cliques @ place, values, face_codes))
-    return _assemble(levels)
+        levels.append((rows, cliques[:, :-1] * n + cliques[:, -1:],
+                       start + np.searchsorted(codes[-1], face_codes)))
+        start += len(codes[-1])
+        codes.append(cliques @ place)
+    dims = np.repeat(np.arange(len(codes)), [len(c) for c in codes])
+    return np.concatenate(codes), dims, tuple(levels)
+
+
+@lru_cache(maxsize=1)
+def _flag_skeleton(n, max_dim):
+    """The clique skeleton of the complete graph on n vertices, read-only:
+    every flag complex on n vertices shares it."""
+    codes, dims, levels = _clique_skeleton(np.triu(np.ones((n, n), dtype=bool), 1), max_dim)
+    for array in (codes, dims, *sum(levels, ())):
+        array.flags.writeable = False
+    return codes, dims, levels
+
+
+def _clique_complex(weights, skeleton):
+    """The filtration of a clique skeleton by one weight matrix: a clique
+    enters at the largest weight of its edges (vertices at 0)."""
+    codes, dims, levels = skeleton
+    values = [np.zeros(len(weights))]
+    for rows, edges, _ in levels:
+        values.append(np.maximum(values[-1][rows], weights.take(edges).max(axis=1)))
+    return _assemble(codes, dims, np.concatenate(values), [faces for _, _, faces in levels])
 
 
 def build_flag_complex(g: WeightedGraph, max_dim: int) -> FilteredComplex:
     """Flag complex of a complete weighted graph.
 
     Vertices enter at 0; each k-clique (k <= max_dim+1) enters at the maximum
-    of its edge weights.
+    of its edge weights.  Calls with one (n, max_dim) share a cached skeleton.
     """
-    return _clique_complex(g.weights, np.triu(np.ones((g.n, g.n), dtype=bool), 1), max_dim)
+    return _clique_complex(g.weights, _flag_skeleton(g.n, max_dim))
 
 
 def build_directed_flag_complex(g: DirectedWeightedGraph, max_dim: int) -> FilteredComplex:
@@ -253,7 +271,7 @@ def build_directed_flag_complex(g: DirectedWeightedGraph, max_dim: int) -> Filte
     Reciprocal edge pairs yield two distinct 1-simplices; a simplex enters at
     the maximum of its constituent edge weights.
     """
-    return _clique_complex(g.weights, g.present, max_dim)
+    return _clique_complex(g.weights, _clique_skeleton(g.present, max_dim))
 
 
 def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredComplex:
@@ -269,7 +287,7 @@ def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredCompl
         raise ConfigurationError("max_radius must be positive")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
-    return _clique_complex(dist, np.triu(dist <= max_radius, 1), max_dim)
+    return _clique_complex(dist, _clique_skeleton(np.triu(dist <= max_radius, 1), max_dim))
 
 
 def doubled_lattice(grid: HeightGrid):
@@ -296,10 +314,10 @@ def build_cubical_complex(grid: HeightGrid) -> FilteredComplex:
     faces are its neighbours along its odd axes.
     """
     lowest, codes = doubled_lattice(grid)
-    i, j = np.indices(lowest.shape)
-    levels = []
-    for k, steps in enumerate(([], [(-1, -1), (1, 1)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
-        ii, jj = np.nonzero(i % 2 + j % 2 == k)
-        faces = [codes[ii + a * (ii % 2), jj + b * (jj % 2)] for a, b in steps]
-        levels.append((codes[ii, jj], lowest[ii, jj], np.column_stack(faces) if faces else None))
-    return _assemble(levels)
+    i, j = np.indices(lowest.shape).reshape(2, -1)
+    cells = np.argsort(i % 2 + j % 2, kind="stable")  # level by level, row-major within
+    index, i, j = np.argsort(cells).reshape(lowest.shape), i[cells], j[cells]
+    dims = i % 2 + j % 2
+    faces = [np.column_stack([index[i + a * (i % 2), j + b * (j % 2)] for a, b in steps])[dims == k]
+             for k, steps in ((1, [(-1, -1), (1, 1)]), (2, [(-1, 0), (1, 0), (0, -1), (0, 1)]))]
+    return _assemble(codes.ravel()[cells], dims, lowest.ravel()[cells], faces)

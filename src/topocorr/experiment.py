@@ -4,6 +4,7 @@ experiment, the γ sweep and the DEM run share one driver, :func:`_matrices`."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from contextlib import nullcontext
@@ -214,8 +215,11 @@ def _make_out(out, *subdirs):
 
 
 def _write_rows(path, header, rows):
-    lines = [header] + [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """A CSV file of ``header`` and ``rows``, each field as ``str`` gives it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([str(field) for field in row] for row in rows)
 
 
 def _sample_bundle(cfg: RunConfig, index: int) -> dict:
@@ -297,7 +301,7 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
     rows = sorted(((label, r.dCor, r.negative_flag) for label, r in reports),
                   key=lambda row: -row[1])
     if cfg.out is not None:
-        _write_rows(cfg.out / "parameter_dcor.csv", "metric,dCor,negative_flag", rows)
+        _write_rows(cfg.out / "parameter_dcor.csv", ("metric", "dCor", "negative_flag"), rows)
     return rows
 
 
@@ -383,12 +387,12 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
             for mat in mats]
     if out is not None:
         half = (chunk_size - 1) / 2
-        _write_rows(out / "chunks.csv", "row,col,center_x,center_y,tri",
+        _write_rows(out / "chunks.csv", ("row", "col", "center_x", "center_y", "tri"),
                     [(int(r - half), int(c - half), c, r, t)
                      for (_, (r, c)), t in zip(chunks, tris)])
         for mat in (*mats, tri_mat, geo_mat):
             (out / f"{_safe_label(mat.label)}.csv").write_text(matrix_to_csv(mat))
-        _write_rows(out / "dem_dcor.csv", "metric,dCor_tri,dCor_geodesic", rows)
+        _write_rows(out / "dem_dcor.csv", ("metric", "dCor_tri", "dCor_geodesic"), rows)
     return {"rows": rows, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}
 

@@ -6,10 +6,11 @@ apparent pair, a vertex whose first edge finds it the younger end; a loop
 runs over the rest.  Higher degrees come from persistent cohomology with
 clearing (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
 (co)homology", Inverse Problems 2011; Bauer, "Ripser", J. Appl. Comput.
-Topol. 2021), with columns as integer bitmasks.  A height grid builds no
-complex: its top-cell filtration is planar, so H1 is H0 of the dual, the
-squares plus one outside node over the edges in reverse order (Garin, Heiss,
-Maggs, Bleile and Robins, "Duality in persistent homology of images",
+Topol. 2021), with columns as integer bitmasks over a coboundary that one
+stable sort of the face ids builds (a radix sort up to 16-bit ids).  A height
+grid builds no complex: its top-cell filtration is planar, so H1 is H0 of the
+dual, the squares plus one outside node over the edges in reverse order (Garin,
+Heiss, Maggs, Bleile and Robins, "Duality in persistent homology of images",
 arXiv:2005.04597; Kaji, Sudo and Ahara, "Cubical Ripser", arXiv:2005.12692),
 and two union-find passes give the diagram.  The pairing does not depend on
 the method, so every diagram is the one the boundary-matrix reduction gives.
@@ -74,11 +75,12 @@ class PersistenceDiagram:
 
 def _coboundary(cx: FilteredComplex):
     """The transposed boundary matrix in CSR form: the cofaces of cell i are
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending.  A stable sort's order is
+    unique, so face ids sort in their narrowest type: radix sort up to 16 bits."""
     owners = np.repeat(np.arange(len(cx)), np.diff(cx.indptr))
     counts = np.bincount(cx.indices, minlength=len(cx))
-    return (np.concatenate(([0], np.cumsum(counts))),
-            owners[np.argsort(cx.indices, kind="stable")])
+    faces = cx.indices.astype(np.min_scalar_type(len(cx)))
+    return np.concatenate(([0], np.cumsum(counts))), owners[np.argsort(faces, kind="stable")]
 
 
 def _elder_merges(ends):

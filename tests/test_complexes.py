@@ -11,6 +11,9 @@ from topocorr.complexes import (
     build_directed_flag_complex,
     build_flag_complex,
     build_rips_complex,
+    _clique_complex,
+    _clique_skeleton,
+    _flag_skeleton,
 )
 from topocorr.errors import ParseError
 from topocorr.models import gen_er, sample_cube
@@ -67,6 +70,51 @@ class TestFlagComplex:
     def test_deterministic(self):
         g = gen_er(6, 5)
         assert build_flag_complex(g, 2).to_text() == build_flag_complex(g, 2).to_text()
+
+
+def signed_zero_graph(n, seed):
+    """A complete graph whose weights are 2, 1, 0.0 and -0.0, symmetric bit for bit."""
+    upper = np.random.default_rng(seed).choice([2.0, 1.0, 0.0, -0.0], n * (n - 1) // 2)
+    w, (a, b) = np.zeros((n, n)), np.triu_indices(n, 1)
+    w[a, b] = w[b, a] = upper
+    return WeightedGraph(n, w)
+
+
+class TestFlagSkeleton:
+    """``build_flag_complex`` filters one cached skeleton per (n, max_dim);
+    the directed flag and Rips builders build theirs on every call."""
+
+    @pytest.mark.parametrize("max_dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cached_equals_uncached(self, n, max_dim):
+        g = signed_zero_graph(n, 10 * n + max_dim)
+        complete = np.triu(np.ones((n, n), dtype=bool), 1)
+        cached = build_flag_complex(g, max_dim)
+        uncached = _clique_complex(g.weights, _clique_skeleton(complete, max_dim))
+        for name in ("dims", "indptr", "indices"):
+            assert np.array_equal(getattr(cached, name), getattr(uncached, name))
+        # Bit for bit, so a -0.0 stays a -0.0.
+        assert cached.values.tobytes() == uncached.values.tobytes()
+        assert cached.dims.max() == min(n - 1, max_dim)  # levels above n - 1 are empty
+
+    def test_signed_zeros_reach_the_values(self):
+        values = build_flag_complex(signed_zero_graph(9, 93), 3).values
+        assert np.signbit(values[values == 0]).any() and not np.signbit(values[0])
+
+    def test_cached_arrays_are_read_only(self):
+        codes, dims, levels = _flag_skeleton(6, 2)
+        arrays = [codes, dims, *(array for level in levels for array in level)]
+        assert len(arrays) == 8 and not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            codes[0] = 1
+        assert build_flag_complex(gen_er(6, 1), 2).values.flags.writeable
+
+    def test_alternating_keys(self):
+        graphs = {n: gen_er(n, n) for n in (5, 7)}
+        for n, max_dim in ((5, 2), (7, 2), (5, 3), (5, 2), (7, 1), (7, 2), (5, 2)):
+            g = graphs[n]
+            assert build_flag_complex(g, max_dim).to_text() == \
+                reference_flag_text(g.weights, ~np.eye(n, dtype=bool), max_dim)
 
 
 class TestDirectedFlagComplex:

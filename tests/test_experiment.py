@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -217,6 +218,19 @@ class TestParameterCorrelation:
         values = [v for _, v, _ in rows]
         assert values == sorted(values, reverse=True)
         assert (tmp_path / "parameter_dcor.csv").exists()
+
+    def test_rows_are_csv_records(self, tmp_path):
+        # The default sliced-Wasserstein kernel's label holds a comma.
+        cfg = replace(sweep_config(tmp_path),
+                      metrics=(parse_metric_spec("swk:sigma=1,lines=10"),))
+        run_parameter_correlation(cfg)
+        data = (tmp_path / "parameter_dcor.csv").read_bytes()
+        with open(tmp_path / "parameter_dcor.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["metric", "dCor", "negative_flag"]
+        assert [row[0] for row in rows[1:]] == ["swk:sigma=1,lines=10"]
+        assert {len(row) for row in rows} == {3}
+        assert data.count(b"\r\n") == data.count(b"\n") == len(rows)
 
     def test_idempotent(self, tmp_path):
         run_parameter_correlation(sweep_config(tmp_path / "a"))

@@ -7,6 +7,7 @@ from topocorr.persistence import (
     PersistenceDiagram,
     compute_persistence,
     diagram_betti_count,
+    _coboundary,
     persistent_betti,
 )
 from tests.test_complexes import weights_from_edges
@@ -63,6 +64,22 @@ class TestComputePersistence:
             3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]), 2)
         d = compute_persistence(cx)
         assert all(b < death for b, death, _ in d.points)
+
+
+class TestCoboundary:
+    @pytest.mark.parametrize("n", [6, 75])
+    def test_lists_cofaces_ascending(self, n):
+        # At n = 75 the face ids need more than 16 bits, so the sort is not a radix sort.
+        cx = build_flag_complex(gen_er(n, 3), 2)
+        assert len(cx) == (6 + 15 + 20 if n == 6 else 70_375)
+        ptr, faces = cx.indptr.tolist(), cx.indices.tolist()
+        cofaces = [[] for _ in range(len(cx))]
+        for i in range(len(cx)):
+            for f in faces[ptr[i]:ptr[i + 1]]:
+                cofaces[f].append(i)
+        indptr, indices = _coboundary(cx)
+        assert indptr.tolist() == np.cumsum([0] + [len(c) for c in cofaces]).tolist()
+        assert indices.tolist() == [i for c in cofaces for i in c]
 
 
 class TestPersistentBetti:
