@@ -13,13 +13,14 @@ import click
 
 from topocorr.complexes import FilteredComplex
 from topocorr.dcor import permutation_test, sample_dcor
-from topocorr.dem import load_grid, synth_terrain
+from topocorr.dem import load_grid
 from topocorr.errors import ConfigurationError, NumericalFailure, ParseError
 from topocorr.experiment import (
     build_complex,
     dem_from_grid,
     format_negtype_report,
     load_config,
+    run_dem_pipeline,
     run_experiment,
     run_negtype_suite,
     run_parameter_correlation,
@@ -203,10 +204,11 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
             resolution, metric_names, out):
     """Chunked elevation-grid pipeline: cubical persistence vs ruggedness."""
     metrics = [parse_metric_spec(m) for m in (metric_names or ("wasserstein:p=2",))]
-    grid = (synth_terrain(size, roughness, seed) if input_path is None
-            else _parse(input_path, load_grid))
-    result = dem_from_grid(grid, chunk_size, stride, metrics, out=Path(out),
-                           resolution=resolution, max_chunks=max_chunks)
+    settings = dict(out=Path(out), resolution=resolution, max_chunks=max_chunks)
+    result = (run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics, **settings)
+              if input_path is None else
+              dem_from_grid(_parse(input_path, load_grid), chunk_size, stride, metrics,
+                            source={"input": input_path}, **settings))
     for label, dcor_tri, dcor_geo in result["rows"]:
         click.echo(f"{label} dCor_tri={dcor_tri:.6f} dCor_geodesic={dcor_geo:.6f}")
 

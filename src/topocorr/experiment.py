@@ -222,6 +222,13 @@ def _write_rows(path, header, rows):
         writer.writerows([str(field) for field in row] for row in rows)
 
 
+def _write_manifest(out, **settings):
+    """``out/manifest.json``: the package version and the settings a run used,
+    keys sorted, so reruns write the same bytes."""
+    (out / "manifest.json").write_text(
+        json.dumps({"version": __version__, **settings}, indent=2, sort_keys=True) + "\n")
+
+
 def _sample_bundle(cfg: RunConfig, index: int) -> dict:
     """Sample ``index`` of an experiment, or the sample at ``cfg.sweep[index]``."""
     spec = cfg.model if cfg.sweep is None else ModelSpec(
@@ -267,18 +274,10 @@ def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
     (out / "dcor.csv").write_text(labeled_matrix_to_csv(dcors, labels))
     (out / "dcor.svg").write_text(render_heatmap(dcors, labels, flags))
 
-    manifest = {
-        "version": __version__,
-        "model": {"kind": cfg.model.kind, "n": cfg.model.n,
-                  "gamma": cfg.model.gamma, "seed": cfg.model.seed},
-        "repetitions": cfg.repetitions,
-        "degree": cfg.degree,
-        "max_dim": cfg.max_dim,
-        "max_radius": cfg.max_radius,
-        "metrics": labels,
-        "seed": cfg.seed,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out, model={"kind": cfg.model.kind, "n": cfg.model.n,
+                                "gamma": cfg.model.gamma, "seed": cfg.model.seed},
+                    repetitions=cfg.repetitions, degree=cfg.degree, max_dim=cfg.max_dim,
+                    max_radius=cfg.max_radius, metrics=labels, seed=cfg.seed)
     return {"dcor": dcors, "labels": labels, "flags": flags, "matrices": mats}
 
 
@@ -290,7 +289,8 @@ def parameter_matrix(values, label="parameter") -> DistanceMatrix:
 
 def run_parameter_correlation(cfg: RunConfig, progress=None,
                               threads: int = 1) -> list[tuple[str, float, bool]]:
-    """dCor between each summary metric and the sweep parameter, sorted descending."""
+    """dCor between each summary metric and the sweep parameter, sorted
+    descending; with ``cfg.out``, written with a manifest of the sweep."""
     if cfg.sweep is None:
         raise ConfigurationError("parameter correlation needs a sweep")
     _make_out(cfg.out)
@@ -302,6 +302,10 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
                   key=lambda row: -row[1])
     if cfg.out is not None:
         _write_rows(cfg.out / "parameter_dcor.csv", ("metric", "dCor", "negative_flag"), rows)
+        _write_manifest(cfg.out, model={"kind": "interpolated", "n": cfg.model.n},
+                        gamma=[float(g) for g in cfg.sweep], seed=cfg.seed,
+                        metrics=[m.label for m in cfg.metrics], degree=cfg.degree,
+                        max_dim=cfg.max_dim)
     return rows
 
 
@@ -361,14 +365,18 @@ def run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics,
                      out: Path | None = None, resolution=10.0, max_chunks=None) -> dict:
     """Synthetic-terrain end-to-end run; see :func:`dem_from_grid`."""
     grid = synth_terrain(size, roughness, seed)
-    return dem_from_grid(grid, chunk_size, stride, metrics, out=out,
-                         resolution=resolution, max_chunks=max_chunks)
+    return dem_from_grid(grid, chunk_size, stride, metrics, out=out, resolution=resolution,
+                         max_chunks=max_chunks,
+                         source={"size": size, "roughness": roughness, "seed": seed})
 
 
-def dem_from_grid(grid, chunk_size, stride, metrics,
-                  out: Path | None = None, resolution=10.0, max_chunks=None) -> dict:
+def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
+                  resolution=10.0, max_chunks=None, source=None) -> dict:
     """Elevation-grid run: chunks -> cubical persistence -> summaries ->
-    dCor against per-chunk ruggedness (TRI) and center distance."""
+    dCor against per-chunk ruggedness (TRI) and center distance.
+
+    ``source`` says where the grid came from (the terrain's size, roughness
+    and seed, or the input path); the manifest records it with the grid."""
     if not resolution > 0:
         raise ConfigurationError("resolution must be positive")
     chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
@@ -393,6 +401,10 @@ def dem_from_grid(grid, chunk_size, stride, metrics,
         for mat in (*mats, tri_mat, geo_mat):
             (out / f"{_safe_label(mat.label)}.csv").write_text(matrix_to_csv(mat))
         _write_rows(out / "dem_dcor.csv", ("metric", "dCor_tri", "dCor_geodesic"), rows)
+        _write_manifest(out, grid={"rows": grid.rows, "cols": grid.cols, **(source or {})},
+                        chunk_size=chunk_size, stride=stride, max_chunks=max_chunks,
+                        resolution=float(resolution), metrics=[m.label for m in metrics],
+                        degree=1, chunks=len(chunks))
     return {"rows": rows, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}
 

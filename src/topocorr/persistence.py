@@ -12,8 +12,11 @@ grid builds no complex: its top-cell filtration is planar, so H1 is H0 of the
 dual, the squares plus one outside node over the edges in reverse order (Garin,
 Heiss, Maggs, Bleile and Robins, "Duality in persistent homology of images",
 arXiv:2005.04597; Kaji, Sudo and Ahara, "Cubical Ripser", arXiv:2005.12692),
-and two union-find passes give the diagram.  The pairing does not depend on
-the method, so every diagram is the one the boundary-matrix reduction gives.
+and two union-find passes give the diagram.  The pairing is a bijection of
+edges and squares, so every edge merges in exactly one pass; each loop skips
+the edges the other pass links, since an edge that closes a cycle changes no
+root.  The pairing does not depend on the method, so every diagram is the one
+the boundary-matrix reduction gives.
 """
 
 from __future__ import annotations
@@ -83,23 +86,28 @@ def _coboundary(cx: FilteredComplex):
     return np.concatenate(([0], np.cumsum(counts))), owners[np.argsort(faces, kind="stable")]
 
 
-def _elder_merges(ends):
+def _apparent(ends):
+    """Per edge of ``ends`` (see :func:`_elder_merges`), whether it is an
+    apparent pair: the first edge among those of its younger end."""
+    m, younger = len(ends), np.maximum(*ends.T)
+    first = np.full(int(younger.max(initial=-1)) + 1, m)
+    np.minimum.at(first, ends.ravel(), np.arange(m).repeat(2))
+    return first[younger] == np.arange(m)
+
+
+def _elder_merges(ends, apparent, skip=False):
     """Elder-rule union-find over ``ends``, an (m, 2) array of edges in
     processing order between nodes labelled by age (0 the oldest).
 
-    Returns, per edge, the younger root it merges, or -1.  An apparent pair,
-    an edge that comes first among those of its younger end, is linked in
-    one array step: no earlier edge reaches that end or a node linked below
-    it, so the loop over the other edges finds the same roots.
+    Returns, per edge, the younger root it merges, or -1.  The ``apparent``
+    pairs are linked in one array step: no earlier edge reaches the younger
+    end or a node linked below it, so the loop over the rest finds the same
+    roots.  It passes over the ``skip`` edges, which the caller knows close a cycle.
     """
-    m = len(ends)
     older, younger = np.minimum(*ends.T), np.maximum(*ends.T)
-    first = np.full(int(younger.max(initial=-1)) + 1, m)
-    np.minimum.at(first, ends.ravel(), np.arange(m).repeat(2))
-    apparent = first[younger] == np.arange(m)
-    root = np.arange(len(first))
+    root = np.arange(int(younger.max(initial=-1)) + 1)
     root[younger[apparent]] = older[apparent]
-    kills, root, rest = np.where(apparent, younger, -1), root.tolist(), ~apparent
+    kills, root, rest = np.where(apparent, younger, -1), root.tolist(), ~(apparent | skip)
     for e, u, v in zip(np.flatnonzero(rest).tolist(), older[rest].tolist(),
                        younger[rest].tolist()):
         while root[u] != u:  # path halving
@@ -118,7 +126,8 @@ def _persistence_pairs(cx: FilteredComplex):
     dims, n = cx.dims, len(cx)
     # H0: a vertex's age is its place in the filtration.
     edges = np.flatnonzero(dims == 1)
-    kills = _elder_merges(cx.indices[cx.indptr[edges, None] + [0, 1]])
+    ends = cx.indices[cx.indptr[edges, None] + [0, 1]]
+    kills = _elder_merges(ends, _apparent(ends))
     merges = np.flatnonzero(kills >= 0)
     births, deaths = kills[merges].tolist(), edges[merges].tolist()
     # Higher degrees by persistent cohomology with clearing: a cell that
@@ -164,7 +173,9 @@ def _grid_pairs(grid: HeightGrid):
     the cell values and dimensions, vertices, edges and squares each in
     filtration order, and the birth, death and unpaired cells as indices into
     them.  The H1 pass ages the squares in reverse, under one outside node
-    older than all; an edge that joins two pairs with the younger root.
+    older than all; an edge that joins two pairs with the younger root.  The
+    H0 loop skips the H1 pass's apparent pairs, and the H1 loop every H0
+    merge: each edge merges in one pass only, as the pairs are a bijection.
     """
     lowest, codes = doubled_lattice(grid)
     i, j = np.indices(lowest.shape).reshape(2, -1)
@@ -177,9 +188,12 @@ def _grid_pairs(grid: HeightGrid):
     # An edge's vertices lie along its odd axis, its squares along the other.
     ii, jj = i[cells[nv:nv + ne]], j[cells[nv:nv + ne]]
     a, b, ii, jj = ii % 2, jj % 2, ii + 1, jj + 1
-    kills = _elder_merges(np.column_stack((index[ii - a, jj - b], index[ii + a, jj + b])))
-    killed = _elder_merges(n - np.column_stack(
-        (index[ii - b, jj - a], index[ii + b, jj + a]))[::-1])
+    ends = np.column_stack((index[ii - a, jj - b], index[ii + a, jj + b]))
+    dual = n - np.column_stack((index[ii - b, jj - a], index[ii + b, jj + a]))[::-1]
+    apparent, dual_apparent = _apparent(ends), _apparent(dual)
+    # Each edge merges in exactly one pass: a merge of one is a cycle of the other.
+    kills = _elder_merges(ends, apparent, dual_apparent[::-1])
+    killed = _elder_merges(dual, dual_apparent, kills[::-1] >= 0)
     # Pairs come by edge, and H1 pairs by edge reversed, as _persistence_pairs
     # finds them.  It finds apparent pairs first, but here those have length
     # 0: an edge enters with its earliest square.
@@ -200,7 +214,7 @@ def compute_persistence(source: FilteredComplex | HeightGrid) -> PersistenceDiag
         _grid_pairs(source) if isinstance(source, HeightGrid)
         else (source.values, source.dims, _persistence_pairs(source)))
     # The first maximal cell in the filtration, as the sign of a zero may differ.
-    cap = max(values.tolist(), default=0.0)
+    cap = values[values.argmax()] if len(values) else 0.0
     # Finite bars go before capped ones: the diagram's stable sort then puts a
     # finite bar ahead of a capped bar with the same birth and death.
     cells = np.concatenate((paired, unpaired))

@@ -125,20 +125,23 @@ class TestPipelineCommands:
                    "--stride", "4", "--out", str(out)) == 0
         assert (out / "tri.csv").exists()
 
-    def test_dem_grid_formats_agree(self, tmp_path):
+    def test_dem_grid_formats_agree(self, tmp_path, monkeypatch):
         # One grid as a headerless CSV and as an ESRI grid whose body wraps
-        # at 11 values per line.
+        # at 11 values per line.  The manifest records the input path as
+        # given, so each run reads "grid" from its own directory.
         values = [repr(float(x)) for x in np.random.default_rng(4).random(18 * 18)]
-        csv = tmp_path / "grid.csv"
-        csv.write_text("".join(",".join(values[i:i + 18]) + "\n" for i in range(0, 324, 18)))
-        esri = tmp_path / "grid.asc"
-        esri.write_text("ncols 18\nnrows 18\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
-                        + "".join(" ".join(values[i:i + 11]) + "\n" for i in range(0, 324, 11)))
-        for grid in (csv, esri):
-            assert run("dem", "--input", str(grid), "--chunk-size", "8", "--stride", "5",
+        texts = {
+            "csv": "".join(",".join(values[i:i + 18]) + "\n" for i in range(0, 324, 18)),
+            "asc": "ncols 18\nnrows 18\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+                   + "".join(" ".join(values[i:i + 11]) + "\n" for i in range(0, 324, 11))}
+        for name, text in texts.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "grid").write_text(text)
+            monkeypatch.chdir(tmp_path / name)
+            assert run("dem", "--input", "grid", "--chunk-size", "8", "--stride", "5",
                        "--metric", "wasserstein:p=2", "--metric", "betti:p=1",
-                       "--metric", "landscape:p=inf", "--out", str(tmp_path / grid.suffix)) == 0
-        assert tree_bytes(tmp_path / ".csv") == tree_bytes(tmp_path / ".asc")
+                       "--metric", "landscape:p=inf", "--out", str(tmp_path / name / "out")) == 0
+        assert tree_bytes(tmp_path / "csv" / "out") == tree_bytes(tmp_path / "asc" / "out")
 
     @pytest.mark.parametrize("source", ["synth", "input"])
     def test_dem_idempotent(self, tmp_path, source):
@@ -150,8 +153,8 @@ class TestPipelineCommands:
             assert run("dem", *argv, "--metric", "wasserstein:p=2", "--metric",
                        "landscape:p=inf", "--out", str(tmp_path / name)) == 0
         a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
-        assert sorted(a) == ["chunks.csv", "dem_dcor.csv", "geodesic.csv",
-                             "landscape_p_inf.csv", "tri.csv", "wasserstein_p_2.csv"]
+        assert sorted(a) == ["chunks.csv", "dem_dcor.csv", "geodesic.csv", "landscape_p_inf.csv",
+                             "manifest.json", "tri.csv", "wasserstein_p_2.csv"]
         assert a == b
 
     def test_experiment(self, tmp_path):

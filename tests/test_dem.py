@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from topocorr import __version__
 from topocorr.complexes import HeightGrid, build_cubical_complex
 from topocorr.dem import (
     chunk_grid,
@@ -11,7 +13,7 @@ from topocorr.dem import (
     tri,
 )
 from topocorr.errors import ConfigurationError, ParseError
-from topocorr.experiment import dem_from_grid
+from topocorr.experiment import dem_from_grid, run_dem_pipeline
 from topocorr.metrics import pairwise_matrix, parse_metric_spec
 from topocorr.models import derive_seed
 from topocorr.persistence import compute_persistence
@@ -146,6 +148,25 @@ class TestDemFromGrid:
             pairwise_matrix([compute_persistence(cx).restrict(1) for cx in complexes], metrics[1])]
         for got, want in zip(result["matrices"], expected, strict=True):
             assert got.entries.tobytes() == want.entries.tobytes()
+
+    def test_manifest_of_synthetic_terrain(self, tmp_path):
+        for out in ("a", "b"):
+            run_dem_pipeline(17, 0.5, 3, 8, 4, self.METRICS, out=tmp_path / out,
+                             resolution=2, max_chunks=5)
+        data = (tmp_path / "a" / "manifest.json").read_bytes()
+        assert json.loads(data) == {
+            "version": __version__,
+            "grid": {"rows": 17, "cols": 17, "size": 17, "roughness": 0.5, "seed": 3},
+            "chunk_size": 8, "stride": 4, "max_chunks": 5, "resolution": 2.0,
+            "metrics": ["wasserstein:p=1"], "degree": 1, "chunks": 5}
+        assert data == (tmp_path / "b" / "manifest.json").read_bytes()
+
+    def test_manifest_of_loaded_grid(self, tmp_path):
+        dem_from_grid(self.grid(7, 6), 3, 2, self.METRICS, out=tmp_path,
+                      source={"input": "data/dem.asc"})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["grid"] == {"rows": 7, "cols": 6, "input": "data/dem.asc"}
+        assert (manifest["max_chunks"], manifest["chunks"]) == (None, 6)
 
     def test_rejects_bad_resolution(self):
         for resolution in (0.0, -1.0):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topocorr import __version__
 from topocorr.errors import ConfigurationError
 from topocorr.experiment import (
     RunConfig,
@@ -237,6 +239,20 @@ class TestParameterCorrelation:
         run_parameter_correlation(sweep_config(tmp_path / "b"))
         assert (tmp_path / "a" / "parameter_dcor.csv").read_bytes() == \
             (tmp_path / "b" / "parameter_dcor.csv").read_bytes()
+
+    def test_manifest(self, tmp_path):
+        # The model seed differs from the run's: the manifest records the
+        # seed every sample was drawn from.
+        cfg = replace(sweep_config(tmp_path / "a"),
+                      model=ModelSpec("interpolated", 8, gamma=0.0, seed=99))
+        for out in ("a", "b"):
+            run_parameter_correlation(replace(cfg, out=tmp_path / out))
+        data = (tmp_path / "a" / "manifest.json").read_bytes()
+        assert json.loads(data) == {
+            "version": __version__, "model": {"kind": "interpolated", "n": 8},
+            "gamma": [0.0, 0.3, 0.6, 1.0], "seed": 2, "degree": 1, "max_dim": 2,
+            "metrics": ["wasserstein:p=1", "wasserstein:p=2", "bottleneck", "count2:p=1"]}
+        assert data == (tmp_path / "b" / "manifest.json").read_bytes()
 
     def test_threads_capped_at_sweep_length(self, tmp_path, pool_sizes):
         run_parameter_correlation(sweep_config(tmp_path), threads=5000)

@@ -1,13 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from topocorr.complexes import build_flag_complex, build_rips_complex
+from topocorr import persistence
+from topocorr.complexes import HeightGrid, build_flag_complex, build_rips_complex
+from topocorr.dem import synth_terrain
 from topocorr.models import gen_er, sample_cube
 from topocorr.persistence import (
     PersistenceDiagram,
     compute_persistence,
     diagram_betti_count,
     _coboundary,
+    _elder_merges,
     persistent_betti,
 )
 from tests.test_complexes import weights_from_edges
@@ -64,6 +71,38 @@ class TestComputePersistence:
             3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]), 2)
         d = compute_persistence(cx)
         assert all(b < death for b, death, _ in d.points)
+
+
+def grid_passes(grid):
+    """The (ends, apparent, skip) arguments of the two union-find passes that
+    ``compute_persistence(grid)`` runs: H0, then the dual pass."""
+    with mock.patch.object(persistence, "_elder_merges", wraps=_elder_merges) as spy:
+        compute_persistence(grid)
+    return [call.args for call in spy.call_args_list]
+
+
+class TestGridSkipMask:
+    # Few distinct heights, so that many cells tie, and both signed zeros.
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(values=st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+        lambda shape: arrays(float, shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]))))
+    @example(values=np.array([[2.0, 0.0, -0.0, 1.0, 0.0, -1.0, 2.0]]))
+    @example(values=np.array([[2.0, 0.0, -0.0, 1.0, 0.0, -1.0, 2.0]]).T)
+    def test_masked_loop_gives_the_same_kills(self, values):
+        (ends, apparent, skip), (dual, dual_apparent, dual_skip) = grid_passes(
+            HeightGrid.from_array(values))
+        kills, killed = _elder_merges(ends, apparent), _elder_merges(dual, dual_apparent)
+        assert np.array_equal(_elder_merges(ends, apparent, skip), kills)
+        assert np.array_equal(_elder_merges(dual, dual_apparent, dual_skip), killed)
+        # Why the masks are exact: every edge merges in exactly one pass.
+        assert np.array_equal(kills >= 0, killed[::-1] < 0)
+
+    def test_mask_covers_most_loop_edges(self):
+        # A chunk of terrain at the benchmark's roughness; a dropped mask
+        # would still give the right diagram, but loop over every edge.
+        grid = HeightGrid.from_array(synth_terrain(65, 0.4, 0).values[:64, :64])
+        for ends, apparent, skip in grid_passes(grid):
+            assert np.count_nonzero(skip & ~apparent) >= 0.9 * np.count_nonzero(~apparent)
 
 
 class TestCoboundary:
