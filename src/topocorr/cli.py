@@ -17,6 +17,7 @@ from topocorr.dem import load_grid
 from topocorr.errors import ConfigurationError, NumericalFailure, ParseError
 from topocorr.experiment import (
     build_complex,
+    check_metrics,
     dem_from_grid,
     format_negtype_report,
     load_config,
@@ -132,8 +133,7 @@ def summarize_cmd(diagram_file, kind, degree, out):
 def distmat_cmd(diagram_files, metric, degree, out):
     """Pairwise distance matrix of a metric over diagram CSV files."""
     spec = parse_metric_spec(metric)
-    if spec.summary_kind == "count":
-        raise ConfigurationError("count metrics need complexes; use the experiment command")
+    check_metrics([spec], None)
     diagrams = [_parse(path, diagram_from_csv) for path in diagram_files]
     if len(diagrams) < 2:
         raise ConfigurationError("need at least 2 diagram files")

@@ -4,7 +4,6 @@ experiment, the γ sweep and the DEM run share one driver, :func:`_matrices`."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import nullcontext
@@ -35,7 +34,7 @@ from topocorr.negtype import (
     quadratic_form,
 )
 from topocorr.persistence import compute_persistence
-from topocorr.serialize import diagram_to_csv, labeled_matrix_to_csv, matrix_to_csv
+from topocorr.serialize import diagram_to_csv, labeled_matrix_to_csv, matrix_to_csv, rows_to_csv
 from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram, simplex_count_curve
 
 DEFAULT_METRICS = (
@@ -72,22 +71,32 @@ class RunConfig:
     def __post_init__(self):
         if self.repetitions < 2 and self.sweep is None:
             raise ConfigurationError("repetitions must be >= 2")
-        if not self.metrics:
-            raise ConfigurationError("at least one metric spec required")
         if self.max_dim < 1:
             raise ConfigurationError("max_dim must be >= 1")
         if not self.max_radius > 0:
             raise ConfigurationError("max_radius must be positive")
         if not 0 <= self.degree <= self.max_dim:
             raise ConfigurationError(f"degree must lie in [0, max_dim = {self.max_dim}]")
-        for m in self.metrics:
-            if m.cell_dim is not None and m.cell_dim > self.max_dim:
-                raise ConfigurationError(
-                    f"{m.label} counts {m.cell_dim}-cells, above max_dim = {self.max_dim}")
+        check_metrics(self.metrics, self.max_dim)
         if self.sweep is not None and len(self.sweep) < 2:
             raise ConfigurationError("a sweep needs at least 2 gamma values")
         if self.sweep is not None and not all(0.0 <= g <= 1.0 for g in self.sweep):
             raise ConfigurationError("sweep gamma values must lie in [0, 1]")
+
+
+def check_metrics(metrics, top):
+    """ConfigurationError unless ``metrics`` is a non-empty list of distinct
+    specs whose ``count<d>`` cells can exist: d at most ``top``, the top cell
+    dimension of the run's complexes (None for diagram files, which hold none)."""
+    if not metrics:
+        raise ConfigurationError("at least one metric spec required")
+    labels = [m.label for m in metrics]
+    for m in metrics:
+        if labels.count(m.label) > 1:
+            raise ConfigurationError(f"metric {m.label} is listed twice")
+        if m.cell_dim is not None and (top is None or m.cell_dim > top):
+            where = "diagram files" if top is None else f"complexes of dimension {top}"
+            raise ConfigurationError(f"{m.label} counts {m.cell_dim}-cells; {where} have none")
 
 
 # Config section -> key -> conversion of its text; nothing else is accepted.
@@ -162,11 +171,8 @@ def build_complex(kind, raw, max_dim=2, max_radius=1.0):
 
 def summary_for(kind, diagram, degree):
     """The ``kind`` summary ("diagram", "landscape", "betti" or "euler") of a
-    full persistence diagram, in homology degree ``degree``.
-
-    The Euler curve sums the Betti curves of the degrees the diagram has;
-    those of absent degrees are empty.
-    """
+    full persistence diagram, in homology degree ``degree``; the Euler curve
+    takes the bars of every degree."""
     if kind == "diagram":
         return diagram.restrict(degree)
     if kind == "landscape":
@@ -174,8 +180,7 @@ def summary_for(kind, diagram, degree):
     if kind == "betti":
         return betti_curve(diagram, degree)
     if kind == "euler":
-        top = max(diagram.degrees(), default=0)
-        return euler_curve([betti_curve(diagram, k) for k in range(top + 1)])
+        return euler_curve(diagram)
     raise ConfigurationError(f"no {kind} summary of a diagram")
 
 
@@ -212,14 +217,6 @@ def _make_out(out, *subdirs):
             path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
-
-
-def _write_rows(path, header, rows):
-    """A CSV file of ``header`` and ``rows``, each field as ``str`` gives it."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([str(field) for field in row] for row in rows)
 
 
 def _write_manifest(out, **settings):
@@ -301,7 +298,8 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
     rows = sorted(((label, r.dCor, r.negative_flag) for label, r in reports),
                   key=lambda row: -row[1])
     if cfg.out is not None:
-        _write_rows(cfg.out / "parameter_dcor.csv", ("metric", "dCor", "negative_flag"), rows)
+        (cfg.out / "parameter_dcor.csv").write_text(
+            rows_to_csv(("metric", "dCor", "negative_flag"), rows))
         _write_manifest(cfg.out, model={"kind": "interpolated", "n": cfg.model.n},
                         gamma=[float(g) for g in cfg.sweep], seed=cfg.seed,
                         metrics=[m.label for m in cfg.metrics], degree=cfg.degree,
@@ -377,6 +375,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
 
     ``source`` says where the grid came from (the terrain's size, roughness
     and seed, or the input path); the manifest records it with the grid."""
+    check_metrics(metrics, 2)
     if not resolution > 0:
         raise ConfigurationError("resolution must be positive")
     chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
@@ -395,12 +394,13 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
             for mat in mats]
     if out is not None:
         half = (chunk_size - 1) / 2
-        _write_rows(out / "chunks.csv", ("row", "col", "center_x", "center_y", "tri"),
-                    [(int(r - half), int(c - half), c, r, t)
-                     for (_, (r, c)), t in zip(chunks, tris)])
+        (out / "chunks.csv").write_text(rows_to_csv(
+            ("row", "col", "center_x", "center_y", "tri"),
+            [(int(r - half), int(c - half), c, r, t) for (_, (r, c)), t in zip(chunks, tris)]))
         for mat in (*mats, tri_mat, geo_mat):
             (out / f"{_safe_label(mat.label)}.csv").write_text(matrix_to_csv(mat))
-        _write_rows(out / "dem_dcor.csv", ("metric", "dCor_tri", "dCor_geodesic"), rows)
+        (out / "dem_dcor.csv").write_text(
+            rows_to_csv(("metric", "dCor_tri", "dCor_geodesic"), rows))
         _write_manifest(out, grid={"rows": grid.rows, "cols": grid.cols, **(source or {})},
                         chunk_size=chunk_size, stride=stride, max_chunks=max_chunks,
                         resolution=float(resolution), metrics=[m.label for m in metrics],

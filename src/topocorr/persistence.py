@@ -63,9 +63,6 @@ class PersistenceDiagram:
     def __len__(self):
         return len(self.points)
 
-    def degrees(self):
-        return np.unique(self.points[:, 2]).astype(int).tolist()
-
     def restrict(self, degree):
         """Sub-diagram of a single homology degree."""
         keep = self.points[:, 2] == degree

@@ -1,4 +1,4 @@
-"""Text and CSV formats for diagrams, landscapes, curves and matrices."""
+"""Text and CSV formats for diagrams, landscapes, curves and matrices: one CSV writer."""
 
 from __future__ import annotations
 
@@ -14,21 +14,31 @@ from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import PersistenceLandscape, StepCurve
 
 
+def rows_to_csv(header, rows) -> str:
+    """CSV text of a ``header`` row and ``rows``, as every CSV the package writes:
+    CRLF records from one ``csv.writer``, each field as ``str`` gives it (``repr``
+    for a Python float), quoted if it holds a comma."""
+    out = io.StringIO()
+    csv.writer(out).writerows([str(field) for field in row] for row in (header, *rows))
+    return out.getvalue()
+
+
+def _csv_rows(text):
+    """The rows of CSV ``text`` that hold a non-blank field."""
+    return [r for r in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in r)]
+
+
 def diagram_to_csv(d: PersistenceDiagram) -> str:
     """Rows of ``degree,birth,death,essential``; essential is 1 for a capped bar."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["degree", "birth", "death", "essential"])
-    for (b, death, k), essential in zip(d.points.tolist(), d.essential.tolist()):
-        writer.writerow([int(k), repr(b), repr(death), int(essential)])
-    return out.getvalue()
+    return rows_to_csv(["degree", "birth", "death", "essential"],
+                       ([int(k), b, death, int(essential)] for (b, death, k), essential
+                        in zip(d.points.tolist(), d.essential.tolist())))
 
 
 def diagram_from_csv(text: str) -> PersistenceDiagram:
     """Diagram from :func:`diagram_to_csv` text; the ``essential`` column may be
     absent."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    rows = _csv_rows(text)
     if not rows:
         raise ParseError("empty diagram CSV", line=1)
     header = [c.strip().lower() for c in rows[0]]
@@ -65,26 +75,15 @@ def landscape_to_text(l: PersistenceLandscape) -> str:
 
 def curve_to_csv(c: StepCurve) -> str:
     """Rows of ``breakpoint,value``; the final breakpoint carries the exit value 0."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["breakpoint", "value"])
-    for b, v in zip(c.breakpoints.tolist(), c.values.tolist() + [0]):
-        writer.writerow([repr(b), v])
-    return out.getvalue()
+    return rows_to_csv(["breakpoint", "value"], zip(c.breakpoints.tolist(), c.values.tolist() + [0]))
 
 
 def matrix_to_csv(m: DistanceMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([m.label] * m.n)
-    for row in m.entries:
-        writer.writerow([repr(float(x)) for x in row])
-    return out.getvalue()
+    return rows_to_csv([m.label] * m.n, m.entries.tolist())
 
 
 def matrix_from_csv(text: str) -> DistanceMatrix:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    rows = _csv_rows(text)
     if len(rows) < 2:
         raise ParseError("matrix CSV needs a label header and entries", line=1)
     label = rows[0][0]
@@ -102,9 +101,5 @@ def matrix_from_csv(text: str) -> DistanceMatrix:
 
 def labeled_matrix_to_csv(matrix: np.ndarray, labels) -> str:
     """Square matrix with a label header row and label column (dCor output)."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([""] + list(labels))
-    for label, row in zip(labels, matrix):
-        writer.writerow([label] + [repr(float(x)) for x in row])
-    return out.getvalue()
+    return rows_to_csv(["", *labels], ([label, *row] for label, row
+                                       in zip(labels, np.asarray(matrix, dtype=float).tolist())))

@@ -1,8 +1,9 @@
 """Landscapes, Betti/Euler curves and simplex-count curves.
 
 Landscapes are stored with exact breakpoints (no sampling grid), as one
-(m, 3) array of (t, value, level) rows; step curves are right-continuous and
-zero outside their breakpoints and hold numpy arrays.
+(m, 3) array of (t, value, level) rows.  Step curves are right-continuous,
+zero outside their breakpoints, and built in one pass over their jumps: the
+bar ends of one degree (Betti) or of every degree, signed by degree (Euler).
 """
 
 from __future__ import annotations
@@ -124,18 +125,15 @@ def _curve_from_events(positions, deltas):
 
 def betti_curve(d: PersistenceDiagram, degree: int) -> StepCurve:
     """Number of degree-``degree`` bars containing each point."""
-    bars = d.restrict(degree).pairs()
+    bars = d.pairs()[d.points[:, 2] == degree]
     return _curve_from_events(bars.ravel(), np.tile([1, -1], len(bars)))
 
 
-def euler_curve(curves) -> StepCurve:
-    """Alternating sum of Betti curves, merged on the union of breakpoints."""
-    positions, deltas = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for k, curve in enumerate(curves):
-        if len(curve.breakpoints):
-            positions.append(curve.breakpoints)
-            deltas.append((-1) ** k * np.diff(curve.values, prepend=0, append=0))
-    return _curve_from_events(np.concatenate(positions), np.concatenate(deltas))
+def euler_curve(d: PersistenceDiagram) -> StepCurve:
+    """Alternating sum of the Betti curves of every degree, in one pass over
+    the bars: each adds (-1)^degree from its birth to its death."""
+    sign = 1 - 2 * (d.points[:, 2].astype(np.int64) % 2)
+    return _curve_from_events(d.pairs().ravel(), np.outer(sign, [1, -1]).ravel())
 
 
 def simplex_count_curve(cx: FilteredComplex, dim: int) -> StepCurve:

@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topocorr.errors import NumericalFailure
+from topocorr.summaries import StepCurve
 
 
 def brute_wasserstein(d1, d2, p):
@@ -271,6 +272,21 @@ def bar_count_distance(d1, d2, p, degree=None):
     for t0, t1 in zip(ends, ends[1:]):
         total += abs(count(d1, t0) - count(d2, t0)) ** p * (t1 - t0)
     return total ** (1.0 / p)
+
+
+def euler_from_betti(curves):
+    """Alternating sum of Betti curves, degree 0 first, from their values on
+    the union of their breakpoints; a breakpoint where the sum does not jump
+    is dropped."""
+    ts = sorted({t for c in curves for t in c.breakpoints.tolist()})
+
+    def value(c, t):  # right-continuous, zero outside the breakpoints
+        i = bisect.bisect_right(c.breakpoints.tolist(), t) - 1
+        return int(c.values[i]) if 0 <= i < len(c.values) else 0
+
+    sums = [sum((-1) ** k * value(c, t) for k, c in enumerate(curves)) for t in ts]
+    jumps = [i for i, s in enumerate(sums) if s != (sums[i - 1] if i else 0)]
+    return StepCurve([ts[i] for i in jumps], [sums[i] for i in jumps][:-1])
 
 
 def _complex_text(cells):

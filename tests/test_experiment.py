@@ -17,6 +17,7 @@ from topocorr.experiment import (
     load_config,
     parameter_matrix,
     render_heatmap,
+    run_dem_pipeline,
     run_experiment,
     run_negtype_suite,
     run_parameter_correlation,
@@ -25,7 +26,8 @@ from topocorr.metrics import parse_metric_spec
 from topocorr.models import ModelSpec, generate
 from topocorr.persistence import compute_persistence
 from topocorr.serialize import matrix_from_csv
-from topocorr.summaries import betti_curve, euler_curve
+from topocorr.summaries import betti_curve
+from tests.oracles import euler_from_betti
 
 METRICS = tuple(parse_metric_spec(m) for m in
                 ("wasserstein:p=1", "wasserstein:p=2", "bottleneck"))
@@ -169,7 +171,7 @@ class TestRunExperiment:
         cx = build_complex("er", generate(ModelSpec("er", 10, seed=4), 0), 3)
         bundle = compute_bundle(cx, 1, (parse_metric_spec("euler:p=1"),), 3)
         diagram = compute_persistence(cx)
-        expected = euler_curve([betti_curve(diagram, k) for k in range(4)])
+        expected = euler_from_betti([betti_curve(diagram, k) for k in range(4)])
         assert np.array_equal(bundle["euler"].breakpoints, expected.breakpoints)
         assert np.array_equal(bundle["euler"].values, expected.values)
 
@@ -222,17 +224,27 @@ class TestParameterCorrelation:
         assert (tmp_path / "parameter_dcor.csv").exists()
 
     def test_rows_are_csv_records(self, tmp_path):
-        # The default sliced-Wasserstein kernel's label holds a comma.
-        cfg = replace(sweep_config(tmp_path),
-                      metrics=(parse_metric_spec("swk:sigma=1,lines=10"),))
-        run_parameter_correlation(cfg)
-        data = (tmp_path / "parameter_dcor.csv").read_bytes()
-        with open(tmp_path / "parameter_dcor.csv", newline="") as fh:
+        # Every CSV of an experiment, a sweep and a DEM run comes from one
+        # writer: CRLF records with one field per column.  The default
+        # sliced-Wasserstein kernel's label holds a comma.
+        swk = parse_metric_spec("swk:sigma=1,lines=10")
+        run_experiment(replace(small_config(tmp_path / "experiment"), metrics=METRICS + (swk,)))
+        run_parameter_correlation(replace(sweep_config(tmp_path / "sweep"), metrics=(swk,)))
+        run_dem_pipeline(17, 0.5, 3, 8, 4, (swk, parse_metric_spec("count1:p=1")),
+                         out=tmp_path / "dem")
+        paths = sorted(tmp_path.rglob("*.csv"))
+        # 3 diagrams, 4 matrices and dcor; parameter_dcor; chunks, 4 matrices and dem_dcor.
+        assert len(paths) == 8 + 1 + 6
+        for path in paths:
+            data = path.read_bytes()
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len({len(row) for row in rows}) == 1, path
+            assert data.count(b"\r\n") == data.count(b"\n") == len(rows), path
+        with open(tmp_path / "sweep" / "parameter_dcor.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["metric", "dCor", "negative_flag"]
         assert [row[0] for row in rows[1:]] == ["swk:sigma=1,lines=10"]
-        assert {len(row) for row in rows} == {3}
-        assert data.count(b"\r\n") == data.count(b"\n") == len(rows)
 
     def test_idempotent(self, tmp_path):
         run_parameter_correlation(sweep_config(tmp_path / "a"))

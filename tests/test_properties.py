@@ -22,13 +22,14 @@ from topocorr.experiment import DEFAULT_METRICS, summary_for
 from topocorr.metrics import landscape_row, pairwise_matrix, parse_metric_spec
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
-from topocorr.summaries import landscape_from_diagram
+from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram
 from tests.oracles import (
     bar_count_distance,
     bottleneck_binary_search,
     bottleneck_pair,
     brute_bottleneck,
     brute_wasserstein,
+    euler_from_betti,
     reduce_columns,
     sup_landscape_distance,
 )
@@ -187,6 +188,26 @@ def test_landscape_stability(d1, d2):
 def test_curve_distance_matches_bar_counts(spec, p, degree, d1, d2):
     assert distance(spec, d1, d2) == pytest.approx(
         bar_count_distance(d1, d2, p, degree), rel=1e-12)
+
+
+# Degrees 0-3 and ends that often tie, within a degree and across degrees.
+tied_ends = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | ends
+tied_diagrams = st.lists(st.tuples(tied_ends, tied_ends, st.integers(0, 3)).filter(
+    lambda bar: bar[0] != bar[1]), max_size=10).map(lambda bs: PersistenceDiagram(
+        tuple((min(b, d), max(b, d), k) for b, d, k in bs)))
+
+
+@checked
+@given(d=tied_diagrams)
+@example(d=PersistenceDiagram(()))
+@example(d=PersistenceDiagram([(0.0, 1.0, 2), (0.0, 1.0, 2), (1.0, 2.5, 2)]))
+# An H0 and an H1 bar cancel; an H3 bar starts where they end.
+@example(d=PersistenceDiagram([(0.0, 1.0, 0), (0.0, 1.0, 1), (1.0, 2.5, 3)]))
+def test_euler_curve_is_alternating_betti_sum(d):
+    chi = euler_curve(d)
+    expected = euler_from_betti([betti_curve(d, k) for k in range(4)])
+    assert chi.breakpoints.tolist() == expected.breakpoints.tolist()
+    assert chi.values.tolist() == expected.values.tolist()
 
 
 def perturbed_pair(shape):

@@ -10,7 +10,7 @@ from topocorr.summaries import (
     landscape_from_diagram,
     simplex_count_curve,
 )
-from tests.oracles import sup_landscape_value
+from tests.oracles import euler_from_betti, sup_landscape_value
 from tests.test_persistence import four_cycle
 
 
@@ -149,16 +149,18 @@ class TestBettiCurve:
 class TestEulerCurve:
     def test_four_cycle(self):
         d = compute_persistence(four_cycle())
-        chi = euler_curve([betti_curve(d, 0), betti_curve(d, 1)])
-        assert curve_value(chi, 0.5) == 4
-        assert curve_value(chi, 1.5) == 0
+        for chi in (euler_curve(d), euler_from_betti([betti_curve(d, 0), betti_curve(d, 1)])):
+            assert curve_value(chi, 0.5) == 4
+            assert curve_value(chi, 1.5) == 0
 
     def test_alternating_signs(self):
+        # Two H0 bars on [0, 2) and three H1 bars on [1, 2).
+        d = PersistenceDiagram([(0.0, 2.0, 0)] * 2 + [(1.0, 2.0, 1)] * 3)
         b0 = StepCurve((0.0, 2.0), (2,))
         b1 = StepCurve((1.0, 2.0), (3,))
-        chi = euler_curve([b0, b1])
-        assert curve_value(chi, 0.5) == 2
-        assert curve_value(chi, 1.5) == -1
+        for chi in (euler_curve(d), euler_from_betti([b0, b1])):
+            assert curve_value(chi, 0.5) == 2
+            assert curve_value(chi, 1.5) == -1
 
 
 class TestSimplexCountCurve:
