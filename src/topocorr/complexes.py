@@ -248,7 +248,9 @@ def _flag_skeleton(n, max_dim):
 
 def _clique_complex(weights, skeleton):
     """The filtration of a clique skeleton by one weight matrix: a clique
-    enters at the largest weight of its edges (vertices at 0)."""
+    enters at the largest weight of its edges (vertices at 0).  Of equal values
+    (0.0 and -0.0), the np.maximum fold keeps the last of a vertex's 0.0, then
+    the clique's edges ordered by (later member, earlier member)."""
     codes, dims, levels = skeleton
     values = [np.zeros(len(weights))]
     for rows, edges, _ in levels:
@@ -294,8 +296,8 @@ def doubled_lattice(grid: HeightGrid):
     """The value and the construction key of every cell of the grid's
     top-cell complex, on the doubled lattice where entry (r, c) is the square
     at (2r+1, 2c+1).  Every edge and vertex takes the minimum over its
-    incident squares; the cell at (i, j) has key (i // 2, j // 2, 1 if only
-    i is odd else 0)."""
+    incident squares (of a 0.0/-0.0 tie, the last in row-major order); the
+    cell at (i, j) has key (i // 2, j // 2, 1 if only i is odd else 0)."""
     size = (2 * grid.rows + 1, 2 * grid.cols + 1)
     squares = np.full((size[0] + 2, size[1] + 2), np.inf)
     squares[2:-2:2, 2:-2:2] = grid.values

@@ -6,7 +6,7 @@ matrices, then average the entrywise product over all n^2 index pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,10 +34,7 @@ class DcorReport:
     negative_flag: bool
 
     def to_text(self):
-        lines = [f"{key}={getattr(self, key)!r}" for key in
-                 ("dcov", "dvar_x", "dvar_y", "dcor",
-                  "dCov", "dVar_x", "dVar_y", "dCor", "negative_flag")]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={getattr(self, f.name)!r}\n" for f in fields(self))
 
 
 def double_center(d: DistanceMatrix) -> np.ndarray:
@@ -63,24 +60,13 @@ def sample_dcov(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * b).sum() / a.size)
 
 
-def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
-    """Full distance correlation report between two distance matrices."""
-    if dx.n != dy.n:
-        raise ValueError("distance matrices must have equal size")
-    a = double_center(dx)
-    b = double_center(dy)
-    dcov = sample_dcov(a, b)
-    dvar_x = sample_dcov(a, a)
-    dvar_y = sample_dcov(b, b)
+def _report(dcov, dvar_x, dvar_y) -> DcorReport:
+    """The report of one dcov and the two dvars it is normalised by."""
     if not np.isfinite(dvar_x * dvar_y):
         raise NumericalFailure("dvar_x * dvar_y overflows")
-    if dvar_x > 0 and dvar_y > 0:
-        dcor = dcov / np.sqrt(dvar_x * dvar_y)
-        negative = dcov < 0
-    else:
-        # Degenerate input (single-point distribution): no information.
-        dcor = 0.0
-        negative = False
+    # Zero dvar is a single-point distribution: no information.
+    informative = dvar_x > 0 and dvar_y > 0
+    dcor = dcov / np.sqrt(dvar_x * dvar_y) if informative else 0.0
     return DcorReport(
         dcov=dcov,
         dvar_x=dvar_x,
@@ -90,23 +76,31 @@ def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
         dVar_x=float(np.sqrt(dvar_x)),
         dVar_y=float(np.sqrt(dvar_y)),
         dCor=float(np.sqrt(max(dcor, 0.0))),
-        negative_flag=bool(negative),
+        negative_flag=bool(informative and dcov < 0),
     )
 
 
-def dcor_matrix(mats) -> tuple[np.ndarray, list[list[bool]]]:
-    """dCor between every pair of distance matrices, one or more, from
-    :func:`sample_dcor`; also reports the negative-dcov flags."""
-    mats = list(mats)
-    k = len(mats)
-    out = np.zeros((k, k))
-    flags = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            report = sample_dcor(mats[i], mats[j])
-            out[i, j] = out[j, i] = report.dCor
-            flags[i][j] = flags[j][i] = report.negative_flag
-    return out, flags
+def sample_dcor(dx: DistanceMatrix, dy: DistanceMatrix) -> DcorReport:
+    """Full distance correlation report between two distance matrices: the
+    1x1 case of :func:`dcor_matrix`."""
+    if dx.n != dy.n:
+        raise ValueError("distance matrices must have equal size")
+    a, b = double_center(dx), double_center(dy)
+    return _report(sample_dcov(a, b), sample_dcov(a, a), sample_dcov(b, b))
+
+
+def dcor_matrix(xs, ys=None) -> tuple[np.ndarray, list[list[bool]]]:
+    """dCor of every distance matrix in ``xs`` against every one in ``ys``
+    (default: ``xs`` itself) and the negative-dcov flags, len(xs) x len(ys).
+    Each matrix is centred once; entry (i, j) equals sample_dcor(xs[i], ys[j])."""
+    cx = [double_center(m) for m in xs]
+    cy = cx if ys is None else [double_center(m) for m in ys]
+    var_x = [sample_dcov(a, a) for a in cx]
+    var_y = var_x if ys is None else [sample_dcov(b, b) for b in cy]
+    reports = [[_report(sample_dcov(a, b), vx, vy) for b, vy in zip(cy, var_y)]
+               for a, vx in zip(cx, var_x)]
+    return (np.array([[r.dCor for r in row] for row in reports]).reshape(len(cx), len(cy)),
+            [[r.negative_flag for r in row] for row in reports])
 
 
 def permutation_test(dx: DistanceMatrix, dy: DistanceMatrix,

@@ -21,7 +21,7 @@ from topocorr.complexes import (
     build_flag_complex,
     build_rips_complex,
 )
-from topocorr.dcor import dcor_matrix, sample_dcor
+from topocorr.dcor import dcor_matrix
 from topocorr.dem import chunk_grid, synth_terrain, tri
 from topocorr.errors import ConfigurationError
 from topocorr.metrics import DistanceMatrix, MetricSpec, pairwise_matrix, parse_metric_spec
@@ -293,10 +293,9 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
     _make_out(cfg.out)
     _, mats = _matrices(partial(_sample_bundle, cfg), range(len(cfg.sweep)),
                         cfg.metrics, threads, progress)
-    pmat = parameter_matrix(cfg.sweep, label="gamma")
-    reports = [(mat.label, sample_dcor(mat, pmat)) for mat in mats]
-    rows = sorted(((label, r.dCor, r.negative_flag) for label, r in reports),
-                  key=lambda row: -row[1])
+    dcors, flags = dcor_matrix(mats, [parameter_matrix(cfg.sweep, label="gamma")])
+    rows = sorted(((mat.label, dcor, flag) for mat, (dcor,), (flag,)
+                   in zip(mats, dcors.tolist(), flags)), key=lambda row: -row[1])
     if cfg.out is not None:
         (cfg.out / "parameter_dcor.csv").write_text(
             rows_to_csv(("metric", "dCor", "negative_flag"), rows))
@@ -310,42 +309,28 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
 _SMALLP_THRESHOLD = math.log(2) / math.log(4.0 / 3.0)
 
 
+def _transport(p):
+    return "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
+
+
 def run_negtype_suite() -> list[dict]:
-    """Evaluate every counterexample fixture and compare signs to the claims."""
+    """Evaluate every counterexample fixture and compare signs to the claims:
+    one case per (fixture, p, metric spec, diagrams and weights, sign)."""
+    small, large = fixture_small_p(), fixture_large_p()
+    cases = [("small_p", p, _transport(p), small, "+" if p < _SMALLP_THRESHOLD else "-")
+             for p in (1.0, 2.0, 2.4, 2.41, 3.0, math.inf)]
+    cases += [("large_p", p, _transport(p), large, "+") for p in (2.4, 2.41, 3.0, 10.0, math.inf)]
+    cases += [("landscape_l1", 1.0, "landscape:p=1", fixture_landscape_l1(), "0"),
+              ("landscape_linf", math.inf, "landscape:p=inf", fixture_landscape_linf(), "+")]
     results = []
-
-    def check(fixture, p, form, expect_sign):
-        if expect_sign == "+":
-            ok = form > 0
-        elif expect_sign == "-":
-            ok = form < 0
-        else:
-            ok = abs(form) < 1e-12
-        results.append({"fixture": fixture, "p": p, "form": form,
-                        "expected_sign": expect_sign, "pass": ok})
-
-    def form(spec, diagrams, weights):
+    for fixture, p, spec, (diagrams, weights), expected in cases:
         metric = parse_metric_spec(spec)
         # Every fixture point is a degree-1 bar.
         samples = [summary_for(metric.summary_kind, d, 1) for d in diagrams]
-        mat = pairwise_matrix(samples, metric)
-        return quadratic_form(mat, weights)
-
-    def transport(p):
-        return "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
-
-    small = fixture_small_p()
-    for p in (1.0, 2.0, 2.4, 2.41, 3.0, math.inf):
-        expect = "+" if p != math.inf and p < _SMALLP_THRESHOLD else "-"
-        check("small_p", p, form(transport(p), *small), expect)
-
-    large = fixture_large_p()
-    for p in (2.4, 2.41, 3.0, 10.0, math.inf):
-        check("large_p", p, form(transport(p), *large), "+")
-
-    check("landscape_l1", 1.0, form("landscape:p=1", *fixture_landscape_l1()), "0")
-    check("landscape_linf", math.inf,
-          form("landscape:p=inf", *fixture_landscape_linf()), "+")
+        form = quadratic_form(pairwise_matrix(samples, metric), weights)
+        sign = "0" if abs(form) < 1e-12 else "+" if form > 0 else "-"
+        results.append({"fixture": fixture, "p": p, "form": form,
+                        "expected_sign": expected, "pass": sign == expected})
     return results
 
 
@@ -390,8 +375,8 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
     centers = np.array([center for _, center in chunks])
     dx, dy = (centers[:, None, k] - centers[None, :, k] for k in (0, 1))
     geo_mat = DistanceMatrix(len(chunks), resolution * np.sqrt(dx ** 2 + dy ** 2), "geodesic")
-    rows = [(mat.label, sample_dcor(mat, tri_mat).dCor, sample_dcor(mat, geo_mat).dCor)
-            for mat in mats]
+    dcors, _ = dcor_matrix(mats, [tri_mat, geo_mat])
+    rows = [(mat.label, *row) for mat, row in zip(mats, dcors.tolist())]
     if out is not None:
         half = (chunk_size - 1) / 2
         (out / "chunks.csv").write_text(rows_to_csv(

@@ -459,6 +459,8 @@ def parse_metric_spec(spec: str) -> MetricSpec:
                 raise ConfigurationError(f"bad metric parameter {item!r} in {spec!r}")
             if key not in types:
                 raise ConfigurationError(f"{name} takes no parameter {key!r}")
+            if key in params:
+                raise ConfigurationError(f"{key} is given twice in {spec!r}")
             params[key] = _typed(value.strip(), types[key], f"{key} in {spec!r}")
     for key in required:
         if key not in params:

@@ -307,15 +307,17 @@ def reference_flag_text(weights, present, max_dim, ordered=False):
     set of at most max_dim + 1 vertices with all pairs joined or, when
     ``ordered``, every vertex tuple with an edge from each vertex to every
     later one (the directed flag complex).  A simplex enters at the largest
-    weight of those edges, a vertex at 0."""
+    weight of those edges, a vertex at 0; of equal values, such as 0.0 and
+    -0.0, the last in (later member, earlier member) order, after a 0.0."""
     n = len(weights)
     tuples = itertools.permutations if ordered else itertools.combinations
     cells = []
     for k in range(max_dim + 1):
         for simplex in tuples(range(n), k + 1):
-            edges = list(itertools.combinations(simplex, 2))
+            edges = [(simplex[i], simplex[j]) for j in range(k + 1) for i in range(j)]
             if all(present[a][b] for a, b in edges):
-                value = max((weights[a][b] for a, b in edges), default=0.0)
+                # max keeps the first of equal values: reversed, the last.
+                value = max(reversed([0.0] + [weights[a][b] for a, b in edges]))
                 faces = [simplex[:i] + simplex[i + 1:] for i in range(k + 1)] if k else []
                 cells.append((simplex, k, value, faces))
     return _complex_text(cells)
@@ -323,13 +325,14 @@ def reference_flag_text(weights, present, max_dim, ordered=False):
 
 def reference_cubical_text(values):
     """Text of the cubical complex of a height grid: a square per entry at
-    its height, every edge and vertex at the lowest incident square.  Keys
+    its height, every edge and vertex at the lowest incident square (the
+    last in row-major order of equal values, such as 0.0 and -0.0).  Keys
     are (dim, r, c, orientation) on the vertex lattice; orientation 0 is
     the edge (r, c)-(r, c+1), orientation 1 the edge (r, c)-(r+1, c)."""
     rows, cols = len(values), len(values[0])
 
     def lowest(squares):
-        return min(values[r][c] for r, c in squares if 0 <= r < rows and 0 <= c < cols)
+        return min(reversed([values[r][c] for r, c in squares if 0 <= r < rows and 0 <= c < cols]))
 
     cells = []
     for r in range(rows + 1):

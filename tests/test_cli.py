@@ -295,6 +295,7 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
     ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
           "--metric", "betti:p=1", "--metric", "betti:p=1", "--out", "dem"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "count1:p=1"]),
+    ({}, ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=1,p=2"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -311,7 +312,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "sweep-gamma-and-gamma-count", "sweep-repetitions", "config-unknown-key",
         "config-unknown-section", "gamma-for-er-config", "sweep-model-gamma",
         "sweep-out-under-a-file", "dem-out-under-a-file", "dem-count-above-grid",
-        "config-duplicate-metric", "dem-duplicate-metric", "distmat-count"])
+        "config-duplicate-metric", "dem-duplicate-metric", "distmat-count",
+        "metric-parameter-twice"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

@@ -8,12 +8,20 @@ from topocorr.dcor import (
     sample_dcor,
     sample_dcov,
 )
+from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix
 
 
 def abs_matrix(values, label="x"):
     v = np.asarray(values, dtype=float)
     return DistanceMatrix(len(v), np.abs(v[:, None] - v[None, :]), label)
+
+
+def random_matrix(rng, n, label):
+    """Symmetric, zero on the diagonal, cubes of entries in [0, 1): off
+    negative type, so some dcov come out negative."""
+    upper = np.triu(rng.random((n, n)) ** 3, 1)
+    return DistanceMatrix(n, upper + upper.T, label)
 
 
 LINE3 = abs_matrix([0.0, 1.0, 2.0])
@@ -87,6 +95,32 @@ class TestDcorMatrix:
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             dcor_matrix([LINE3, abs_matrix([0.0, 1.0])])
+
+    def test_entries_are_sample_dcor(self):
+        rng = np.random.default_rng(5)
+        xs = [random_matrix(rng, 9, f"x{i}") for i in range(4)]
+        ys = [random_matrix(rng, 9, f"y{j}") for j in range(3)]
+        flagged = 0
+        for others, (out, flags) in ((ys, dcor_matrix(xs, ys)), (xs, dcor_matrix(xs))):
+            assert out.shape == (len(xs), len(others))
+            for i, x in enumerate(xs):
+                for j, y in enumerate(others):
+                    report = sample_dcor(x, y)
+                    assert out[i, j].tobytes() == np.float64(report.dCor).tobytes()
+                    assert flags[i][j] is report.negative_flag
+                    flagged += report.negative_flag
+        assert flagged > 0
+
+    def test_reference_list_skips_pairs_within_xs(self):
+        # The dvar of each matrix squares past the float range, but not its
+        # product with the reference's dvar.
+        huge = [DistanceMatrix(3, 1e150 * m.entries, m.label)
+                for m in (LINE3, abs_matrix([0.0, 0.5, 3.0], "y"))]
+        with pytest.raises(NumericalFailure, match="dvar_x \\* dvar_y overflows"):
+            dcor_matrix(huge)
+        out, flags = dcor_matrix(huge, [LINE3])
+        assert out.shape == (2, 1) and out[0, 0] == pytest.approx(1.0)
+        assert flags == [[False], [False]]
 
 
 class TestPermutationTest:

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topocorr import __version__
+from topocorr import __version__, dcor
 from topocorr.errors import ConfigurationError
 from topocorr.experiment import (
     RunConfig,
     build_complex,
     compute_bundle,
+    format_negtype_report,
     load_config,
     parameter_matrix,
     render_heatmap,
@@ -198,6 +199,36 @@ class TestRunExperiment:
         assert messages == ["sample 1/3", "sample 2/3", "sample 3/3"]
 
 
+class TestCentredOnce:
+    """A run centres each distance matrix it correlates once: the k metric
+    matrices, plus the gamma matrix of a sweep and the TRI and geodesic
+    matrices of a DEM run."""
+
+    @pytest.fixture
+    def centred(self, monkeypatch):
+        labels, double_center = [], dcor.double_center
+
+        def counting(d):
+            labels.append(d.label)
+            return double_center(d)
+
+        monkeypatch.setattr(dcor, "double_center", counting)
+        return labels
+
+    def test_experiment(self, tmp_path, centred):
+        run_experiment(small_config(tmp_path))
+        assert sorted(centred) == sorted(m.label for m in METRICS)
+
+    def test_sweep(self, tmp_path, centred):
+        cfg = sweep_config(tmp_path)
+        run_parameter_correlation(cfg)
+        assert sorted(centred) == sorted([m.label for m in cfg.metrics] + ["gamma"])
+
+    def test_dem(self, centred):
+        run_dem_pipeline(17, 0.5, 3, 8, 4, METRICS)
+        assert sorted(centred) == sorted([m.label for m in METRICS] + ["tri", "geodesic"])
+
+
 class TestParameterCorrelation:
     def test_constant_sweep_degenerate(self, tmp_path):
         cfg = RunConfig(model=ModelSpec("interpolated", 6, gamma=0.0, seed=0),
@@ -289,6 +320,23 @@ class TestNegtypeSuite:
         assert all(r["pass"] for r in results)
         fixtures = {r["fixture"] for r in results}
         assert fixtures == {"small_p", "large_p", "landscape_l1", "landscape_linf"}
+
+    def test_report_lines(self):
+        # Each case's fixture, p, form and expected sign, in order.
+        assert format_negtype_report(run_negtype_suite()) == (
+            "PASS small_p p=1.0 form=+64 expected_sign=+\n"
+            "PASS small_p p=2.0 form=+5.49033201 expected_sign=+\n"
+            "PASS small_p p=2.4 form=+0.0965262746 expected_sign=+\n"
+            "PASS small_p p=2.41 form=-0.00589886218 expected_sign=-\n"
+            "PASS small_p p=3.0 form=-4.4396967 expected_sign=-\n"
+            "PASS small_p p=inf form=-16 expected_sign=-\n"
+            "PASS large_p p=2.4 form=+34.7395326 expected_sign=+\n"
+            "PASS large_p p=2.41 form=+36.0972621 expected_sign=+\n"
+            "PASS large_p p=3.0 form=+93.3096202 expected_sign=+\n"
+            "PASS large_p p=10.0 form=+198.229649 expected_sign=+\n"
+            "PASS large_p p=inf form=+224 expected_sign=+\n"
+            "PASS landscape_l1 p=1.0 form=+0 expected_sign=0\n"
+            "PASS landscape_linf p=inf form=+3 expected_sign=+\n")
 
 
 class TestRenderHeatmap:

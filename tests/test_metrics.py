@@ -485,6 +485,13 @@ class TestMetricSpecs:
         with pytest.raises(ConfigurationError):
             parse_metric_spec("wasserstein")
 
+    @pytest.mark.parametrize("spec, key", [
+        ("wasserstein:p=1,p=2", "p"), ("swk:sigma=1,lines=3,sigma=1", "sigma")])
+    def test_rejects_parameter_given_twice(self, spec, key):
+        # The last value used to win, under a label naming the first.
+        with pytest.raises(ConfigurationError, match=f"^{key} is given twice"):
+            parse_metric_spec(spec)
+
     def test_rejects_p_below_one(self):
         with pytest.raises(ConfigurationError):
             parse_metric_spec("wasserstein:p=0.5")
