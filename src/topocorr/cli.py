@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on configuration errors (bad flags, bad config
-files, unreadable inputs), 3 on numerical failures.
+Exit codes: 0 on success, 1 on a failed negtype fixture claim, 2 on configuration
+errors (bad flags, bad config files, unreadable inputs), 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -174,8 +174,9 @@ def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
 def negtype_cmd(matrix_file, tol, out):
     """Check a distance matrix for negative type, or run the fixture suite."""
     if matrix_file is None:
-        _write(out, format_negtype_report(run_negtype_suite()))
-        return
+        results = run_negtype_suite()
+        _write(out, format_negtype_report(results))
+        return 0 if all(r["pass"] for r in results) else 1
     verdict = negtype_check(_parse(matrix_file, matrix_from_csv), tol=tol)
     if verdict.negative_type:
         _write(out, "negative_type\n")

@@ -12,7 +12,7 @@ by one weight matrix; flag complexes share a cached skeleton per (n, max_dim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -254,7 +254,7 @@ def _clique_complex(weights, skeleton):
     codes, dims, levels = skeleton
     values = [np.zeros(len(weights))]
     for rows, edges, _ in levels:
-        values.append(np.maximum(values[-1][rows], weights.take(edges).max(axis=1)))
+        values.append(np.maximum(values[-1][rows], reduce(np.maximum, weights.take(edges).T)))
     return _assemble(codes, dims, np.concatenate(values), [faces for _, _, faces in levels])
 
 

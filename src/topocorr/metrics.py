@@ -2,18 +2,22 @@
 
 A metric's row gives the distances from one summary to a list of others,
 all prepared once per sample; a pair's distance, :meth:`MetricSpec.distance`,
-is the row on a list of one.
-Diagram rows broadcast the costs to a block of the list at a time (as many
-diagrams as fit 8,192 cross entries, and at least one) and solve each
-pair's assignment apart.
+is the row on a list of one.  Parameters are checked once, when
+:func:`parse_metric_spec` parses a spec.  :meth:`MetricSpec.row` raises
+NumericalFailure naming the spec when a distance is not finite; prepares and
+rows let overflow reach that check silently.  Diagram rows broadcast the
+costs to a block of the list at a time (as many diagrams as fit 8,192 cross
+entries, and at least one) and solve each pair's assignment apart.
 
 p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
 G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
 and dx, dy the powered costs of sending them to the diagonal; a powered cost
-that overflows raises NumericalFailure.  All G <= 0, so a full assignment is
-optimal, and its own cost is returned: c for pairs with G < 0, the diagonal
-cost for every other point.  G ties pairings whose costs lie below the
-rounding of dx + dy, so a diagram is at 0 from itself by an equality test.
+that overflows raises NumericalFailure before the assignment, and so does a
+powered total of differing diagrams under the smallest normal float.  All
+G <= 0, so a full assignment is optimal, and its own cost is returned: c for
+pairs with G < 0, the diagonal cost for every other point.  G ties pairings
+whose costs lie below the rounding of dx + dy, so a diagram is at 0 from
+itself by an equality test.
 Bottleneck ranks the costs from lb, each point's cheapest match at the worst
 point, to ub, the all-to-diagonal cost, on the (m+n) square with free
 diagonal-to-diagonal moves; only the m x n block and the two diagonal vectors
@@ -35,7 +39,7 @@ side is evaluated there with one searchsorted and np.interp's slope formula,
 0 outside its own level's support, and each grid segment inside one pair's
 level is integrated exactly; the pieces are summed per pair in grid order, so
 a pair's value does not depend on the rest of its block.  A powered integral
-that overflows raises NumericalFailure.
+of differing landscapes under the smallest normal float raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -116,33 +120,34 @@ def diagram_prepare(d: PersistenceDiagram, p=math.inf):
     if p == math.inf:
         costs = (pairs[:, 1] - pairs[:, 0]) / 2.0
         return pairs, costs, costs.max(initial=0.0)
-    with np.errstate(over="ignore"):
-        costs = (2.0 ** (1.0 / p - 1.0) * (pairs[:, 1] - pairs[:, 0])) ** p
-        return pairs, costs, costs.sum()
+    costs = (2.0 ** (1.0 / p - 1.0) * (pairs[:, 1] - pairs[:, 0])) ** p
+    return pairs, costs, costs.sum()
 
 
 def wasserstein_row(prepared, others, p) -> np.ndarray:
     """Exact p-Wasserstein distances (L^p ground metric, q = p) from one
     prepared diagram to each of ``others``."""
-    if p == math.inf or p < 1:
-        raise ValueError("p must be finite and >= 1")
     (xs, to_x, x_total), out = prepared, []
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a block overflows
-        for block, to_ys, starts, db, dd in _cross(xs, others):
-            costs = db ** p + dd ** p
-            gains = np.minimum(costs - to_x[:, None] - to_ys[None, :], 0.0)
-            for (ys, to_y, total), s, e in zip(block, starts, starts[1:]):
-                if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
-                    out.append(0.0)
-                    continue
-                cost, gain = costs[:, s:e], gains[:, s:e]
-                if not (np.isfinite(x_total + total) and np.isfinite(cost).all()):
-                    raise NumericalFailure(f"powered transport costs overflow at p={p}")
-                rows, cols = linear_sum_assignment(gain)
-                paired = gain[rows, cols] < 0
-                x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
-                x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
-                out.append(float(np.concatenate([x_cost, to_y[y_left]]).sum() ** (1.0 / p)))
+    for block, to_ys, starts, db, dd in _cross(xs, others):
+        costs = db ** p + dd ** p
+        gains = np.minimum(costs - to_x[:, None] - to_ys[None, :], 0.0)
+        for (ys, to_y, total), s, e in zip(block, starts, starts[1:]):
+            if np.array_equal(xs, ys):  # gains cannot break ties (module docstring)
+                out.append(0.0)
+                continue
+            cost, gain = costs[:, s:e], gains[:, s:e]
+            if not (np.isfinite(x_total + total) and np.isfinite(cost).all()):
+                raise NumericalFailure(f"powered transport costs overflow at p={p}")
+            rows, cols = linear_sum_assignment(gain)
+            paired = gain[rows, cols] < 0
+            x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
+            x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
+            powered = np.concatenate([x_cost, to_y[y_left]]).sum()
+            # The points of diagrams of several degrees may match in another order.
+            if powered < np.finfo(float).tiny and not np.array_equal(
+                    *(z[np.lexsort(z.T)] for z in (xs, ys))):
+                raise NumericalFailure(f"powered transport total underflows at p={p}")
+            out.append(float(powered ** (1.0 / p)))
     return np.array(out)
 
 
@@ -233,8 +238,6 @@ def _evaluate(keys, ts, values, grid, grid_t, R):
 def landscape_row(lan: PersistenceLandscape, others, p) -> np.ndarray:
     """Exact L^p distances from ``lan`` to each landscape of ``others``
     (levelwise, then p-summed), a block of ``others`` at a time."""
-    if p != math.inf and p < 1:
-        raise ValueError("p must be >= 1 or infinity")
     sizes = [len(lan.knots) + len(other.knots) for other in others]
     return np.concatenate([np.zeros(0), *(_landscape_block(lan, block, p)
                                           for block in _blocks(others, sizes, _BLOCK_POINTS))])
@@ -269,15 +272,14 @@ def _landscape_block(lan, others, p):
         return out
     same = grid[1:] // R == grid[:-1] // R  # segments inside one pair's level
     totals = np.bincount(pair[1:][same], weights=_lp_pieces(grid_t, diff, p)[same], minlength=n)
-    if not np.isfinite(totals).all():
-        raise NumericalFailure(f"powered landscape integral overflows at p={p}")
+    low = np.flatnonzero(totals < np.finfo(float).tiny)
+    if len(low) and np.isin(pair[diff != 0], low).any():  # landscapes that differ
+        raise NumericalFailure(f"powered landscape integral underflows at p={p}")
     return totals ** (1.0 / p)
 
 
 def curve_prepare(c: StepCurve, p):
     """``c``'s breakpoints with its values padded by a 0 on each side."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     return c.breakpoints, np.concatenate(([0], c.values, [0]))
 
 
@@ -285,16 +287,13 @@ def curve_row(prepared, others, p) -> np.ndarray:
     """Exact L^p distances from one prepared step curve to each of
     ``others``, integrated over the union of each pair's breakpoints."""
     (b1, v1), totals = prepared, []
-    with np.errstate(over="ignore"):
-        for b2, v2 in others:
-            ts = np.concatenate([b1, b2])
-            ts.sort()
-            ts = np.concatenate([ts[:1], ts[1:][ts[1:] != ts[:-1]]])  # np.union1d, faster
-            diff = np.abs(v1[b1.searchsorted(ts[:-1], "right")]
-                          - v2[b2.searchsorted(ts[:-1], "right")])
-            totals.append(float((diff ** p * (ts[1:] - ts[:-1])).sum()))
-    if not np.isfinite(totals).all():
-        raise NumericalFailure(f"powered curve integral overflows at p={p}")
+    for b2, v2 in others:
+        ts = np.concatenate([b1, b2])
+        ts.sort()
+        ts = np.concatenate([ts[:1], ts[1:][ts[1:] != ts[:-1]]])  # np.union1d, faster
+        diff = np.abs(v1[b1.searchsorted(ts[:-1], "right")]
+                      - v2[b2.searchsorted(ts[:-1], "right")])
+        totals.append(float((diff ** p * (ts[1:] - ts[:-1])).sum()))
     return np.array([total ** (1.0 / p) for total in totals])
 
 
@@ -303,8 +302,6 @@ def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> fl
 
     Both exponentials decay; the mirrored term subtracts the reflected mass.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     fa, ga = f.pairs(), g.pairs()
     direct = ((fa[:, None, 0] - ga[None, :, 0]) ** 2
               + (fa[:, None, 1] - ga[None, :, 1]) ** 2)
@@ -332,8 +329,6 @@ def sw_prepare(d: PersistenceDiagram, lines: int = 10):
     """Projections x cos(theta) + y sin(theta) of ``d``'s points (x, y) and
     of their diagonal images onto the lines at angles theta = i·pi/lines,
     elementwise, so a point projects alike in any diagram."""
-    if lines < 1:
-        raise ValueError("lines must be >= 1")
     angles = [i * math.pi / lines for i in range(lines)]
     cos, sin = np.array([[math.cos(theta), math.sin(theta)] for theta in angles]).T[:, :, None]
     points, middles = d.pairs(), d.pairs().mean(axis=1)
@@ -356,8 +351,6 @@ def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
 def swk_row(prepared, others, sigma: float, lines: int = 10) -> np.ndarray:
     """Distances induced by the Gaussian sliced Wasserstein kernel from one
     diagram prepared by :func:`sw_prepare` to each of ``others``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     two_var = 2.0 * sigma * sigma  # 0 when sigma's square underflows: the sigma -> 0 limit
     return np.sqrt([2.0 - 2.0 * (math.exp(-sw / two_var) if two_var > 0 else float(sw == 0))
                     for sw in sw_row(prepared, others, lines).tolist()])
@@ -415,11 +408,17 @@ class MetricSpec:
 
     def prepare(self, summary):
         """``summary`` in the form :meth:`row` takes, computed once per sample."""
-        return METRICS[self.family][4](summary, **self.params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return METRICS[self.family][4](summary, **self.params)
 
     def row(self, a, others):
-        """Distances from ``a`` to each summary of ``others`` (both prepared), as an array."""
-        return METRICS[self.family][3](a, others, **self.params)
+        """Distances from ``a`` to each summary of ``others`` (both prepared), as
+        an array; NumericalFailure if one is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = METRICS[self.family][3](a, others, **self.params)
+        if not np.isfinite(out).all():
+            raise NumericalFailure(f"{self.label}: a distance is not finite")
+        return out
 
     def distance(self, a, b):
         """The distance between two summaries: the row on ``[b]``."""

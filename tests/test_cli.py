@@ -81,6 +81,14 @@ class TestPipelineCommands:
         text = out.read_text()
         assert "PASS" in text and "FAIL" not in text
 
+    def test_negtype_suite_exits_1_on_a_failed_claim(self, tmp_path, monkeypatch):
+        results = [{"fixture": "small_p", "p": p, "form": 0.5, "expected_sign": sign,
+                    "pass": sign == "+"} for p, sign in ((1.0, "+"), (3.0, "-"))]
+        monkeypatch.setattr("topocorr.cli.run_negtype_suite", lambda: results)
+        out = tmp_path / "report.txt"
+        assert run("negtype", "--out", str(out)) == 1
+        assert out.read_text().splitlines()[1].startswith("FAIL small_p p=3.0 ")
+
     def test_negtype_matrix_check(self, tmp_path):
         mat = tmp_path / "m.csv"
         rng = np.random.default_rng(0)
@@ -384,11 +392,20 @@ def one_far(n, distance):
     ({"x": far_apart(3, "1e100")}, ["dcor", "{x}", "{x}"], "dvar_x * dvar_y overflows"),
     # J D J already holds -inf (equal distances of 1.7e308 center finitely).
     ({"x": one_far(5, "1.7e308")}, ["negtype", "{x}"], "centered distances overflow"),
+    ({"c": "degree,birth,death\n1,0,1e308\n"},
+     ["distmat", "{a}", "{c}", "--metric", "sw"], "sw: a distance is not finite"),
+    ({"b": "degree,birth,death\n1,0.5,4.0\n"},
+     ["distmat", "{a}", "{b}", "--metric", "pss:sigma=1e-320"],
+     "pss:sigma=1e-320: a distance is not finite"),
+    # (0.01 / 2^(1 - 1/200))^200 is below the smallest normal float.
+    ({"a": "degree,birth,death\n1,0,0.01\n", "b": "degree,birth,death\n1,0,0.02\n"},
+     ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=200"], "underflows at p=200"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
         "landscape-integral-overflow", "betti-integral-overflow",
         "landscape-value-overflow", "dcor-dcov-overflow", "dcor-centering-overflow",
         "permtest-centering-overflow", "dcor-dvar-product-overflow",
-        "negtype-centering-overflow"])
+        "negtype-centering-overflow", "sw-overflow", "pss-kernel-overflow",
+        "wasserstein-underflow"])
 def test_bad_numerics_exit_3(tmp_path, capsys, files, argv, message):
     paths = {}
     for name, text in {"a": DEGREE_1_CSV, **files}.items():

@@ -14,7 +14,6 @@ from topocorr.metrics import (
     parse_metric_spec,
     pss_kernel,
     sw_prepare,
-    wasserstein_row,
 )
 from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import StepCurve, betti_curve, landscape_from_diagram
@@ -153,6 +152,16 @@ class TestRows:
         with pytest.raises(NumericalFailure, match="p=2.0"):
             pairwise_matrix(samples, parse_metric_spec("wasserstein:p=2"))
 
+    @pytest.mark.parametrize("spec", ["wasserstein:p=500", "landscape:p=300"])
+    def test_underflowing_pair_is_numerical_failure(self, spec):
+        # Every powered total of these diagrams, or of some pairs, underflows
+        # to 0, so the distance would read 0.0 at a bottleneck of up to 0.12.
+        metric = parse_metric_spec(spec)
+        samples = [bundle[metric.bundle_key] for bundle in er_bundles(1)[:6]]
+        with pytest.raises(NumericalFailure, match=f"underflows at p={metric.params['p']}"):
+            pairwise_matrix(samples, metric)
+        assert metric.distance(samples[0], samples[0]) == 0.0
+
 
 class TestDistanceMatrix:
     def test_validates(self):
@@ -203,10 +212,11 @@ class TestWasserstein:
                 spec = f"wasserstein:p={p}"
                 assert distance(spec, a, c) <= distance(spec, a, b) + distance(spec, b, c) + 1e-9
 
-    def test_rejects_infinite_p(self):
-        prepared = diagram_prepare(diagram((0, 1)), math.inf)
-        with pytest.raises(ValueError):
-            wasserstein_row(prepared, [prepared], math.inf)
+    def test_same_points_in_other_degrees_are_at_zero(self):
+        # The points match in another order: a total of 0.0 is no underflow.
+        x = PersistenceDiagram([(0, 1, 0), (2, 3, 1)])
+        y = PersistenceDiagram([(2, 3, 0), (0, 1, 1)])
+        assert distance("wasserstein:p=1", x, y) == 0.0
 
 
 class TestBottleneck:
