@@ -38,6 +38,7 @@ from topocorr.serialize import (
     landscape_to_text,
     matrix_from_csv,
     matrix_to_csv,
+    parse_file,
 )
 
 
@@ -48,22 +49,9 @@ def _write(out, text):
         Path(out).write_text(text)
 
 
-def _parse(path, parse):
-    """``parse`` applied to a file's text; an unreadable or malformed file is
-    a configuration error."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse(text)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-
-
 def _matrix_pair(path_x, path_y):
     """Two distance matrices over the same 2 or more samples, read from files."""
-    dx, dy = _parse(path_x, matrix_from_csv), _parse(path_y, matrix_from_csv)
+    dx, dy = parse_file(path_x, matrix_from_csv), parse_file(path_y, matrix_from_csv)
     if dx.n != dy.n:
         raise ConfigurationError("matrices must have the same sample count")
     if dx.n < 2:
@@ -106,7 +94,7 @@ def generate_cmd(kind, n, gamma, seed, index, max_dim, max_radius, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def persist_cmd(complex_file, degree, out):
     """Compute the persistence diagram of a filtered complex file."""
-    diagram = compute_persistence(_parse(complex_file, FilteredComplex.from_text))
+    diagram = compute_persistence(parse_file(complex_file, FilteredComplex.from_text))
     _write(out, diagram_to_csv(diagram if degree is None else diagram.restrict(degree)))
 
 
@@ -118,7 +106,7 @@ def persist_cmd(complex_file, degree, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def summarize_cmd(diagram_file, kind, degree, out):
     """Derive a landscape or Betti/Euler curve from a diagram CSV."""
-    diagram = _parse(diagram_file, diagram_from_csv)
+    diagram = parse_file(diagram_file, diagram_from_csv)
     write = landscape_to_text if kind == "landscape" else curve_to_csv
     _write(out, write(summary_for(kind, diagram, degree)))
 
@@ -134,7 +122,7 @@ def distmat_cmd(diagram_files, metric, degree, out):
     """Pairwise distance matrix of a metric over diagram CSV files."""
     spec = parse_metric_spec(metric)
     check_metrics([spec], None)
-    diagrams = [_parse(path, diagram_from_csv) for path in diagram_files]
+    diagrams = [parse_file(path, diagram_from_csv) for path in diagram_files]
     if len(diagrams) < 2:
         raise ConfigurationError("need at least 2 diagram files")
     samples = [summary_for(spec.summary_kind, d, degree) for d in diagrams]
@@ -153,13 +141,11 @@ def dcor_cmd(matrix_x, matrix_y, out):
 @cli.command("permtest")
 @click.argument("matrix_x", type=click.Path(exists=True, dir_okay=False))
 @click.argument("matrix_y", type=click.Path(exists=True, dir_okay=False))
-@click.option("--permutations", type=int, default=999, show_default=True)
+@click.option("--permutations", type=click.IntRange(min=1), default=999, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
     """Permutation p-value for independence of two distance matrices."""
-    if permutations < 1:
-        raise ConfigurationError("permutations must be >= 1")
     p = permutation_test(*_matrix_pair(matrix_x, matrix_y), permutations, seed)
     _write(out, f"p_value={p!r}\n")
 
@@ -177,7 +163,7 @@ def negtype_cmd(matrix_file, tol, out):
         results = run_negtype_suite()
         _write(out, format_negtype_report(results))
         return 0 if all(r["pass"] for r in results) else 1
-    verdict = negtype_check(_parse(matrix_file, matrix_from_csv), tol=tol)
+    verdict = negtype_check(parse_file(matrix_file, matrix_from_csv), tol=tol)
     if verdict.negative_type:
         _write(out, "negative_type\n")
     else:
@@ -208,7 +194,7 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
     settings = dict(out=Path(out), resolution=resolution, max_chunks=max_chunks)
     result = (run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics, **settings)
               if input_path is None else
-              dem_from_grid(_parse(input_path, load_grid), chunk_size, stride, metrics,
+              dem_from_grid(parse_file(input_path, load_grid), chunk_size, stride, metrics,
                             source={"input": input_path}, **settings))
     for label, dcor_tri, dcor_geo in result["rows"]:
         click.echo(f"{label} dCor_tri={dcor_tri:.6f} dCor_geodesic={dcor_geo:.6f}")
@@ -220,13 +206,11 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Override the config output directory.")
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for per-sample persistence (experiment or sweep).")
 @click.option("--verbose/--quiet", default=False)
 def experiment_cmd(config_path, seed, out, threads, verbose):
     """Run a configured experiment; with a [sweep] section, a parameter sweep."""
-    if threads < 1:
-        raise ConfigurationError("threads must be >= 1")
     cfg = load_config(config_path, seed=seed, out=out)
     progress = (lambda msg: click.echo(msg, err=True)) if verbose else None
     if cfg.sweep is not None:

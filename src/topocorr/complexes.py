@@ -182,11 +182,11 @@ class FilteredComplex:
 
 
 def _assemble(codes, dims, values, faces):
-    """One filtration from cells listed level by level, dimension ascending.
+    """One filtration from cells listed in any order.
 
     Cell i has construction key ``codes[i]``, dimension ``dims[i]`` and value
     ``values[i]``; row j of ``faces[k - 1]`` lists the cells (by that listing)
-    that are faces of the j-th k-cell.  Cells are ordered by (value, dim, code).
+    that are faces of the j-th k-cell in it.  Cells are ordered by (value, dim, code).
     """
     order = np.lexsort((codes, dims, values))
     rank = np.empty_like(order)
@@ -293,33 +293,32 @@ def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredCompl
 
 
 def doubled_lattice(grid: HeightGrid):
-    """The value and the construction key of every cell of the grid's
-    top-cell complex, on the doubled lattice where entry (r, c) is the square
-    at (2r+1, 2c+1).  Every edge and vertex takes the minimum over its
-    incident squares (of a 0.0/-0.0 tie, the last in row-major order); the
-    cell at (i, j) has key (i // 2, j // 2, 1 if only i is odd else 0)."""
+    """The cells of the grid's top-cell complex, flat in raster order over the
+    doubled lattice, where entry (r, c) is the square at (2r+1, 2c+1): each
+    cell's value, construction key, position i, j and dimension i % 2 + j % 2.
+    Every edge and vertex takes the minimum over its incident squares (of a
+    0.0/-0.0 tie, the last in row-major order); the cell at (i, j) has key
+    (i // 2, j // 2, 1 if only i is odd else 0)."""
     size = (2 * grid.rows + 1, 2 * grid.cols + 1)
     squares = np.full((size[0] + 2, size[1] + 2), np.inf)
     squares[2:-2:2, 2:-2:2] = grid.values
     lowest = np.min([squares[a:a + size[0], b:b + size[1]]
                      for a in range(3) for b in range(3)], axis=0)
-    i, j = np.indices(size)
-    return lowest, i // 2 * 2 * (grid.cols + 2) + j // 2 * 2 + i % 2 * (1 - j % 2)
+    i, j = np.indices(size).reshape(2, -1)
+    keys = i // 2 * 2 * (grid.cols + 2) + j // 2 * 2 + i % 2 * (1 - j % 2)
+    return lowest.ravel(), keys, i, j, (i % 2 + j % 2).astype(np.int8)  # int8 sorts fastest
 
 
 def build_cubical_complex(grid: HeightGrid) -> FilteredComplex:
     """Top-cell cubical complex of a height grid.
 
     One 2-cell per grid entry at that height; every edge and vertex inherits
-    the minimum over its incident 2-cells (:func:`doubled_lattice`).  The
-    cell at (i, j) of the doubled lattice has dimension i % 2 + j % 2 and its
-    faces are its neighbours along its odd axes.
+    the minimum over its incident 2-cells.  A cell of :func:`doubled_lattice`
+    has as faces its neighbours along its odd axes.
     """
-    lowest, codes = doubled_lattice(grid)
-    i, j = np.indices(lowest.shape).reshape(2, -1)
-    cells = np.argsort(i % 2 + j % 2, kind="stable")  # level by level, row-major within
-    index, i, j = np.argsort(cells).reshape(lowest.shape), i[cells], j[cells]
-    dims = i % 2 + j % 2
-    faces = [np.column_stack([index[i + a * (i % 2), j + b * (j % 2)] for a, b in steps])[dims == k]
+    values, keys, i, j, dims = doubled_lattice(grid)
+    # In the raster listing, the next cell along an odd i is a row further on.
+    cell, down, right = np.arange(len(values)), i % 2 * (2 * grid.cols + 1), j % 2
+    faces = [np.column_stack([cell + a * down + b * right for a, b in steps])[dims == k]
              for k, steps in ((1, [(-1, -1), (1, 1)]), (2, [(-1, 0), (1, 0), (0, -1), (0, 1)]))]
-    return _assemble(codes.ravel()[cells], dims, lowest.ravel()[cells], faces)
+    return _assemble(keys, dims, values, faces)

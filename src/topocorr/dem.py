@@ -79,15 +79,9 @@ def chunk_grid(g: HeightGrid, chunk_size: int, stride: int, max_chunks: int | No
         raise ConfigurationError("max_chunks must be positive when set")
     if s > min(g.rows, g.cols):
         raise ConfigurationError("chunk_size exceeds grid extent")
-    chunks = []
-    for r0 in range(0, g.rows - s + 1, t):
-        for c0 in range(0, g.cols - s + 1, t):
-            block = HeightGrid.from_array(g.values[r0:r0 + s, c0:c0 + s])
-            center = (r0 + (s - 1) / 2.0, c0 + (s - 1) / 2.0)
-            chunks.append((block, center))
-            if len(chunks) == max_chunks:
-                return chunks
-    return chunks
+    origins = [(r, c) for r in range(0, g.rows - s + 1, t) for c in range(0, g.cols - s + 1, t)]
+    return [(HeightGrid.from_array(g.values[r:r + s, c:c + s]),
+             (r + (s - 1) / 2.0, c + (s - 1) / 2.0)) for r, c in origins[:max_chunks]]
 
 
 def tri(g: HeightGrid) -> float:

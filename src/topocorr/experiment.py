@@ -34,7 +34,13 @@ from topocorr.negtype import (
     quadratic_form,
 )
 from topocorr.persistence import compute_persistence
-from topocorr.serialize import diagram_to_csv, labeled_matrix_to_csv, matrix_to_csv, rows_to_csv
+from topocorr.serialize import (
+    diagram_to_csv,
+    labeled_matrix_to_csv,
+    matrix_to_csv,
+    parse_file,
+    rows_to_csv,
+)
 from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram, simplex_count_curve
 
 DEFAULT_METRICS = (
@@ -113,13 +119,9 @@ def load_config(path, seed=None, out=None) -> RunConfig:
     a parameter sweep, each with the keys of :data:`_CONFIG_KEYS`."""
     import configparser
 
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(text, source=str(path))
+        parse_file(path, partial(parser.read_string, source=str(path)))
         cfg = {}
         for section in parser.sections():
             if section not in _CONFIG_KEYS:

@@ -4,10 +4,11 @@ A metric's row gives the distances from one summary to a list of others,
 all prepared once per sample; a pair's distance, :meth:`MetricSpec.distance`,
 is the row on a list of one.  Parameters are checked once, when
 :func:`parse_metric_spec` parses a spec.  :meth:`MetricSpec.row` raises
-NumericalFailure naming the spec when a distance is not finite; prepares and
-rows let overflow reach that check silently.  Diagram rows broadcast the
-costs to a block of the list at a time (as many diagrams as fit 8,192 cross
-entries, and at least one) and solve each pair's assignment apart.
+NumericalFailure naming the spec when a distance is not finite or a row
+fails; prepares and rows let overflow reach that check silently.  Diagram
+rows broadcast the costs to a block of the list at a time (as many diagrams
+as fit 8,192 cross entries, and at least one) and solve each pair's
+assignment apart.
 
 p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
 G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
@@ -137,7 +138,7 @@ def wasserstein_row(prepared, others, p) -> np.ndarray:
                 continue
             cost, gain = costs[:, s:e], gains[:, s:e]
             if not (np.isfinite(x_total + total) and np.isfinite(cost).all()):
-                raise NumericalFailure(f"powered transport costs overflow at p={p}")
+                raise NumericalFailure("powered transport costs overflow")
             rows, cols = linear_sum_assignment(gain)
             paired = gain[rows, cols] < 0
             x_cost, y_left = to_x.copy(), np.ones(len(ys), dtype=bool)
@@ -146,7 +147,7 @@ def wasserstein_row(prepared, others, p) -> np.ndarray:
             # The points of diagrams of several degrees may match in another order.
             if powered < np.finfo(float).tiny and not np.array_equal(
                     *(z[np.lexsort(z.T)] for z in (xs, ys))):
-                raise NumericalFailure(f"powered transport total underflows at p={p}")
+                raise NumericalFailure("powered transport total underflows")
             out.append(float(powered ** (1.0 / p)))
     return np.array(out)
 
@@ -274,7 +275,7 @@ def _landscape_block(lan, others, p):
     totals = np.bincount(pair[1:][same], weights=_lp_pieces(grid_t, diff, p)[same], minlength=n)
     low = np.flatnonzero(totals < np.finfo(float).tiny)
     if len(low) and np.isin(pair[diff != 0], low).any():  # landscapes that differ
-        raise NumericalFailure(f"powered landscape integral underflows at p={p}")
+        raise NumericalFailure("powered landscape integral underflows")
     return totals ** (1.0 / p)
 
 
@@ -413,11 +414,15 @@ class MetricSpec:
 
     def row(self, a, others):
         """Distances from ``a`` to each summary of ``others`` (both prepared), as
-        an array; NumericalFailure if one is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = METRICS[self.family][3](a, others, **self.params)
-        if not np.isfinite(out).all():
-            raise NumericalFailure(f"{self.label}: a distance is not finite")
+        an array; NumericalFailure naming the spec if the row fails or a
+        distance is not finite."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = METRICS[self.family][3](a, others, **self.params)
+            if not np.isfinite(out).all():
+                raise NumericalFailure("a distance is not finite")
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"{self.label}: {exc}") from None
         return out
 
     def distance(self, a, b):

@@ -167,24 +167,23 @@ def _persistence_pairs(cx: FilteredComplex):
 
 def _grid_pairs(grid: HeightGrid):
     """The pairing of ``build_cubical_complex(grid)``, without building it:
-    the cell values and dimensions, vertices, edges and squares each in
-    filtration order, and the birth, death and unpaired cells as indices into
-    them.  The H1 pass ages the squares in reverse, under one outside node
-    older than all; an edge that joins two pairs with the younger root.  The
-    H0 loop skips the H1 pass's apparent pairs, and the H1 loop every H0
-    merge: each edge merges in one pass only, as the pairs are a bijection.
+    the cell values and dimensions, sorted by (dim, value, key), so vertices,
+    edges and squares each in filtration order, and the birth, death and
+    unpaired cells as indices into them.  The H1 pass ages the squares in
+    reverse, under one outside node older than all; an edge that joins two
+    pairs with the younger root.  The H0 loop skips the H1 pass's apparent
+    pairs, and the H1 loop every H0 merge: each edge merges in one pass only.
     """
-    lowest, codes = doubled_lattice(grid)
-    i, j = np.indices(lowest.shape).reshape(2, -1)
-    dims, n = i % 2 + j % 2, lowest.size
-    cells = [np.flatnonzero(dims == k) for k in range(3)]
-    nv, ne = len(cells[0]), len(cells[1])
-    cells = np.concatenate([c[np.lexsort((codes.ravel()[c], lowest.ravel()[c]))] for c in cells])
+    values, keys, i, j, dims = doubled_lattice(grid)
+    n, (nv, ne, _) = len(values), np.bincount(dims)
+    cells = np.lexsort((keys, values, dims))
     # Each cell's index in that order, in a frame whose outside is n.
-    index = np.pad(np.argsort(cells).reshape(lowest.shape), 1, constant_values=n)
+    index = np.empty_like(cells)
+    index[cells] = np.arange(n)
+    index = np.pad(index.reshape(2 * grid.rows + 1, -1), 1, constant_values=n)
     # An edge's vertices lie along its odd axis, its squares along the other.
-    ii, jj = i[cells[nv:nv + ne]], j[cells[nv:nv + ne]]
-    a, b, ii, jj = ii % 2, jj % 2, ii + 1, jj + 1
+    edges = cells[nv:nv + ne]
+    a, b, ii, jj = i[edges] % 2, j[edges] % 2, i[edges] + 1, j[edges] + 1
     ends = np.column_stack((index[ii - a, jj - b], index[ii + a, jj + b]))
     dual = n - np.column_stack((index[ii - b, jj - a], index[ii + b, jj + a]))[::-1]
     apparent, dual_apparent = _apparent(ends), _apparent(dual)
@@ -195,7 +194,7 @@ def _grid_pairs(grid: HeightGrid):
     # finds them.  It finds apparent pairs first, but here those have length
     # 0: an edge enters with its earliest square.
     merges, steps = np.flatnonzero(kills >= 0), np.flatnonzero(killed >= 0)
-    return lowest.ravel()[cells], dims[cells], (
+    return values[cells], dims[cells], (
         np.concatenate((kills[merges], nv + ne - 1 - steps)),
         np.concatenate((nv + merges, n - killed[steps])), np.zeros(1, dtype=np.int64))
 

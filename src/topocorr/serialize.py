@@ -1,14 +1,16 @@
-"""Text and CSV formats for diagrams, landscapes, curves and matrices: one CSV writer."""
+"""Text and CSV formats for diagrams, landscapes, curves and matrices: one reader
+of input files, one CSV writer."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 
-from topocorr.errors import ParseError
+from topocorr.errors import ConfigurationError, ParseError
 from topocorr.metrics import DistanceMatrix
 from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import PersistenceLandscape, StepCurve
@@ -21,6 +23,20 @@ def rows_to_csv(header, rows) -> str:
     out = io.StringIO()
     csv.writer(out).writerows([str(field) for field in row] for row in (header, *rows))
     return out.getvalue()
+
+
+def parse_file(path, parse):
+    """``parse`` applied to the text of the file at ``path``, the one reader of
+    every input file; an unreadable file, or one that ``parse`` rejects with a
+    ValueError, is a ConfigurationError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _csv_rows(text):

@@ -304,6 +304,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
           "--metric", "betti:p=1", "--metric", "betti:p=1", "--out", "dem"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "count1:p=1"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=1,p=2"]),
+    ({"cfg": ER_CONFIG}, ["experiment", "--config", "{cfg}", "--threads", "0"]),
+    ({"m": "d,d\n0.0,1.0\n1.0,0.0\n"}, ["permtest", "{m}", "{m}", "--permutations", "0"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -321,7 +323,7 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "config-unknown-section", "gamma-for-er-config", "sweep-model-gamma",
         "sweep-out-under-a-file", "dem-out-under-a-file", "dem-count-above-grid",
         "config-duplicate-metric", "dem-duplicate-metric", "distmat-count",
-        "metric-parameter-twice"])
+        "metric-parameter-twice", "threads-0", "permutations-0"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}
@@ -375,7 +377,8 @@ def one_far(n, distance):
 
 @pytest.mark.parametrize("files, argv, message", [
     ({"c": "degree,birth,death\n1,100.0,200.0\n"},
-     ["distmat", "{a}", "{c}", "--metric", "wasserstein:p=400"], "p=400"),
+     ["distmat", "{a}", "{c}", "--metric", "wasserstein:p=400"],
+     "wasserstein:p=400: powered transport costs overflow"),
     ({"b": "degree,birth,death\n1,0.5,4.0\n"},
      ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=2000"], "p=2000"),
     ({"a": WIDE_CSV, "b": "degree,birth,death\n1,0.0,10.0\n"},
@@ -399,7 +402,8 @@ def one_far(n, distance):
      "pss:sigma=1e-320: a distance is not finite"),
     # (0.01 / 2^(1 - 1/200))^200 is below the smallest normal float.
     ({"a": "degree,birth,death\n1,0,0.01\n", "b": "degree,birth,death\n1,0,0.02\n"},
-     ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=200"], "underflows at p=200"),
+     ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=200"],
+     "wasserstein:p=200: powered transport total underflows"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
         "landscape-integral-overflow", "betti-integral-overflow",
         "landscape-value-overflow", "dcor-dcov-overflow", "dcor-centering-overflow",

@@ -141,6 +141,11 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="need at least 2 samples"):
             permutation_test(one, one, 9, seed=1)
 
+    def test_zero_permutations_rejected(self):
+        x = abs_matrix([0.0, 1.0, 3.0])
+        with pytest.raises(ValueError, match="need at least one permutation"):
+            permutation_test(x, x, 0, seed=1)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         x, y = rng.random(30), rng.random(30)

@@ -76,6 +76,15 @@ class TestChunkGrid:
         g = HeightGrid.from_array(np.zeros((8, 8)))
         assert len(chunk_grid(g, 3, 2, max_chunks=3)) == 3
 
+    def test_max_chunks_takes_the_first(self):
+        g = HeightGrid.from_array(np.arange(63.0).reshape(7, 9))
+        full = chunk_grid(g, 3, 2)
+        for k in range(1, len(full) + 2):
+            chunks = chunk_grid(g, 3, 2, max_chunks=k)
+            assert [c for _, c in chunks] == [c for _, c in full[:k]]
+            for (block, _), (whole, _) in zip(chunks, full[:k], strict=True):
+                assert np.array_equal(block.values, whole.values)
+
     def test_oversized_chunk_rejected(self):
         g = HeightGrid.from_array(np.zeros((4, 4)))
         with pytest.raises(ValueError):
