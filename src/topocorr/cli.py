@@ -19,17 +19,15 @@ from topocorr.experiment import (
     build_complex,
     check_metrics,
     dem_from_grid,
-    format_negtype_report,
     load_config,
     run_dem_pipeline,
     run_experiment,
-    run_negtype_suite,
     run_parameter_correlation,
     summary_for,
 )
 from topocorr.metrics import parse_metric_spec, pairwise_matrix
 from topocorr.models import ModelSpec, generate as generate_sample
-from topocorr.negtype import negtype_check
+from topocorr.negtype import format_negtype_report, negtype_check, run_negtype_suite
 from topocorr.persistence import compute_persistence
 from topocorr.serialize import (
     curve_to_csv,

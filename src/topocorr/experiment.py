@@ -1,11 +1,10 @@
-"""Experiment orchestration: models -> complexes -> persistence -> summaries
--> distance matrices -> distance correlation, with CSV/SVG artifacts.  The
-experiment, the γ sweep and the DEM run share one driver, :func:`_matrices`."""
+"""Run driver: models -> complexes -> persistence -> summaries -> distance
+matrices -> distance correlation, with the artifacts of :mod:`topocorr.serialize`.
+The experiment, the γ sweep and the DEM run share one driver, :func:`_matrices`."""
 
 from __future__ import annotations
 
 import json
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -26,19 +25,13 @@ from topocorr.dem import chunk_grid, synth_terrain, tri
 from topocorr.errors import ConfigurationError
 from topocorr.metrics import DistanceMatrix, MetricSpec, pairwise_matrix, parse_metric_spec
 from topocorr.models import ModelSpec, generate
-from topocorr.negtype import (
-    fixture_landscape_l1,
-    fixture_landscape_linf,
-    fixture_large_p,
-    fixture_small_p,
-    quadratic_form,
-)
 from topocorr.persistence import compute_persistence
 from topocorr.serialize import (
     diagram_to_csv,
     labeled_matrix_to_csv,
     matrix_to_csv,
     parse_file,
+    render_heatmap,
     rows_to_csv,
 )
 from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram, simplex_count_curve
@@ -308,44 +301,6 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
     return rows
 
 
-_SMALLP_THRESHOLD = math.log(2) / math.log(4.0 / 3.0)
-
-
-def _transport(p):
-    return "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
-
-
-def run_negtype_suite() -> list[dict]:
-    """Evaluate every counterexample fixture and compare signs to the claims:
-    one case per (fixture, p, metric spec, diagrams and weights, sign)."""
-    small, large = fixture_small_p(), fixture_large_p()
-    cases = [("small_p", p, _transport(p), small, "+" if p < _SMALLP_THRESHOLD else "-")
-             for p in (1.0, 2.0, 2.4, 2.41, 3.0, math.inf)]
-    cases += [("large_p", p, _transport(p), large, "+") for p in (2.4, 2.41, 3.0, 10.0, math.inf)]
-    cases += [("landscape_l1", 1.0, "landscape:p=1", fixture_landscape_l1(), "0"),
-              ("landscape_linf", math.inf, "landscape:p=inf", fixture_landscape_linf(), "+")]
-    results = []
-    for fixture, p, spec, (diagrams, weights), expected in cases:
-        metric = parse_metric_spec(spec)
-        # Every fixture point is a degree-1 bar.
-        samples = [summary_for(metric.summary_kind, d, 1) for d in diagrams]
-        form = quadratic_form(pairwise_matrix(samples, metric), weights)
-        sign = "0" if abs(form) < 1e-12 else "+" if form > 0 else "-"
-        results.append({"fixture": fixture, "p": p, "form": form,
-                        "expected_sign": expected, "pass": sign == expected})
-    return results
-
-
-def format_negtype_report(results) -> str:
-    lines = []
-    for r in results:
-        p = "inf" if r["p"] == math.inf else r["p"]
-        status = "PASS" if r["pass"] else "FAIL"
-        lines.append(f"{status} {r['fixture']} p={p} form={r['form']:+.9g}"
-                     f" expected_sign={r['expected_sign']}")
-    return "\n".join(lines) + "\n"
-
-
 def run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics,
                      out: Path | None = None, resolution=10.0, max_chunks=None) -> dict:
     """Synthetic-terrain end-to-end run; see :func:`dem_from_grid`."""
@@ -394,52 +349,3 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
                         degree=1, chunks=len(chunks))
     return {"rows": rows, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}
-
-
-def _heat_color(value, flagged):
-    if flagged:
-        return "#c51b8a"
-    v = min(max(value, 0.0), 1.0)
-    r = int(round(255 + (8 - 255) * v))
-    g = int(round(255 + (72 - 255) * v))
-    b = int(round(255 + (135 - 255) * v))
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def render_heatmap(matrix, labels, flags) -> str:
-    """Standalone SVG heatmap with a fixed [0, 1] color scale.
-
-    Negative-flagged entries get a sentinel color instead of the scale.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n) or len(labels) != n:
-        raise ValueError("labels must match a square matrix")
-    cell = 56
-    margin = 170
-    width = margin + n * cell + 10
-    height = margin + n * cell + 10
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        '<style>text{font-family:monospace;font-size:11px;}</style>',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for i, label in enumerate(labels):
-        y = margin + i * cell + cell / 2 + 4
-        parts.append(f'<text x="4" y="{y}">{label}</text>')
-        x = margin + i * cell + cell / 2
-        parts.append(
-            f'<text x="{x}" y="{margin - 8}" transform="rotate(-60 {x} {margin - 8})">{label}</text>')
-    for i in range(n):
-        for j in range(n):
-            flagged = bool(flags[i][j])
-            color = _heat_color(matrix[i, j], flagged)
-            x = margin + j * cell
-            y = margin + i * cell
-            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                         f'fill="{color}" stroke="#999"/>')
-            text_fill = "white" if (matrix[i, j] > 0.6 and not flagged) else "black"
-            parts.append(f'<text x="{x + cell / 2}" y="{y + cell / 2 + 4}" '
-                         f'text-anchor="middle" fill="{text_fill}">{matrix[i, j]:.2f}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -1,5 +1,5 @@
-"""Negative-type quadratic form, finite-sample violation checks, and the
-executable counterexample fixtures.
+"""Negative-type quadratic form, finite-sample violation checks, the
+executable counterexample fixtures and the suite that checks their claims.
 
 Fixture coordinates are scaled so that every square has unit side, making
 within-group transport costs come out as exact powers 2^(1/p), 3^(1/p) and
@@ -10,13 +10,15 @@ optimal matchings never route through it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from topocorr.errors import ConfigurationError, NumericalFailure
-from topocorr.metrics import DistanceMatrix
+from topocorr.metrics import DistanceMatrix, pairwise_matrix, parse_metric_spec
 from topocorr.persistence import PersistenceDiagram
+from topocorr.summaries import landscape_from_diagram
 
 
 def quadratic_form(d: DistanceMatrix, weights) -> float:
@@ -140,3 +142,42 @@ def fixture_landscape_linf():
     y2 = _diagram((0.5, 1.5), (2.5, 3.5), (4.5, 5.5), (8, 10))
     y3 = _diagram((0.5, 1.5), (2.5, 3.5), (4.5, 5.5), (10, 12))
     return [x1, x2, x3, y1, y2, y3], np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+
+
+_SMALLP_THRESHOLD = math.log(2) / math.log(4.0 / 3.0)
+
+
+def _transport(p):
+    return "bottleneck" if p == math.inf else f"wasserstein:p={p!r}"
+
+
+def run_negtype_suite() -> list[dict]:
+    """Evaluate every counterexample fixture and compare signs to the claims:
+    one case per (fixture, p, metric spec, diagrams and weights, sign)."""
+    small, large = fixture_small_p(), fixture_large_p()
+    cases = [("small_p", p, _transport(p), small, "+" if p < _SMALLP_THRESHOLD else "-")
+             for p in (1.0, 2.0, 2.4, 2.41, 3.0, math.inf)]
+    cases += [("large_p", p, _transport(p), large, "+") for p in (2.4, 2.41, 3.0, 10.0, math.inf)]
+    cases += [("landscape_l1", 1.0, "landscape:p=1", fixture_landscape_l1(), "0"),
+              ("landscape_linf", math.inf, "landscape:p=inf", fixture_landscape_linf(), "+")]
+    results = []
+    for fixture, p, spec, (diagrams, weights), expected in cases:
+        metric = parse_metric_spec(spec)
+        # Every fixture point is a degree-1 bar, so a diagram is its own sample.
+        samples = [landscape_from_diagram(d) for d in diagrams] \
+            if metric.summary_kind == "landscape" else diagrams
+        form = quadratic_form(pairwise_matrix(samples, metric), weights)
+        sign = "0" if abs(form) < 1e-12 else "+" if form > 0 else "-"
+        results.append({"fixture": fixture, "p": p, "form": form,
+                        "expected_sign": expected, "pass": sign == expected})
+    return results
+
+
+def format_negtype_report(results) -> str:
+    lines = []
+    for r in results:
+        p = "inf" if r["p"] == math.inf else r["p"]
+        status = "PASS" if r["pass"] else "FAIL"
+        lines.append(f"{status} {r['fixture']} p={p} form={r['form']:+.9g}"
+                     f" expected_sign={r['expected_sign']}")
+    return "\n".join(lines) + "\n"

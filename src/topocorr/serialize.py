@@ -1,5 +1,5 @@
-"""Text and CSV formats for diagrams, landscapes, curves and matrices: one reader
-of input files, one CSV writer."""
+"""Text and CSV formats for diagrams, landscapes, curves and matrices, and the
+SVG heatmap of a dCor table: one reader of input files, one CSV writer."""
 
 from __future__ import annotations
 
@@ -119,3 +119,52 @@ def labeled_matrix_to_csv(matrix: np.ndarray, labels) -> str:
     """Square matrix with a label header row and label column (dCor output)."""
     return rows_to_csv(["", *labels], ([label, *row] for label, row
                                        in zip(labels, np.asarray(matrix, dtype=float).tolist())))
+
+
+def _heat_color(value, flagged):
+    if flagged:
+        return "#c51b8a"
+    v = min(max(value, 0.0), 1.0)
+    r = int(round(255 + (8 - 255) * v))
+    g = int(round(255 + (72 - 255) * v))
+    b = int(round(255 + (135 - 255) * v))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def render_heatmap(matrix, labels, flags) -> str:
+    """Standalone SVG heatmap with a fixed [0, 1] color scale.
+
+    Negative-flagged entries get a sentinel color instead of the scale.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    if matrix.shape != (n, n) or len(labels) != n:
+        raise ValueError("labels must match a square matrix")
+    cell = 56
+    margin = 170
+    width = margin + n * cell + 10
+    height = margin + n * cell + 10
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        '<style>text{font-family:monospace;font-size:11px;}</style>',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i, label in enumerate(labels):
+        y = margin + i * cell + cell / 2 + 4
+        parts.append(f'<text x="4" y="{y}">{label}</text>')
+        x = margin + i * cell + cell / 2
+        parts.append(
+            f'<text x="{x}" y="{margin - 8}" transform="rotate(-60 {x} {margin - 8})">{label}</text>')
+    for i in range(n):
+        for j in range(n):
+            flagged = bool(flags[i][j])
+            color = _heat_color(matrix[i, j], flagged)
+            x = margin + j * cell
+            y = margin + i * cell
+            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                         f'fill="{color}" stroke="#999"/>')
+            text_fill = "white" if (matrix[i, j] > 0.6 and not flagged) else "black"
+            parts.append(f'<text x="{x + cell / 2}" y="{y + cell / 2 + 4}" '
+                         f'text-anchor="middle" fill="{text_fill}">{matrix[i, j]:.2f}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -14,13 +14,10 @@ from topocorr.experiment import (
     RunConfig,
     build_complex,
     compute_bundle,
-    format_negtype_report,
     load_config,
     parameter_matrix,
-    render_heatmap,
     run_dem_pipeline,
     run_experiment,
-    run_negtype_suite,
     run_parameter_correlation,
 )
 from topocorr.metrics import parse_metric_spec
@@ -312,43 +309,3 @@ class TestParameterCorrelation:
                         model=ModelSpec("interpolated", 8, gamma=0.0, seed=99))
         assert run_parameter_correlation(sweep_config(tmp_path / "a")) == \
             run_parameter_correlation(other)
-
-
-class TestNegtypeSuite:
-    def test_all_claims_pass(self):
-        results = run_negtype_suite()
-        assert all(r["pass"] for r in results)
-        fixtures = {r["fixture"] for r in results}
-        assert fixtures == {"small_p", "large_p", "landscape_l1", "landscape_linf"}
-
-    def test_report_lines(self):
-        # Each case's fixture, p, form and expected sign, in order.
-        assert format_negtype_report(run_negtype_suite()) == (
-            "PASS small_p p=1.0 form=+64 expected_sign=+\n"
-            "PASS small_p p=2.0 form=+5.49033201 expected_sign=+\n"
-            "PASS small_p p=2.4 form=+0.0965262746 expected_sign=+\n"
-            "PASS small_p p=2.41 form=-0.00589886218 expected_sign=-\n"
-            "PASS small_p p=3.0 form=-4.4396967 expected_sign=-\n"
-            "PASS small_p p=inf form=-16 expected_sign=-\n"
-            "PASS large_p p=2.4 form=+34.7395326 expected_sign=+\n"
-            "PASS large_p p=2.41 form=+36.0972621 expected_sign=+\n"
-            "PASS large_p p=3.0 form=+93.3096202 expected_sign=+\n"
-            "PASS large_p p=10.0 form=+198.229649 expected_sign=+\n"
-            "PASS large_p p=inf form=+224 expected_sign=+\n"
-            "PASS landscape_l1 p=1.0 form=+0 expected_sign=0\n"
-            "PASS landscape_linf p=inf form=+3 expected_sign=+\n")
-
-
-class TestRenderHeatmap:
-    def test_single_cell(self):
-        svg = render_heatmap(np.array([[1.0]]), ["only"], [[False]])
-        assert svg.startswith("<svg") and "1.00" in svg
-
-    def test_negative_flag_sentinel(self):
-        svg = render_heatmap(np.array([[1.0, 0.2], [0.2, 1.0]]), ["a", "b"],
-                             flags=[[False, True], [True, False]])
-        assert "#c51b8a" in svg
-
-    def test_label_mismatch(self):
-        with pytest.raises(ValueError):
-            render_heatmap(np.eye(2), ["a"], [[False] * 2] * 2)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topocorr
 from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix, parse_metric_spec
 from topocorr.negtype import (
@@ -10,8 +15,10 @@ from topocorr.negtype import (
     fixture_landscape_linf,
     fixture_large_p,
     fixture_small_p,
+    format_negtype_report,
     negtype_check,
     quadratic_form,
+    run_negtype_suite,
 )
 
 
@@ -179,3 +186,39 @@ class TestLandscapeFixtures:
         assert np.allclose(entries[:3, 3:], 0.5)
         form = quadratic_form(DistanceMatrix(n, entries, "linf"), weights)
         assert form == pytest.approx(3.0)
+
+
+class TestNegtypeSuite:
+    def test_all_claims_pass(self):
+        results = run_negtype_suite()
+        assert all(r["pass"] for r in results)
+        fixtures = {r["fixture"] for r in results}
+        assert fixtures == {"small_p", "large_p", "landscape_l1", "landscape_linf"}
+
+    def test_report_lines(self):
+        # Each case's fixture, p, form and expected sign, in order.
+        assert format_negtype_report(run_negtype_suite()) == (
+            "PASS small_p p=1.0 form=+64 expected_sign=+\n"
+            "PASS small_p p=2.0 form=+5.49033201 expected_sign=+\n"
+            "PASS small_p p=2.4 form=+0.0965262746 expected_sign=+\n"
+            "PASS small_p p=2.41 form=-0.00589886218 expected_sign=-\n"
+            "PASS small_p p=3.0 form=-4.4396967 expected_sign=-\n"
+            "PASS small_p p=inf form=-16 expected_sign=-\n"
+            "PASS large_p p=2.4 form=+34.7395326 expected_sign=+\n"
+            "PASS large_p p=2.41 form=+36.0972621 expected_sign=+\n"
+            "PASS large_p p=3.0 form=+93.3096202 expected_sign=+\n"
+            "PASS large_p p=10.0 form=+198.229649 expected_sign=+\n"
+            "PASS large_p p=inf form=+224 expected_sign=+\n"
+            "PASS landscape_l1 p=1.0 form=+0 expected_sign=0\n"
+            "PASS landscape_linf p=inf form=+3 expected_sign=+\n")
+
+
+def test_suite_and_heatmap_load_without_the_run_driver():
+    # The fixture suite and the artifact writers stand below topocorr.experiment.
+    src = str(Path(topocorr.__file__).parents[1])
+    code = ("import sys\n"
+            "from topocorr.negtype import run_negtype_suite, format_negtype_report\n"
+            "import topocorr.serialize\n"
+            "assert 'topocorr.experiment' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True)

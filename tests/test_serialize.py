@@ -13,6 +13,7 @@ from topocorr.serialize import (
     landscape_to_text,
     matrix_from_csv,
     matrix_to_csv,
+    render_heatmap,
 )
 from topocorr.summaries import StepCurve, landscape_from_diagram
 from tests.test_persistence import four_cycle
@@ -92,3 +93,41 @@ class TestMatrixCsv:
     def test_nonsquare_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv("d,d,d\n0.0,1.0,2.0\n1.0,0.0,0.5\n")
+
+
+class TestRenderHeatmap:
+    def test_single_cell(self):
+        svg = render_heatmap(np.array([[1.0]]), ["only"], [[False]])
+        assert svg.startswith("<svg") and "1.00" in svg
+
+    def test_negative_flag_sentinel(self):
+        svg = render_heatmap(np.array([[1.0, 0.2], [0.2, 1.0]]), ["a", "b"],
+                             flags=[[False, True], [True, False]])
+        assert "#c51b8a" in svg
+
+    def test_label_mismatch(self):
+        with pytest.raises(ValueError):
+            render_heatmap(np.eye(2), ["a"], [[False] * 2] * 2)
+
+    def test_exact_bytes(self):
+        # -0.5 clamps to the white end of the scale and 0.75 takes white text;
+        # the flagged cell takes the sentinel color and black text.
+        svg = render_heatmap(np.array([[0.25, -0.5], [0.75, 0.5]]), ["a", "b:p=1"],
+                             [[False, False], [False, True]])
+        assert svg == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="292" height="292">\n'
+            '<style>text{font-family:monospace;font-size:11px;}</style>\n'
+            '<rect width="292" height="292" fill="white"/>\n'
+            '<text x="4" y="202.0">a</text>\n'
+            '<text x="198.0" y="162" transform="rotate(-60 198.0 162)">a</text>\n'
+            '<text x="4" y="258.0">b:p=1</text>\n'
+            '<text x="254.0" y="162" transform="rotate(-60 254.0 162)">b:p=1</text>\n'
+            '<rect x="170" y="170" width="56" height="56" fill="#c1d1e1" stroke="#999"/>\n'
+            '<text x="198.0" y="202.0" text-anchor="middle" fill="black">0.25</text>\n'
+            '<rect x="226" y="170" width="56" height="56" fill="#ffffff" stroke="#999"/>\n'
+            '<text x="254.0" y="202.0" text-anchor="middle" fill="black">-0.50</text>\n'
+            '<rect x="170" y="226" width="56" height="56" fill="#4676a5" stroke="#999"/>\n'
+            '<text x="198.0" y="258.0" text-anchor="middle" fill="white">0.75</text>\n'
+            '<rect x="226" y="226" width="56" height="56" fill="#c51b8a" stroke="#999"/>\n'
+            '<text x="254.0" y="258.0" text-anchor="middle" fill="black">0.50</text>\n'
+            '</svg>\n')
