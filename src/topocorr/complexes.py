@@ -33,8 +33,7 @@ class WeightedGraph:
             raise ValueError(f"weights must be {self.n}x{self.n}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        off = ~np.eye(self.n, dtype=bool)
-        if not np.allclose(w[off], w.T[off], rtol=0, atol=0):
+        if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
 
 

@@ -318,11 +318,10 @@ def pss_prepare(f: PersistenceDiagram, sigma: float):
 
 
 def pss_row(prepared, others, sigma: float) -> np.ndarray:
-    """Kernel-induced L^2 distances from one prepared diagram to each of ``others``."""
+    """Kernel-induced L^2 distances from one prepared diagram to each of
+    ``others``; a negative radicand (a squared norm) is rounding, clipped to 0."""
     f, kff = prepared
     radicand = np.array([kff + kgg - 2.0 * pss_kernel(f, g, sigma) for g, kgg in others])
-    if (radicand < -1e-12).any():
-        raise NumericalFailure(f"kernel distance radicand {radicand.min()} below tolerance")
     return np.sqrt(np.maximum(radicand, 0.0))
 
 

@@ -23,11 +23,12 @@ from topocorr.summaries import landscape_from_diagram
 
 def quadratic_form(d: DistanceMatrix, weights) -> float:
     """Sum over i,j of w_i w_j d(x_i, x_j) for zero-sum point ``weights``;
-    positive certifies a violation."""
+    positive certifies a violation.  The sum must vanish to 1e-12 of the
+    weights' absolute sum, so the check does not depend on their scale."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (d.n,):
         raise ValueError("one weight per sample required")
-    if abs(w.sum()) > 1e-12:
+    if abs(w.sum()) > 1e-12 * np.abs(w).sum():
         raise ValueError("weights must sum to zero")
     return float(w @ d.entries @ w)
 

@@ -1,9 +1,10 @@
 """Landscapes, Betti/Euler curves and simplex-count curves.
 
-Landscapes are stored with exact breakpoints (no sampling grid), as one
-(m, 3) array of (t, value, level) rows.  Step curves are right-continuous,
-zero outside their breakpoints, and built in one pass over their jumps: the
-bar ends of one degree (Betti) or of every degree, signed by degree (Euler).
+Landscapes keep every exact breakpoint their sweep finds, with no sampling
+grid and no tolerance, as one (m, 3) array of (t, value, level) rows.  Step
+curves are right-continuous, zero outside their breakpoints, and built in
+one pass over their jumps: the bar ends of one degree (Betti) or of every
+degree, signed by degree (Euler).
 """
 
 from __future__ import annotations
@@ -34,25 +35,6 @@ class PersistenceLandscape:
         """Per-level (t, value) views of ``knots``, λ_1 first."""
         cuts = np.flatnonzero(np.diff(self.knots[:, 2])) + 1
         return tuple(np.split(self.knots[:, :2], cuts)) if len(self.knots) else ()
-
-
-def _simplify(level):
-    """Drop collinear interior breakpoints."""
-    out = []
-    for t, v in level:
-        while len(out) >= 2:
-            (t0, v0), (t1, v1) = out[-2], out[-1]
-            if t1 == t0:
-                break
-            # Collinear iff (t1,v1) lies on the segment (t0,v0)-(t,v).
-            if t != t0 and abs((v - v0) * (t1 - t0) - (v1 - v0) * (t - t0)) <= 1e-15 * max(1.0, abs(t - t0)):
-                out.pop()
-                continue
-            break
-        if out and out[-1] == (t, v):
-            continue
-        out.append((t, v))
-    return tuple(out)
 
 
 def landscape_from_diagram(d: PersistenceDiagram) -> PersistenceLandscape:
@@ -87,7 +69,7 @@ def landscape_from_diagram(d: PersistenceDiagram) -> PersistenceLandscape:
                 pos += 1
             level.append(((b2 + d2) / 2.0, (d2 - b2) / 2.0))
             b, death = b2, d2
-        knots += [(t, v, depth) for t, v in _simplify(level)]
+        knots += [(t, v, depth) for t, v in level]
         depth += 1
     return PersistenceLandscape(np.array(knots, dtype=float).reshape(-1, 3))
 

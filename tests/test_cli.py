@@ -363,6 +363,34 @@ WIDE_CSV = "degree,birth,death\n1,0.0,40.0\n1,1.0,30.0\n"
 LINE_3 = "x,x,x\n0.0,1.0,2.0\n1.0,0.0,1.5\n2.0,1.5,0.0\n"
 
 
+def csv_floats(points):
+    """Degree-1 diagram CSV of (birth, death) ``points``, written exactly."""
+    return "degree,birth,death\n" + "".join(f"1,{b!r},{d!r}\n" for b, d in points)
+
+
+PSS_BARS = np.sort(np.random.default_rng(5).random((5, 2)), axis=1) + (0.0, 0.01)
+PSS_MOVED = PSS_BARS.copy()
+PSS_MOVED[0, 1] += 1e-12
+
+
+@pytest.mark.parametrize("files, metric, entry", [
+    # Two diagrams 1e-12 apart: the kernel's radicand rounds below zero and is clipped.
+    ({"a": csv_floats(PSS_BARS.tolist()), "b": csv_floats(PSS_MOVED.tolist())},
+     "pss:sigma=1e-5", 0.0),
+    # A bar of length 2e-8 is a tent of height 1e-8, at any scale: its
+    # sup distance from nothing equals its bottleneck distance.
+    ({"a": "degree,birth,death\n1,0,2e-8\n", "b": "degree,birth,death\n"},
+     "landscape:p=inf", 1e-8),
+], ids=["pss-radicand-rounding", "landscape-tiny-bar"])
+def test_distmat_entry(tmp_path, files, metric, entry):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "m.csv"
+    assert run("distmat", str(tmp_path / "a"), str(tmp_path / "b"), "--metric", metric,
+               "--out", str(out)) == 0
+    assert matrix_from_csv(out.read_text()).entries[0, 1] == entry
+
+
 def far_apart(n, distance):
     """Matrix CSV of n samples, each ``distance`` from every other."""
     return "d\n" + "".join(",".join("0.0" if i == j else distance for j in range(n)) + "\n"

@@ -399,13 +399,6 @@ class TestPSS:
     def test_distance_positive_for_distinct(self):
         assert distance("pss:sigma=1", diagram((0, 2)), diagram((3, 5))) > 0.0
 
-    def test_radicand_below_tolerance_names_the_spec(self, monkeypatch):
-        # Self-kernels of 0 and a cross kernel of 1 give the radicand -2.
-        monkeypatch.setattr(metrics, "pss_kernel", lambda f, g, sigma: float(f is not g))
-        with pytest.raises(NumericalFailure,
-                           match=r"^pss:sigma=1: kernel distance radicand -2\.0 below tolerance$"):
-            distance("pss:sigma=1", diagram((0, 2)), diagram((3, 5)))
-
     def test_triangle_inequality(self):
         rng = np.random.default_rng(2)
         for _ in range(10):

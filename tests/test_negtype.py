@@ -49,6 +49,15 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="one weight per sample"):
             quadratic_form(mat, np.array([1.0, -0.5, -0.5]))
 
+    def test_accepts_centred_weights_at_any_scale(self):
+        # An absolute bound of 1e-12 on the sum rejected 144 of these 200 vectors.
+        mat = euclidean_matrix(np.arange(10.0)[:, None])
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            w = rng.normal(size=10) * 1e4
+            w -= w.mean()
+            assert quadratic_form(mat, w) == float(w @ mat.entries @ w)
+
     def test_two_point_value(self):
         mat = euclidean_matrix([[0.0], [3.0]])
         form = quadratic_form(mat, np.array([1.0, -1.0]))

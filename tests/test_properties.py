@@ -19,7 +19,7 @@ from topocorr.complexes import (
     build_rips_complex,
 )
 from topocorr.experiment import DEFAULT_METRICS, summary_for
-from topocorr.metrics import landscape_row, pairwise_matrix, parse_metric_spec
+from topocorr.metrics import landscape_row, pairwise_matrix, parse_metric_spec, pss_kernel
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
 from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram
@@ -154,12 +154,42 @@ diagram_rows = st.lists(points, min_size=1, max_size=6).flatmap(diagram_row)
               degree_1([(0.0, 2.0)]), degree_1([(0.0, 4.0), (1.0, 3.0)])])
 # One landscape of the row ends where the next begins: no slope across them.
 @example(row=[degree_1([(0.0, 2.0)]), degree_1([(0.0, 1.0)]), degree_1([(1.0, 2.0)])])
+# A tent of height 1e-8: a feature far below the unit scale keeps its breakpoints.
+@example(row=[degree_1([(0.0, 2e-8)]), degree_1([])])
 def test_landscape_row_matches_sup_definition(p, row):
     lans = [landscape_from_diagram(d) for d in row]
     got = landscape_row(lans[0], lans[1:], p)
     assert got.shape == (len(row) - 1,)
     for d, value in zip(row[1:], got):
         assert value == pytest.approx(sup_landscape_distance(row[0], d, p), rel=1e-9, abs=1e-12)
+
+
+# Ends of 0 or at least 2^-900, so that scaling by 2^-60 stays normal.
+scalable_ends = st.just(0.0) | st.floats(2.0 ** -900, 10.0)
+scalable_diagrams = st.lists(st.tuples(scalable_ends, scalable_ends).filter(
+    lambda bd: bd[0] != bd[1]).map(sorted), max_size=8).map(degree_1)
+
+
+@checked
+@given(d=scalable_diagrams, k=st.integers(-60, 60))
+@example(d=degree_1([(0.0, 4.0), (1.0, 3.0), (2.0, 5.0)]), k=-40)
+def test_landscape_scales_with_its_diagram(d, k):
+    # Landscapes have no unit: scaling the diagram by 2^k scales t and value
+    # by 2^k, exactly, and keeps every breakpoint.
+    scaled = PersistenceDiagram(d.points * (2.0 ** k, 2.0 ** k, 1.0))
+    expected = landscape_from_diagram(d).knots * (2.0 ** k, 2.0 ** k, 1.0)
+    assert np.array_equal(landscape_from_diagram(scaled).knots, expected)
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 0.01, 1.0])
+@checked
+@given(row=diagram_rows)
+def test_pss_gram_matrix_is_positive_semidefinite(sigma, row):
+    # The kernel is positive definite (Reininghaus et al., CVPR 2015), so a
+    # distance's radicand is a squared norm; rounding is all that can make it negative.
+    gram = np.array([[pss_kernel(f, g, sigma) for g in row] for f in row])
+    eigenvalues = np.linalg.eigvalsh(gram)
+    assert eigenvalues.min() >= -1e-9 * np.abs(eigenvalues).max()
 
 
 @pytest.mark.parametrize("spec", PAIR_BODIES)
