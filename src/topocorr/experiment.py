@@ -84,15 +84,16 @@ class RunConfig:
 
 
 def check_metrics(metrics, top):
-    """ConfigurationError unless ``metrics`` is a non-empty list of distinct
-    specs whose ``count<d>`` cells can exist: d at most ``top``, the top cell
-    dimension of the run's complexes (None for diagram files, which hold none)."""
+    """ConfigurationError unless ``metrics`` is a non-empty list of specs of
+    distinct metrics (by name and parameters, however spelled) whose
+    ``count<d>`` cells can exist: d at most ``top``, the top cell dimension of
+    the run's complexes (None for diagram files, which hold none)."""
     if not metrics:
         raise ConfigurationError("at least one metric spec required")
-    labels = [m.label for m in metrics]
     for m in metrics:
-        if labels.count(m.label) > 1:
-            raise ConfigurationError(f"metric {m.label} is listed twice")
+        twins = [k.label for k in metrics if (k.name, k.params) == (m.name, m.params)]
+        if len(twins) > 1:
+            raise ConfigurationError(f"metric listed twice: {twins[0]!r} and {twins[1]!r}")
         if m.cell_dim is not None and (top is None or m.cell_dim > top):
             where = "diagram files" if top is None else f"complexes of dimension {top}"
             raise ConfigurationError(f"{m.label} counts {m.cell_dim}-cells; {where} have none")
@@ -232,7 +233,8 @@ def _sample_bundle(cfg: RunConfig, index: int) -> dict:
 def _matrices(make, items, metrics, threads=1, progress=None):
     """The bundle ``make(item)`` of every item, in item order, and one pairwise
     matrix per metric over them.  ``threads`` > 1 builds the bundles in worker
-    processes; each is a pure function of its item, so the result is the same."""
+    processes; each is a pure function of its item, so the result is the same.
+    The metrics that share a pass key share one call, by the first of them."""
     pool = nullcontext()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -244,8 +246,14 @@ def _matrices(make, items, metrics, threads=1, progress=None):
             bundles.append(bundle)
             if progress:
                 progress(f"sample {len(bundles)}/{len(items)}")
-    return bundles, [pairwise_matrix([b[m.bundle_key] for b in bundles], m)
-                     for m in metrics]
+    groups, found = {}, {}
+    for m in metrics:
+        groups.setdefault(m.pass_key, []).append(m)
+    for first, *rest in groups.values():
+        samples = [b[first.bundle_key] for b in bundles]
+        found[first.label] = (pairwise_matrix(samples, first, rest, found) if rest
+                              else pairwise_matrix(samples, first))
+    return bundles, [found[m.label] for m in metrics]
 
 
 def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:

@@ -41,6 +41,7 @@ side is evaluated there with one searchsorted and np.interp's slope formula,
 level is integrated exactly; the pieces are summed per pair in grid order, so
 a pair's value does not depend on the rest of its block.  A powered integral
 of differing landscapes under the smallest normal float raises NumericalFailure.
+A row at several p builds the grid and the differences once for all of them.
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def bottleneck_row(prepared, others) -> np.ndarray:
     return np.array(out)
 
 
-def _lp_pieces(ts, f, p):
+def _lp_pieces(ts, f, ps):
     """Exact integrals of |f|^p over each segment between consecutive ``ts``,
-    with f linear between its values at ``ts``.
+    with f linear between its values at ``ts``, for each p of ``ps``.
 
     On a segment of length h whose end values a, b differ in sign, f crosses
     zero and the integral is h (|a|^(p+1) + |b|^(p+1)) / ((p+1)(|a| + |b|)).
@@ -206,16 +207,20 @@ def _lp_pieces(ts, f, p):
     h hi^p expm1((p+1) log1p(x)) / ((p+1) x) with x = (lo - hi) / hi; at
     x = -1 (lo = 0, or lo below hi's rounding) log1p gives -inf and the
     quotient its limit h hi^p / (p+1).  A power that overflows gives inf.
+    Every part that does not read p is computed once.
     """
     h = np.diff(ts)
     a, b = np.abs(f[:-1]), np.abs(f[1:])
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (lo - hi) / hi
-        one_sign = hi ** p * np.where(lo == hi, 1.0,
-                                      np.expm1((p + 1) * np.log1p(x)) / ((p + 1) * x))
-        crossing = (a ** (p + 1) + b ** (p + 1)) / ((p + 1) * (a + b))
-        return h * np.where(f[:-1] * f[1:] < 0, crossing, one_sign)
+        log, even, crossed, ab = np.log1p(x), lo == hi, f[:-1] * f[1:] < 0, a + b
+        pieces = []
+        for p in ps:
+            one_sign = hi ** p * np.where(even, 1.0, np.expm1((p + 1) * log) / ((p + 1) * x))
+            crossing = (a ** (p + 1) + b ** (p + 1)) / ((p + 1) * ab)
+            pieces.append(h * np.where(crossed, crossing, one_sign))
+        return pieces
 
 
 def _evaluate(keys, ts, values, grid, grid_t, R):
@@ -236,20 +241,24 @@ def _evaluate(keys, ts, values, grid, grid_t, R):
     return np.where(inside[j], np.append(slope, 0.0)[j] * (grid_t - ts[j]) + values[j], 0.0)
 
 
-def landscape_row(lan: PersistenceLandscape, others, p) -> np.ndarray:
+def landscape_row(lan: PersistenceLandscape, others, p):
     """Exact L^p distances from ``lan`` to each landscape of ``others``
-    (levelwise, then p-summed), a block of ``others`` at a time."""
+    (levelwise, then p-summed), a block of ``others`` at a time; for a list
+    ``p``, one array per value."""
+    ps = p if isinstance(p, list) else [p]
     sizes = [len(lan.knots) + len(other.knots) for other in others]
-    return np.concatenate([np.zeros(0), *(_landscape_block(lan, block, p)
-                                          for block in _blocks(others, sizes, _BLOCK_POINTS))])
+    blocks = (_landscape_block(lan, block, ps) for block in _blocks(others, sizes, _BLOCK_POINTS))
+    rows = np.concatenate([np.zeros((len(ps), 0)), *blocks], axis=1)
+    return rows if isinstance(p, list) else rows[0]
 
 
-def _landscape_block(lan, others, p):
-    """landscape_row on one block, in one set of array calls (module docstring)."""
+def _landscape_block(lan, others, ps):
+    """landscape_row at each p of ``ps`` on one block, in one set of array
+    calls (module docstring)."""
     n = len(others)
     knots = np.concatenate([lan.knots, *(other.knots for other in others)])
     if not len(knots):
-        return np.zeros(n)
+        return np.zeros((len(ps), n))
     owner = np.repeat(np.arange(n + 1), [len(lan.knots), *(len(other.knots) for other in others)])
     t, value, level = knots[:, 0], knots[:, 1], knots[:, 2].astype(np.int64)
     ts, rank = np.unique(t, return_inverse=True)
@@ -267,16 +276,19 @@ def _landscape_block(lan, others, p):
     pair, grid_t = grid // span, ts[grid % R]
     diff = (_evaluate(a_keys, t[mine], value[mine], grid % span, grid_t, R)
             - _evaluate(b_keys, t[~mine], value[~mine], grid, grid_t, R))
-    if p == math.inf:
-        out = np.zeros(n)
-        np.maximum.at(out, pair, np.abs(diff))
-        return out
-    same = grid[1:] // R == grid[:-1] // R  # segments inside one pair's level
-    totals = np.bincount(pair[1:][same], weights=_lp_pieces(grid_t, diff, p)[same], minlength=n)
-    low = np.flatnonzero(totals < np.finfo(float).tiny)
-    if len(low) and np.isin(pair[diff != 0], low).any():  # landscapes that differ
-        raise NumericalFailure("powered landscape integral underflows")
-    return totals ** (1.0 / p)
+    rows, finite = {}, [p for p in ps if p < math.inf]
+    if math.inf in ps:
+        rows[math.inf] = np.zeros(n)
+        np.maximum.at(rows[math.inf], pair, np.abs(diff))
+    if finite:
+        same = grid[1:] // R == grid[:-1] // R  # segments inside one pair's level
+        for p, pieces in zip(finite, _lp_pieces(grid_t, diff, finite)):
+            totals = np.bincount(pair[1:][same], weights=pieces[same], minlength=n)
+            low = np.flatnonzero(totals < np.finfo(float).tiny)
+            if len(low) and np.isin(pair[diff != 0], low).any():  # landscapes that differ
+                raise NumericalFailure("powered landscape integral underflows")
+            rows[p] = totals ** (1.0 / p)
+    return np.array([rows[p] for p in ps])
 
 
 def curve_prepare(c: StepCurve, p):
@@ -284,18 +296,21 @@ def curve_prepare(c: StepCurve, p):
     return c.breakpoints, np.concatenate(([0], c.values, [0]))
 
 
-def curve_row(prepared, others, p) -> np.ndarray:
+def curve_row(prepared, others, p):
     """Exact L^p distances from one prepared step curve to each of
-    ``others``, integrated over the union of each pair's breakpoints."""
-    (b1, v1), totals = prepared, []
+    ``others``, integrated over the union of each pair's breakpoints; for a
+    list ``p``, one array per value."""
+    (b1, v1), totals, ps = prepared, [], p if isinstance(p, list) else [p]
     for b2, v2 in others:
         ts = np.concatenate([b1, b2])
         ts.sort()
         ts = np.concatenate([ts[:1], ts[1:][ts[1:] != ts[:-1]]])  # np.union1d, faster
         diff = np.abs(v1[b1.searchsorted(ts[:-1], "right")]
                       - v2[b2.searchsorted(ts[:-1], "right")])
-        totals.append(float((diff ** p * (ts[1:] - ts[:-1])).sum()))
-    return np.array([total ** (1.0 / p) for total in totals])
+        lengths = ts[1:] - ts[:-1]
+        totals.append([float((diff ** q * lengths).sum()) for q in ps])
+    rows = [np.array([pair[k] ** (1.0 / q) for pair in totals]) for k, q in enumerate(ps)]
+    return rows if isinstance(p, list) else rows[0]
 
 
 def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
@@ -364,22 +379,24 @@ _POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _LINES = (int, lambda v: v >= 1, "an integer >= 1")
 
 # Metric name -> (summary kind, required parameters, optional parameters,
-# row, prepare).  Parameters map their names to their types.  The prepare
-# runs once per sample on a summary of the kind and the parameters; the row
-# takes one prepared summary, a list of them and the parameters and returns
-# the distances from the one to each.  "count<d>" stands for count0, count1,
-# ...: L^p between cumulative counts of d-cells.
+# row, prepare, shared).  Parameters map their names to their types.  The
+# prepare runs once per sample on a summary of the kind and the parameters;
+# the row takes one prepared summary, a list of them and the parameters and
+# returns the distances from the one to each.  A shared family's prepare does
+# not read p, and its row takes a list of p and returns one array per p, so
+# its specs share one pass (:func:`pairwise_matrices`).  "count<d>" stands for
+# count0, count1, ...: L^p between cumulative counts of d-cells.
 METRICS = {
-    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein_row, diagram_prepare),
-    "bottleneck": ("diagram", {}, {}, bottleneck_row, diagram_prepare),
-    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_row, pss_prepare),
-    "sw": ("diagram", {}, {"lines": _LINES}, sw_row, sw_prepare),
+    "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein_row, diagram_prepare, False),
+    "bottleneck": ("diagram", {}, {}, bottleneck_row, diagram_prepare, False),
+    "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_row, pss_prepare, False),
+    "sw": ("diagram", {}, {"lines": _LINES}, sw_row, sw_prepare, False),
     "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, swk_row,
-            lambda d, sigma, lines=10: sw_prepare(d, lines)),
-    "landscape": ("landscape", {"p": _P}, {}, landscape_row, lambda lan, p: lan),
-    "betti": ("betti", {"p": _FINITE_P}, {}, curve_row, curve_prepare),
-    "euler": ("euler", {"p": _FINITE_P}, {}, curve_row, curve_prepare),
-    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_row, curve_prepare),
+            lambda d, sigma, lines=10: sw_prepare(d, lines), False),
+    "landscape": ("landscape", {"p": _P}, {}, landscape_row, lambda lan, p: lan, True),
+    "betti": ("betti", {"p": _FINITE_P}, {}, curve_row, curve_prepare, True),
+    "euler": ("euler", {"p": _FINITE_P}, {}, curve_row, curve_prepare, True),
+    "count<d>": ("count", {"p": _FINITE_P}, {}, curve_row, curve_prepare, True),
 }
 
 
@@ -406,18 +423,25 @@ class MetricSpec:
         """Key of the summary this metric compares in a sample bundle."""
         return self.summary_kind if self.cell_dim is None else self.name
 
+    @property
+    def pass_key(self):
+        """Specs with one key share a pass: those of a shared family on one summary."""
+        return (self.family, self.bundle_key) if METRICS[self.family][5] else self.label
+
     def prepare(self, summary):
         """``summary`` in the form :meth:`row` takes, computed once per sample."""
         with np.errstate(over="ignore", invalid="ignore"):
             return METRICS[self.family][4](summary, **self.params)
 
-    def row(self, a, others):
+    def row(self, a, others, more=()):
         """Distances from ``a`` to each summary of ``others`` (both prepared), as
-        an array; NumericalFailure naming the spec if the row fails or a
-        distance is not finite."""
+        an array, or with ``more``, specs that share its pass, one per spec;
+        NumericalFailure naming the spec (with ``more``, this one) if the row
+        fails or a distance is not finite."""
+        params = {"p": [spec.params["p"] for spec in (self, *more)]} if more else self.params
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                out = METRICS[self.family][3](a, others, **self.params)
+                out = METRICS[self.family][3](a, others, **params)
             if not np.isfinite(out).all():
                 raise NumericalFailure("a distance is not finite")
         except NumericalFailure as exc:
@@ -471,16 +495,35 @@ def parse_metric_spec(spec: str) -> MetricSpec:
     return MetricSpec(name, params, spec, family, cell_dim)
 
 
-def pairwise_matrix(samples, metric: MetricSpec) -> DistanceMatrix:
-    """Symmetric matrix of the chosen metric over a homogeneous sample list."""
-    n = len(samples)
+def pairwise_matrices(samples, specs) -> list[DistanceMatrix]:
+    """Symmetric matrices of ``specs``, which share one pass key, over a
+    homogeneous sample list, from one prepare per sample and one row call per
+    row; a failure names the first spec that fails alone."""
+    first, n = specs[0], len(samples)
+    if len({spec.pass_key for spec in specs}) > 1:
+        raise ValueError("the specs of one pass must differ only in p")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    entries = np.zeros((n, n))
+    entries = np.zeros((len(specs), n, n))
     try:
-        prepared = [metric.prepare(sample) for sample in samples]
+        prepared = [first.prepare(sample) for sample in samples]
         for i in range(n - 1):
-            entries[i, i + 1:] = entries[i + 1:, i] = metric.row(prepared[i], prepared[i + 1:])
+            entries[:, i, i + 1:] = entries[:, i + 1:, i] = first.row(
+                prepared[i], prepared[i + 1:], specs[1:])
     except (AttributeError, TypeError) as exc:
-        raise ValueError(f"metric {metric.label!r} does not fit samples") from exc
-    return DistanceMatrix(n, entries, metric.label)
+        raise ValueError(f"metric {first.label!r} does not fit samples") from exc
+    except NumericalFailure:
+        if len(specs) == 1:
+            raise
+        return [pairwise_matrix(samples, spec) for spec in specs]  # one of them raises
+    return [DistanceMatrix(n, e, spec.label) for spec, e in zip(specs, entries)]
+
+
+def pairwise_matrix(samples, metric: MetricSpec, others=(), found=None) -> DistanceMatrix:
+    """Symmetric matrix of the chosen metric over a homogeneous sample list;
+    the matrices of ``others``, which share its pass key, go into the dict
+    ``found`` by label."""
+    mat, *rest = pairwise_matrices(samples, [metric, *others])
+    if others:
+        found.update((m.label, m) for m in rest)
+    return mat

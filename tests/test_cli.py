@@ -302,6 +302,11 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
      ["experiment", "--config", "{cfg}"]),
     ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
           "--metric", "betti:p=1", "--metric", "betti:p=1", "--out", "dem"]),
+    ({"cfg": ER_CONFIG.replace("metrics = bottleneck",
+                               "metrics = landscape:p=2 landscape:p=2.0")},
+     ["experiment", "--config", "{cfg}"]),
+    ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
+          "--metric", "betti:p=1", "--metric", "betti: p = 1", "--out", "dem"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "count1:p=1"]),
     ({}, ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=1,p=2"]),
     ({"cfg": ER_CONFIG}, ["experiment", "--config", "{cfg}", "--threads", "0"]),
@@ -322,7 +327,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "sweep-gamma-and-gamma-count", "sweep-repetitions", "config-unknown-key",
         "config-unknown-section", "gamma-for-er-config", "sweep-model-gamma",
         "sweep-out-under-a-file", "dem-out-under-a-file", "dem-count-above-grid",
-        "config-duplicate-metric", "dem-duplicate-metric", "distmat-count",
+        "config-duplicate-metric", "dem-duplicate-metric", "config-metric-spelled-twice",
+        "dem-metric-spelled-twice", "distmat-count",
         "metric-parameter-twice", "threads-0", "permutations-0"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out

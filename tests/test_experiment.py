@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topocorr import __version__, dcor
+from topocorr import __version__, dcor, experiment
 from topocorr.errors import ConfigurationError
 from topocorr.experiment import (
+    DEFAULT_METRICS,
     RunConfig,
+    check_metrics,
     build_complex,
     compute_bundle,
     load_config,
@@ -194,6 +196,64 @@ class TestRunExperiment:
         messages = []
         run_experiment(small_config(tmp_path, reps=3), progress=messages.append)
         assert messages == ["sample 1/3", "sample 2/3", "sample 3/3"]
+
+
+class TestFamilyPasses:
+    """The specs of a shared family that differ only in p share one call of
+    ``experiment.pairwise_matrix``, by the first of them; every other spec,
+    and every spec of a sweep or a DEM run here, gets a call of its own."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen, pairwise_matrix = [], experiment.pairwise_matrix
+
+        def counting(*args):
+            seen.append((args[1].label, [m.label for m in args[2]] if len(args) > 2 else None))
+            return pairwise_matrix(*args)
+
+        monkeypatch.setattr(experiment, "pairwise_matrix", counting)
+        return seen
+
+    def test_experiment_calls_once_per_pass(self, tmp_path, calls):
+        cfg = replace(small_config(tmp_path), metrics=tuple(map(parse_metric_spec,
+                                                                DEFAULT_METRICS)))
+        result = run_experiment(cfg)
+        assert calls == [
+            ("wasserstein:p=1", None), ("wasserstein:p=2", None), ("bottleneck", None),
+            ("landscape:p=1", ["landscape:p=2", "landscape:p=inf"]),
+            ("pss:sigma=0.01", None), ("pss:sigma=1", None), ("betti:p=1", ["betti:p=2"]),
+            ("euler:p=1", ["euler:p=2"]), ("swk:sigma=1,lines=10", None)]
+        assert [m.label for m in result["matrices"]] == list(DEFAULT_METRICS)
+
+    def test_sweep_calls_once_per_spec(self, tmp_path, calls):
+        cfg = sweep_config(tmp_path)
+        run_parameter_correlation(cfg)
+        assert calls == [(m.label, None) for m in cfg.metrics]
+
+    def test_dem_calls_once_per_spec(self, calls):
+        metrics = [parse_metric_spec(m) for m in ("wasserstein:p=2", "betti:p=1", "count1:p=1")]
+        run_dem_pipeline(17, 0.5, 3, 8, 4, metrics)
+        assert calls == [(m.label, None) for m in metrics]
+
+    def test_matrices_in_a_pass_equal_those_alone(self, tmp_path):
+        specs = tuple(map(parse_metric_spec, DEFAULT_METRICS))
+        run_experiment(replace(small_config(tmp_path / "all", reps=6), metrics=specs))
+        alone = ("landscape:p=2", "euler:p=2", "betti:p=1")
+        run_experiment(replace(small_config(tmp_path / "alone", reps=6),
+                               metrics=tuple(map(parse_metric_spec, alone))))
+        for label in alone:
+            name = f"{experiment._safe_label(label)}.csv"
+            assert ((tmp_path / "all" / "matrices" / name).read_bytes()
+                    == (tmp_path / "alone" / "matrices" / name).read_bytes())
+
+    @pytest.mark.parametrize("labels", [("landscape:p=2", "landscape:p=2.0"),
+                                        ("betti:p=1", "betti: p = 1"),
+                                        ("count1:p=1", "wasserstein:p=1", "count1:p=1.0")])
+    def test_a_metric_spelled_twice_is_rejected(self, labels):
+        twins = [label for label in labels if label[0] == labels[0][0]]
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"metric listed twice: {twins[0]!r} and {twins[1]!r}")):
+            check_metrics([parse_metric_spec(label) for label in labels], 2)
 
 
 class TestCentredOnce:

@@ -11,6 +11,7 @@ from topocorr.metrics import (
     diagram_prepare,
     landscape_row,
     pairwise_matrix,
+    pairwise_matrices,
     parse_metric_spec,
     pss_kernel,
     sw_prepare,
@@ -163,6 +164,92 @@ class TestRows:
         with pytest.raises(NumericalFailure, match=f"^{spec}: powered [a-z ]+ underflows$"):
             pairwise_matrix(samples, metric)
         assert metric.distance(samples[0], samples[0]) == 0.0
+
+
+# Specs that differ only in p, one family pass each.
+FAMILY_PASSES = {
+    "landscape": ("landscape:p=1", "landscape:p=2", "landscape:p=2.5", "landscape:p=inf"),
+    "betti": ("betti:p=1", "betti:p=2"),
+    "euler": ("euler:p=1", "euler:p=2"),
+    "count1": ("count1:p=1", "count1:p=2"),
+}
+
+
+def assert_pass_equals_one_spec_at_a_time(labels, samples):
+    """The family pass of ``labels`` over ``samples`` gives each spec the
+    matrix that ``pairwise_matrix`` gives it alone."""
+    specs = [parse_metric_spec(label) for label in labels]
+    mats = pairwise_matrices(samples, specs)
+    assert [m.label for m in mats] == list(labels)
+    for mat, spec in zip(mats, specs):
+        assert np.array_equal(mat.entries, pairwise_matrix(samples, spec).entries)
+
+
+class TestFamilyPass:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", FAMILY_PASSES)
+    def test_equals_one_spec_at_a_time_on_er_samples(self, seed, family):
+        key = parse_metric_spec(FAMILY_PASSES[family][0]).bundle_key
+        assert_pass_equals_one_spec_at_a_time(
+            FAMILY_PASSES[family], [bundle[key] for bundle in er_bundles(seed)])
+
+    @pytest.mark.parametrize("limit", [1, 300])
+    def test_landscape_pass_over_blocks(self, monkeypatch, limit):
+        # Each pair a block of its own, or a few pairs per block.
+        monkeypatch.setattr("topocorr.metrics._BLOCK_POINTS", limit)
+        assert_pass_equals_one_spec_at_a_time(
+            FAMILY_PASSES["landscape"], [bundle["landscape"] for bundle in er_bundles(1)])
+
+    def test_order_of_specs_is_kept(self):
+        labels = ("landscape:p=inf", "landscape:p=1", "landscape:p=2")
+        assert_pass_equals_one_spec_at_a_time(
+            labels, [bundle["landscape"] for bundle in er_bundles(1)[:8]])
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_underflow_names_its_spec(self, first):
+        samples = [bundle["landscape"] for bundle in er_bundles(1)[:6]]
+        pairwise_matrix(samples, parse_metric_spec("landscape:p=1"))  # fine alone
+        labels = ["landscape:p=300", "landscape:p=1"][::1 if first else -1]
+        with pytest.raises(NumericalFailure,
+                           match=r"^landscape:p=300: powered landscape integral underflows$"):
+            pairwise_matrices(samples, [parse_metric_spec(label) for label in labels])
+
+    def test_distance_that_is_not_finite_names_its_spec(self):
+        # Betti curves 2 apart over a length of 1e300: 2^30 * 1e300 overflows.
+        samples = [betti_curve(diagram((0, 1e300), (0, 1e300)), 1),
+                   betti_curve(diagram(), 1), betti_curve(diagram(), 1)]
+        pairwise_matrix(samples, parse_metric_spec("betti:p=1"))  # fine alone
+        with pytest.raises(NumericalFailure, match=r"^betti:p=30: a distance is not finite$"):
+            pairwise_matrices(samples, [parse_metric_spec("betti:p=1"),
+                                        parse_metric_spec("betti:p=30")])
+
+    @pytest.mark.parametrize("labels, kind", [
+        (FAMILY_PASSES["landscape"], "diagram"), (FAMILY_PASSES["landscape"], "betti"),
+        (FAMILY_PASSES["betti"], "diagram"), (FAMILY_PASSES["euler"], "landscape")])
+    def test_rejects_samples_of_another_kind(self, labels, kind):
+        d = diagram((0, 2), (1, 3))
+        sample = {"diagram": d, "betti": betti_curve(d, 1),
+                  "landscape": landscape_from_diagram(d)}[kind]
+        with pytest.raises(ValueError, match=f"^metric {labels[0]!r} does not fit samples$"):
+            pairwise_matrices([sample, sample, sample],
+                              [parse_metric_spec(label) for label in labels])
+
+    @pytest.mark.parametrize("labels", [("wasserstein:p=1", "wasserstein:p=2"),
+                                        ("landscape:p=1", "betti:p=1"),
+                                        ("count1:p=1", "count2:p=1")])
+    def test_rejects_specs_of_different_passes(self, labels):
+        samples = [bundle["diagram"] for bundle in er_bundles(1)[:3]]
+        with pytest.raises(ValueError, match="differ only in p"):
+            pairwise_matrices(samples, [parse_metric_spec(label) for label in labels])
+
+    def test_pairwise_matrix_returns_the_others_in_found(self):
+        samples = [bundle["betti"] for bundle in er_bundles(1)[:5]]
+        first, *others = (parse_metric_spec(label) for label in FAMILY_PASSES["betti"])
+        found = {}
+        mat = pairwise_matrix(samples, first, others, found)
+        assert mat.label == "betti:p=1" and list(found) == ["betti:p=2"]
+        assert np.array_equal(found["betti:p=2"].entries,
+                              pairwise_matrix(samples, others[0]).entries)
 
 
 class TestDistanceMatrix:

@@ -34,7 +34,12 @@ from tests.oracles import (
     sup_landscape_distance,
 )
 from tests.test_complexes import digraph_from_edges
-from tests.test_metrics import PAIR_BODIES, assert_entries_equal_pair_bodies
+from tests.test_metrics import (
+    FAMILY_PASSES,
+    PAIR_BODIES,
+    assert_entries_equal_pair_bodies,
+    assert_pass_equals_one_spec_at_a_time,
+)
 
 # Fixed examples, so every run of the suite checks the same diagrams.
 checked = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -162,6 +167,18 @@ def test_landscape_row_matches_sup_definition(p, row):
     assert got.shape == (len(row) - 1,)
     for d, value in zip(row[1:], got):
         assert value == pytest.approx(sup_landscape_distance(row[0], d, p), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["landscape", "betti", "euler"])
+@checked
+@given(row=diagram_rows)
+# Empty diagrams, and identical samples.
+@example(row=[degree_1([]), degree_1([(0.0, 4.0), (1.0, 3.0)]), degree_1([])])
+@example(row=[degree_1([]), degree_1([])])
+@example(row=[degree_1([(0.0, 2.0), (1.0, 3.0)])] * 3)
+def test_family_pass_equals_one_spec_at_a_time(family, row):
+    assert_pass_equals_one_spec_at_a_time(
+        FAMILY_PASSES[family], [summary_for(family, d, 1) for d in row])
 
 
 # Ends of 0 or at least 2^-900, so that scaling by 2^-60 stays normal.
