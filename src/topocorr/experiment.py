@@ -182,7 +182,7 @@ def summary_for(kind, diagram, degree):
 
 def compute_bundle(cx, degree, metrics, max_dim=2):
     """All summaries a metric list needs, computed once per sample and keyed
-    by :attr:`MetricSpec.bundle_key`.
+    by :attr:`MetricSpec.summary_kind`.
 
     ``cx`` is a filtered complex or a height grid, whose cubical complex only
     a cell count needs.  ``max_dim`` is the top cell dimension of ``cx``; no
@@ -191,13 +191,13 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
     diagram = compute_persistence(cx)
     bundle = {"diagram": diagram.restrict(degree)}
     for m in metrics:
-        if m.bundle_key in bundle:
+        if m.summary_kind in bundle:
             continue
         if m.cell_dim is None:
-            bundle[m.bundle_key] = summary_for(m.summary_kind, diagram, degree)
+            bundle[m.summary_kind] = summary_for(m.summary_kind, diagram, degree)
         else:
             cx = build_cubical_complex(cx) if isinstance(cx, HeightGrid) else cx
-            bundle[m.bundle_key] = simplex_count_curve(cx, m.cell_dim)
+            bundle[m.summary_kind] = simplex_count_curve(cx, m.cell_dim)
     return bundle
 
 
@@ -250,9 +250,8 @@ def _matrices(make, items, metrics, threads=1, progress=None):
     for m in metrics:
         groups.setdefault(m.pass_key, []).append(m)
     for first, *rest in groups.values():
-        samples = [b[first.bundle_key] for b in bundles]
-        found[first.label] = (pairwise_matrix(samples, first, rest, found) if rest
-                              else pairwise_matrix(samples, first))
+        samples = [b[first.summary_kind] for b in bundles]
+        found[first.label] = pairwise_matrix(samples, first, rest, found)
     return bundles, [found[m.label] for m in metrics]
 
 

@@ -2,13 +2,13 @@
 
 A metric's row gives the distances from one summary to a list of others,
 all prepared once per sample; a pair's distance, :meth:`MetricSpec.distance`,
-is the row on a list of one.  Parameters are checked once, when
-:func:`parse_metric_spec` parses a spec.  :meth:`MetricSpec.row` raises
-NumericalFailure naming the spec when a distance is not finite or a row
-fails; prepares and rows let overflow reach that check silently.  Diagram
-rows broadcast the costs to a block of the list at a time (as many diagrams
-as fit 8,192 cross entries, and at least one) and solve each pair's
-assignment apart.
+is the row on a list of one.  :func:`parse_metric_spec` checks parameters
+once and fills in optional defaults, so a default spelled out is the same
+spec.  :meth:`MetricSpec.row` raises NumericalFailure naming the spec when a
+distance is not finite or a row fails; prepares and rows let overflow reach
+that check silently.  Diagram rows broadcast the costs to a block of the
+list at a time (as many diagrams as fit 8,192 cross entries, and at least
+one) and solve each pair's assignment apart.
 
 p-Wasserstein is one m x n assignment (Jonker-Volgenant) of the gains
 G = min(c - dx - dy, 0), with c the powered L^p cost of pairing x_i with y_j
@@ -41,7 +41,8 @@ side is evaluated there with one searchsorted and np.interp's slope formula,
 level is integrated exactly; the pieces are summed per pair in grid order, so
 a pair's value does not depend on the rest of its block.  A powered integral
 of differing landscapes under the smallest normal float raises NumericalFailure.
-A row at several p builds the grid and the differences once for all of them.
+A landscape row takes a list of p and builds the grid and the differences
+once for all of them.
 """
 
 from __future__ import annotations
@@ -243,13 +244,11 @@ def _evaluate(keys, ts, values, grid, grid_t, R):
 
 def landscape_row(lan: PersistenceLandscape, others, p):
     """Exact L^p distances from ``lan`` to each landscape of ``others``
-    (levelwise, then p-summed), a block of ``others`` at a time; for a list
-    ``p``, one array per value."""
-    ps = p if isinstance(p, list) else [p]
+    (levelwise, then p-summed), a block of ``others`` at a time: one array
+    per value of the list ``p``."""
     sizes = [len(lan.knots) + len(other.knots) for other in others]
-    blocks = (_landscape_block(lan, block, ps) for block in _blocks(others, sizes, _BLOCK_POINTS))
-    rows = np.concatenate([np.zeros((len(ps), 0)), *blocks], axis=1)
-    return rows if isinstance(p, list) else rows[0]
+    blocks = (_landscape_block(lan, block, p) for block in _blocks(others, sizes, _BLOCK_POINTS))
+    return np.concatenate([np.zeros((len(p), 0)), *blocks], axis=1)
 
 
 def _landscape_block(lan, others, ps):
@@ -298,9 +297,9 @@ def curve_prepare(c: StepCurve, p):
 
 def curve_row(prepared, others, p):
     """Exact L^p distances from one prepared step curve to each of
-    ``others``, integrated over the union of each pair's breakpoints; for a
-    list ``p``, one array per value."""
-    (b1, v1), totals, ps = prepared, [], p if isinstance(p, list) else [p]
+    ``others``, integrated over the union of each pair's breakpoints: one
+    array per value of the list ``p``."""
+    (b1, v1), totals = prepared, []
     for b2, v2 in others:
         ts = np.concatenate([b1, b2])
         ts.sort()
@@ -308,9 +307,8 @@ def curve_row(prepared, others, p):
         diff = np.abs(v1[b1.searchsorted(ts[:-1], "right")]
                       - v2[b2.searchsorted(ts[:-1], "right")])
         lengths = ts[1:] - ts[:-1]
-        totals.append([float((diff ** q * lengths).sum()) for q in ps])
-    rows = [np.array([pair[k] ** (1.0 / q) for pair in totals]) for k, q in enumerate(ps)]
-    return rows if isinstance(p, list) else rows[0]
+        totals.append([float((diff ** q * lengths).sum()) for q in p])
+    return [np.array([pair[k] ** (1.0 / q) for pair in totals]) for k, q in enumerate(p)]
 
 
 def pss_kernel(f: PersistenceDiagram, g: PersistenceDiagram, sigma: float) -> float:
@@ -340,7 +338,7 @@ def pss_row(prepared, others, sigma: float) -> np.ndarray:
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def sw_prepare(d: PersistenceDiagram, lines: int = 10):
+def sw_prepare(d: PersistenceDiagram, lines: int):
     """Projections x cos(theta) + y sin(theta) of ``d``'s points (x, y) and
     of their diagonal images onto the lines at angles theta = i·pi/lines,
     elementwise, so a point projects alike in any diagram."""
@@ -350,7 +348,7 @@ def sw_prepare(d: PersistenceDiagram, lines: int = 10):
     return points[:, 0] * cos + points[:, 1] * sin, middles * cos + middles * sin
 
 
-def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
+def sw_row(prepared, others, lines: int) -> np.ndarray:
     """Sliced Wasserstein distances from one prepared diagram to each of
     ``others``: each diagram's points against the other's diagonal images,
     averaged over lines at angles i*pi/lines, which equals the circle
@@ -363,7 +361,7 @@ def sw_row(prepared, others, lines: int = 10) -> np.ndarray:
     return np.array(totals, dtype=float) / lines
 
 
-def swk_row(prepared, others, sigma: float, lines: int = 10) -> np.ndarray:
+def swk_row(prepared, others, sigma: float, lines: int) -> np.ndarray:
     """Distances induced by the Gaussian sliced Wasserstein kernel from one
     diagram prepared by :func:`sw_prepare` to each of ``others``."""
     two_var = 2.0 * sigma * sigma  # 0 when sigma's square underflows: the sigma -> 0 limit
@@ -377,22 +375,24 @@ _FINITE_P = (float, lambda v: 1 <= v < math.inf, "a finite number >= 1")
 _P = (float, lambda v: v >= 1, "a number >= 1 or inf")
 _POSITIVE = (float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _LINES = (int, lambda v: v >= 1, "an integer >= 1")
+_SLICES = {"lines": (_LINES, 10)}  # sw and swk's optional parameter
 
 # Metric name -> (summary kind, required parameters, optional parameters,
-# row, prepare, shared).  Parameters map their names to their types.  The
-# prepare runs once per sample on a summary of the kind and the parameters;
-# the row takes one prepared summary, a list of them and the parameters and
-# returns the distances from the one to each.  A shared family's prepare does
-# not read p, and its row takes a list of p and returns one array per p, so
-# its specs share one pass (:func:`pairwise_matrices`).  "count<d>" stands for
-# count0, count1, ...: L^p between cumulative counts of d-cells.
+# row, prepare, shared).  Parameters map their names to their types, and
+# optional ones to (type, default).  The prepare runs once per sample on a
+# summary of the kind and the parameters; the row takes one prepared
+# summary, a list of them and the parameters and returns the distances from
+# the one to each.  A shared family's prepare does not read p, and its row
+# always takes a list of p and returns one array per p, so its specs share
+# one pass of :func:`pairwise_matrix`.  "count<d>" stands for count0,
+# count1, ...: L^p between cumulative counts of d-cells, keyed by its name.
 METRICS = {
     "wasserstein": ("diagram", {"p": _FINITE_P}, {}, wasserstein_row, diagram_prepare, False),
     "bottleneck": ("diagram", {}, {}, bottleneck_row, diagram_prepare, False),
     "pss": ("diagram", {"sigma": _POSITIVE}, {}, pss_row, pss_prepare, False),
-    "sw": ("diagram", {}, {"lines": _LINES}, sw_row, sw_prepare, False),
-    "swk": ("diagram", {"sigma": _POSITIVE}, {"lines": _LINES}, swk_row,
-            lambda d, sigma, lines=10: sw_prepare(d, lines), False),
+    "sw": ("diagram", {}, _SLICES, sw_row, sw_prepare, False),
+    "swk": ("diagram", {"sigma": _POSITIVE}, _SLICES, swk_row,
+            lambda d, sigma, lines: sw_prepare(d, lines), False),
     "landscape": ("landscape", {"p": _P}, {}, landscape_row, lambda lan, p: lan, True),
     "betti": ("betti", {"p": _FINITE_P}, {}, curve_row, curve_prepare, True),
     "euler": ("euler", {"p": _FINITE_P}, {}, curve_row, curve_prepare, True),
@@ -416,17 +416,14 @@ class MetricSpec:
 
     @property
     def summary_kind(self):
-        return METRICS[self.family][0]
-
-    @property
-    def bundle_key(self):
-        """Key of the summary this metric compares in a sample bundle."""
-        return self.summary_kind if self.cell_dim is None else self.name
+        """Key of the summary this metric compares in a sample bundle: the
+        kind in :data:`METRICS`, or the name of a ``count<d>`` metric."""
+        return METRICS[self.family][0] if self.cell_dim is None else self.name
 
     @property
     def pass_key(self):
         """Specs with one key share a pass: those of a shared family on one summary."""
-        return (self.family, self.bundle_key) if METRICS[self.family][5] else self.label
+        return (self.family, self.summary_kind) if METRICS[self.family][5] else self.label
 
     def prepare(self, summary):
         """``summary`` in the form :meth:`row` takes, computed once per sample."""
@@ -434,14 +431,15 @@ class MetricSpec:
             return METRICS[self.family][4](summary, **self.params)
 
     def row(self, a, others, more=()):
-        """Distances from ``a`` to each summary of ``others`` (both prepared), as
-        an array, or with ``more``, specs that share its pass, one per spec;
-        NumericalFailure naming the spec (with ``more``, this one) if the row
+        """Distances from ``a`` to each summary of ``others`` (both prepared):
+        one row for this spec and one for each of ``more``, specs that share
+        its pass, as a 2-D array; NumericalFailure naming this spec if a row
         fails or a distance is not finite."""
-        params = {"p": [spec.params["p"] for spec in (self, *more)]} if more else self.params
+        shared = METRICS[self.family][5]  # a shared row takes the list of p
+        params = {"p": [spec.params["p"] for spec in (self, *more)]} if shared else self.params
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                out = METRICS[self.family][3](a, others, **params)
+                out = np.atleast_2d(METRICS[self.family][3](a, others, **params))
             if not np.isfinite(out).all():
                 raise NumericalFailure("a distance is not finite")
         except NumericalFailure as exc:
@@ -450,7 +448,7 @@ class MetricSpec:
 
     def distance(self, a, b):
         """The distance between two summaries: the row on ``[b]``."""
-        return float(self.row(self.prepare(a), [self.prepare(b)])[0])
+        return float(self.row(self.prepare(a), [self.prepare(b)])[0, 0])
 
 
 def _typed(text, ptype, what):
@@ -476,7 +474,7 @@ def parse_metric_spec(spec: str) -> MetricSpec:
     if family not in METRICS or name == "count<d>":
         raise ConfigurationError(f"unknown metric {name!r}")
     required, optional = METRICS[family][1:3]
-    types = {**required, **optional}
+    types = {**required, **{key: ptype for key, (ptype, _) in optional.items()}}
     params = {}
     if rest:
         for item in rest.split(","):
@@ -492,14 +490,18 @@ def parse_metric_spec(spec: str) -> MetricSpec:
     for key in required:
         if key not in params:
             raise ConfigurationError(f"{name} needs {key}=")
+    for key, (_, default) in optional.items():
+        params.setdefault(key, default)
     return MetricSpec(name, params, spec, family, cell_dim)
 
 
-def pairwise_matrices(samples, specs) -> list[DistanceMatrix]:
-    """Symmetric matrices of ``specs``, which share one pass key, over a
-    homogeneous sample list, from one prepare per sample and one row call per
-    row; a failure names the first spec that fails alone."""
-    first, n = specs[0], len(samples)
+def pairwise_matrix(samples, first: MetricSpec, others=(), found=None) -> DistanceMatrix:
+    """Symmetric matrix of the metric ``first`` over a homogeneous sample
+    list, from one prepare per sample and one row call per row.  The specs
+    ``others`` share its pass key and so its pass; their matrices go into
+    the dict ``found`` by label.  A failure names the first spec that fails
+    alone."""
+    specs, n = [first, *others], len(samples)
     if len({spec.pass_key for spec in specs}) > 1:
         raise ValueError("the specs of one pass must differ only in p")
     if n < 2:
@@ -509,21 +511,15 @@ def pairwise_matrices(samples, specs) -> list[DistanceMatrix]:
         prepared = [first.prepare(sample) for sample in samples]
         for i in range(n - 1):
             entries[:, i, i + 1:] = entries[:, i + 1:, i] = first.row(
-                prepared[i], prepared[i + 1:], specs[1:])
+                prepared[i], prepared[i + 1:], others)
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"metric {first.label!r} does not fit samples") from exc
     except NumericalFailure:
-        if len(specs) == 1:
-            raise
-        return [pairwise_matrix(samples, spec) for spec in specs]  # one of them raises
-    return [DistanceMatrix(n, e, spec.label) for spec, e in zip(specs, entries)]
-
-
-def pairwise_matrix(samples, metric: MetricSpec, others=(), found=None) -> DistanceMatrix:
-    """Symmetric matrix of the chosen metric over a homogeneous sample list;
-    the matrices of ``others``, which share its pass key, go into the dict
-    ``found`` by label."""
-    mat, *rest = pairwise_matrices(samples, [metric, *others])
-    if others:
-        found.update((m.label, m) for m in rest)
+        if others:  # rerun the specs one at a time: the first that fails raises
+            for spec in specs:
+                pairwise_matrix(samples, spec)
+        raise
+    mat, *rest = (DistanceMatrix(n, e, spec.label) for spec, e in zip(specs, entries))
+    for other in rest:
+        found[other.label] = other
     return mat

@@ -235,7 +235,8 @@ def test_criterion_10_er_trend():
     start = time.time()
     metric_specs = [parse_metric_spec(m) for m in
                     ("wasserstein:p=1", "wasserstein:p=2", "bottleneck")]
-    land_ps = (1.0, 2.0, math.inf)
+    l1, l2, linf = (parse_metric_spec(m) for m in ("landscape:p=1", "landscape:p=2",
+                                                   "landscape:p=inf"))
     for seed in range(3):
         spec = ModelSpec("er", 25, seed=derive_seed(1010, seed))
         diagrams = []
@@ -243,11 +244,13 @@ def test_criterion_10_er_trend():
             cx = build_flag_complex(generate(spec, i), 2)
             diagrams.append(compute_persistence(cx).restrict(1))
         mats = {m.label: pairwise_matrix(diagrams, m) for m in metric_specs}
-        lmats = {p: landscape_matrix(diagrams, p) for p in land_ps}
+        # The three landscape matrices share one pass over the landscapes.
+        landscapes = [landscape_from_diagram(d) for d in diagrams]
+        mats[l1.label] = pairwise_matrix(landscapes, l1, [l2, linf], mats)
         w1w2 = sample_dcor(mats["wasserstein:p=1"], mats["wasserstein:p=2"]).dCor
         w1b = sample_dcor(mats["wasserstein:p=1"], mats["bottleneck"]).dCor
-        l12 = sample_dcor(lmats[1.0], lmats[2.0]).dCor
-        l1inf = sample_dcor(lmats[1.0], lmats[math.inf]).dCor
+        l12 = sample_dcor(mats["landscape:p=1"], mats["landscape:p=2"]).dCor
+        l1inf = sample_dcor(mats["landscape:p=1"], mats["landscape:p=inf"]).dCor
         assert w1w2 > w1b, f"seed {seed}: {w1w2} vs {w1b}"
         assert l12 > l1inf, f"seed {seed}: {l12} vs {l1inf}"
     elapsed = time.time() - start

@@ -311,6 +311,10 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
     ({}, ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=1,p=2"]),
     ({"cfg": ER_CONFIG}, ["experiment", "--config", "{cfg}", "--threads", "0"]),
     ({"m": "d,d\n0.0,1.0\n1.0,0.0\n"}, ["permtest", "{m}", "{m}", "--permutations", "0"]),
+    ({"cfg": ER_CONFIG.replace("metrics = bottleneck", "metrics = sw sw:lines=10")},
+     ["experiment", "--config", "{cfg}"]),
+    ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
+          "--metric", "sw", "--metric", "sw:lines=10", "--out", "dem"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -329,7 +333,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "sweep-out-under-a-file", "dem-out-under-a-file", "dem-count-above-grid",
         "config-duplicate-metric", "dem-duplicate-metric", "config-metric-spelled-twice",
         "dem-metric-spelled-twice", "distmat-count",
-        "metric-parameter-twice", "threads-0", "permutations-0"])
+        "metric-parameter-twice", "threads-0", "permutations-0",
+        "config-default-spelled-out", "dem-default-spelled-out"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

@@ -208,7 +208,7 @@ class TestFamilyPasses:
         seen, pairwise_matrix = [], experiment.pairwise_matrix
 
         def counting(*args):
-            seen.append((args[1].label, [m.label for m in args[2]] if len(args) > 2 else None))
+            seen.append((args[1].label, [m.label for m in args[2]]))
             return pairwise_matrix(*args)
 
         monkeypatch.setattr(experiment, "pairwise_matrix", counting)
@@ -219,21 +219,21 @@ class TestFamilyPasses:
                                                                 DEFAULT_METRICS)))
         result = run_experiment(cfg)
         assert calls == [
-            ("wasserstein:p=1", None), ("wasserstein:p=2", None), ("bottleneck", None),
+            ("wasserstein:p=1", []), ("wasserstein:p=2", []), ("bottleneck", []),
             ("landscape:p=1", ["landscape:p=2", "landscape:p=inf"]),
-            ("pss:sigma=0.01", None), ("pss:sigma=1", None), ("betti:p=1", ["betti:p=2"]),
-            ("euler:p=1", ["euler:p=2"]), ("swk:sigma=1,lines=10", None)]
+            ("pss:sigma=0.01", []), ("pss:sigma=1", []), ("betti:p=1", ["betti:p=2"]),
+            ("euler:p=1", ["euler:p=2"]), ("swk:sigma=1,lines=10", [])]
         assert [m.label for m in result["matrices"]] == list(DEFAULT_METRICS)
 
     def test_sweep_calls_once_per_spec(self, tmp_path, calls):
         cfg = sweep_config(tmp_path)
         run_parameter_correlation(cfg)
-        assert calls == [(m.label, None) for m in cfg.metrics]
+        assert calls == [(m.label, []) for m in cfg.metrics]
 
     def test_dem_calls_once_per_spec(self, calls):
         metrics = [parse_metric_spec(m) for m in ("wasserstein:p=2", "betti:p=1", "count1:p=1")]
         run_dem_pipeline(17, 0.5, 3, 8, 4, metrics)
-        assert calls == [(m.label, None) for m in metrics]
+        assert calls == [(m.label, []) for m in metrics]
 
     def test_matrices_in_a_pass_equal_those_alone(self, tmp_path):
         specs = tuple(map(parse_metric_spec, DEFAULT_METRICS))
@@ -248,7 +248,9 @@ class TestFamilyPasses:
 
     @pytest.mark.parametrize("labels", [("landscape:p=2", "landscape:p=2.0"),
                                         ("betti:p=1", "betti: p = 1"),
-                                        ("count1:p=1", "wasserstein:p=1", "count1:p=1.0")])
+                                        ("count1:p=1", "wasserstein:p=1", "count1:p=1.0"),
+                                        ("sw", "sw:lines=10"),
+                                        ("swk:sigma=1", "swk:sigma=1,lines=10")])
     def test_a_metric_spelled_twice_is_rejected(self, labels):
         twins = [label for label in labels if label[0] == labels[0][0]]
         with pytest.raises(ConfigurationError,

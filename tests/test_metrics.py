@@ -11,7 +11,6 @@ from topocorr.metrics import (
     diagram_prepare,
     landscape_row,
     pairwise_matrix,
-    pairwise_matrices,
     parse_metric_spec,
     pss_kernel,
     sw_prepare,
@@ -160,7 +159,7 @@ class TestRows:
         # Every powered total of these diagrams, or of some pairs, underflows
         # to 0, so the distance would read 0.0 at a bottleneck of up to 0.12.
         metric = parse_metric_spec(spec)
-        samples = [bundle[metric.bundle_key] for bundle in er_bundles(1)[:6]]
+        samples = [bundle[metric.summary_kind] for bundle in er_bundles(1)[:6]]
         with pytest.raises(NumericalFailure, match=f"^{spec}: powered [a-z ]+ underflows$"):
             pairwise_matrix(samples, metric)
         assert metric.distance(samples[0], samples[0]) == 0.0
@@ -175,21 +174,56 @@ FAMILY_PASSES = {
 }
 
 
+def pass_of(samples, labels):
+    """The matrices of one ``pairwise_matrix`` pass of ``labels``, in order."""
+    first, *others = (parse_metric_spec(label) for label in labels)
+    found = {}
+    mat = pairwise_matrix(samples, first, others, found)
+    assert list(found) == [spec.label for spec in others]
+    return [mat, *found.values()]
+
+
 def assert_pass_equals_one_spec_at_a_time(labels, samples):
     """The family pass of ``labels`` over ``samples`` gives each spec the
     matrix that ``pairwise_matrix`` gives it alone."""
-    specs = [parse_metric_spec(label) for label in labels]
-    mats = pairwise_matrices(samples, specs)
+    mats = pass_of(samples, labels)
     assert [m.label for m in mats] == list(labels)
-    for mat, spec in zip(mats, specs):
-        assert np.array_equal(mat.entries, pairwise_matrix(samples, spec).entries)
+    for mat, label in zip(mats, labels):
+        assert np.array_equal(mat.entries,
+                              pairwise_matrix(samples, parse_metric_spec(label)).entries)
+
+
+# For each METRICS family, the specs of one pass: a spec of its own, or for
+# a shared family, several that differ only in p.
+PASS_OF_FAMILY = {
+    "wasserstein": ("wasserstein:p=1",), "bottleneck": ("bottleneck",),
+    "pss": ("pss:sigma=1",), "sw": ("sw",), "swk": ("swk:sigma=1",),
+    "landscape": ("landscape:p=1", "landscape:p=2", "landscape:p=inf"),
+    "betti": FAMILY_PASSES["betti"], "euler": FAMILY_PASSES["euler"],
+    "count<d>": FAMILY_PASSES["count1"],
+}
 
 
 class TestFamilyPass:
+    @pytest.mark.parametrize("family", metrics.METRICS)
+    def test_row_has_one_line_per_spec_of_its_pass(self, family):
+        # (1, n) for a spec alone, (k, n) for a pass of k; each distance is its entry.
+        labels = PASS_OF_FAMILY[family]
+        assert (len(labels) > 1) == metrics.METRICS[family][5]
+        specs = [parse_metric_spec(label) for label in labels]
+        samples = [bundle[specs[0].summary_kind] for bundle in er_bundles(1)[:5]]
+        prepared = [specs[0].prepare(sample) for sample in samples]
+        assert specs[0].row(prepared[0], prepared[1:], specs[1:]).shape == (len(specs), 4)
+        for spec, mat in zip(specs, pass_of(samples, labels)):
+            assert spec.row(prepared[0], prepared[1:]).shape == (1, 4)
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    assert spec.distance(samples[i], samples[j]) == mat.entries[i, j]
+
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("family", FAMILY_PASSES)
     def test_equals_one_spec_at_a_time_on_er_samples(self, seed, family):
-        key = parse_metric_spec(FAMILY_PASSES[family][0]).bundle_key
+        key = parse_metric_spec(FAMILY_PASSES[family][0]).summary_kind
         assert_pass_equals_one_spec_at_a_time(
             FAMILY_PASSES[family], [bundle[key] for bundle in er_bundles(seed)])
 
@@ -212,7 +246,7 @@ class TestFamilyPass:
         labels = ["landscape:p=300", "landscape:p=1"][::1 if first else -1]
         with pytest.raises(NumericalFailure,
                            match=r"^landscape:p=300: powered landscape integral underflows$"):
-            pairwise_matrices(samples, [parse_metric_spec(label) for label in labels])
+            pass_of(samples, labels)
 
     def test_distance_that_is_not_finite_names_its_spec(self):
         # Betti curves 2 apart over a length of 1e300: 2^30 * 1e300 overflows.
@@ -220,8 +254,7 @@ class TestFamilyPass:
                    betti_curve(diagram(), 1), betti_curve(diagram(), 1)]
         pairwise_matrix(samples, parse_metric_spec("betti:p=1"))  # fine alone
         with pytest.raises(NumericalFailure, match=r"^betti:p=30: a distance is not finite$"):
-            pairwise_matrices(samples, [parse_metric_spec("betti:p=1"),
-                                        parse_metric_spec("betti:p=30")])
+            pass_of(samples, ["betti:p=1", "betti:p=30"])
 
     @pytest.mark.parametrize("labels, kind", [
         (FAMILY_PASSES["landscape"], "diagram"), (FAMILY_PASSES["landscape"], "betti"),
@@ -231,8 +264,7 @@ class TestFamilyPass:
         sample = {"diagram": d, "betti": betti_curve(d, 1),
                   "landscape": landscape_from_diagram(d)}[kind]
         with pytest.raises(ValueError, match=f"^metric {labels[0]!r} does not fit samples$"):
-            pairwise_matrices([sample, sample, sample],
-                              [parse_metric_spec(label) for label in labels])
+            pass_of([sample, sample, sample], labels)
 
     @pytest.mark.parametrize("labels", [("wasserstein:p=1", "wasserstein:p=2"),
                                         ("landscape:p=1", "betti:p=1"),
@@ -240,7 +272,7 @@ class TestFamilyPass:
     def test_rejects_specs_of_different_passes(self, labels):
         samples = [bundle["diagram"] for bundle in er_bundles(1)[:3]]
         with pytest.raises(ValueError, match="differ only in p"):
-            pairwise_matrices(samples, [parse_metric_spec(label) for label in labels])
+            pass_of(samples, labels)
 
     def test_pairwise_matrix_returns_the_others_in_found(self):
         samples = [bundle["betti"] for bundle in er_bundles(1)[:5]]
@@ -440,9 +472,9 @@ class TestLandscapeDistance:
 
     def test_row_of_nothing_and_of_empty_landscapes(self):
         lan, empty = landscape_from_diagram(diagram((0, 2))), landscape_from_diagram(diagram())
-        assert landscape_row(lan, [], 1).shape == (0,)
-        assert landscape_row(empty, [empty, empty], 2).tolist() == [0.0, 0.0]
-        assert landscape_row(empty, [lan], math.inf).tolist() == [1.0]
+        assert landscape_row(lan, [], [1]).shape == (1, 0)
+        assert landscape_row(empty, [empty, empty], [2]).tolist() == [[0.0, 0.0]]
+        assert landscape_row(empty, [lan], [math.inf]).tolist() == [[1.0]]
 
     @pytest.mark.parametrize("d1, d2, p", [
         (diagram((0, 40), (1, 30)), diagram((0, 10)), 400.0),
@@ -571,8 +603,7 @@ class TestMetricSpecs:
 
     def test_parse_count(self):
         spec = parse_metric_spec("count2:p=1")
-        assert spec.summary_kind == "count"
-        assert spec.cell_dim == 2 and spec.bundle_key == "count2"
+        assert spec.cell_dim == 2 and spec.summary_kind == "count2"
         c1, c2 = StepCurve((0.0, 2.0), (2,)), StepCurve((1.0, 3.0), (1,))
         assert spec.distance(c1, c2) == distance("betti:p=1", c1, c2) == 4.0
 
@@ -611,7 +642,7 @@ class TestMetricSpecs:
     def test_distance_is_the_matrix_entry(self, spec):
         # One prepare and one row give both a pair's distance and its entry.
         metric = parse_metric_spec(spec)
-        samples = [bundle[metric.bundle_key] for bundle in er_bundles(1)[:8]]
+        samples = [bundle[metric.summary_kind] for bundle in er_bundles(1)[:8]]
         entries = pairwise_matrix(samples, metric).entries
         for i in range(8):
             for j in range(i + 1, 8):

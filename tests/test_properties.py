@@ -163,7 +163,7 @@ diagram_rows = st.lists(points, min_size=1, max_size=6).flatmap(diagram_row)
 @example(row=[degree_1([(0.0, 2e-8)]), degree_1([])])
 def test_landscape_row_matches_sup_definition(p, row):
     lans = [landscape_from_diagram(d) for d in row]
-    got = landscape_row(lans[0], lans[1:], p)
+    got = landscape_row(lans[0], lans[1:], [p])[0]
     assert got.shape == (len(row) - 1,)
     for d, value in zip(row[1:], got):
         assert value == pytest.approx(sup_landscape_distance(row[0], d, p), rel=1e-9, abs=1e-12)
