@@ -2,8 +2,9 @@
 
 These are written straight from the defining formulas, with no shared code
 paths with the package implementations they check.  The ``*_pair``
-functions are the per-pair bodies that the metric rows replaced, kept as
-references that the rows must equal bit for bit.
+functions are the per-pair bodies that the metric rows replaced, and
+``permutation_p_value`` the unblocked permutation loop, kept as references
+that the package must equal bit for bit.
 """
 
 import bisect
@@ -16,7 +17,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from topocorr.dcor import double_center, sample_dcov
 from topocorr.errors import NumericalFailure
+from topocorr.models import derive_seed
 from topocorr.summaries import StepCurve
 
 
@@ -419,3 +422,21 @@ def diamond_square_loop(size, roughness, rng):
         amplitude *= roughness
         step = half
     return grid
+
+
+def permutation_p_value(dx, dy, permutations, seed):
+    """The dcov permutation p-value, one full relabeled matrix per round.
+
+    Each matrix is centred once; round r draws the r-th permutation of the
+    ``PCG64(derive_seed(seed, 0))`` stream and takes sample_dcov of ``a``
+    against ``b`` with rows and columns relabeled together.  p = (1 +
+    #{permuted >= observed}) / (permutations + 1).
+    """
+    a, b = double_center(dx), double_center(dy)
+    observed = sample_dcov(a, b)
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0)))
+    exceed = 0
+    for _ in range(permutations):
+        perm = rng.permutation(dx.n)
+        exceed += sample_dcov(a, b[np.ix_(perm, perm)]) >= observed
+    return (1 + exceed) / (permutations + 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from topocorr.dcor import (
 )
 from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix
+from tests.oracles import permutation_p_value
 
 
 def abs_matrix(values, label="x"):
@@ -151,3 +154,31 @@ class TestPermutationTest:
         x, y = rng.random(30), rng.random(30)
         args = (abs_matrix(x), abs_matrix(y, "y"), 99)
         assert permutation_test(*args, seed=7) == permutation_test(*args, seed=7)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_unblocked_oracle(self, n, seed):
+        # n falls below one 64-row block, on one, just past one and two, and
+        # between three and four. Integer samples tie, so some permuted dcov
+        # land on the observed one, where a change in rounding flips ``>=``.
+        rng = np.random.default_rng(seed)
+        ints = rng.integers(0, 4, n).astype(float)
+        pairs = [(abs_matrix(rng.random(n)), abs_matrix(rng.random(n), "y")),
+                 (abs_matrix(ints), abs_matrix(rng.integers(0, 3, n), "y")),
+                 (abs_matrix(ints), abs_matrix(ints, "y"))]
+        for x, y in pairs:
+            assert permutation_test(x, y, 19, seed) == permutation_p_value(x, y, 19, seed)
+
+    def test_holds_one_product_buffer(self):
+        # Two centred matrices and one n x n product, plus a 64-row gather
+        # buffer: about 3.2 n^2 doubles at n = 300.
+        n = 300
+        rng = np.random.default_rng(3)
+        x, y = abs_matrix(rng.random(n)), abs_matrix(rng.random(n), "y")
+        tracemalloc.start()
+        try:
+            permutation_test(x, y, 2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
