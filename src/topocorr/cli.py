@@ -194,8 +194,9 @@ def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
               if input_path is None else
               dem_from_grid(parse_file(input_path, load_grid), chunk_size, stride, metrics,
                             source={"input": input_path}, **settings))
-    for label, dcor_tri, dcor_geo in result["rows"]:
-        click.echo(f"{label} dCor_tri={dcor_tri:.6f} dCor_geodesic={dcor_geo:.6f}")
+    for (label, dcor_tri, dcor_geo), flags in zip(result["rows"], result["flags"]):
+        suffix = "".join(f" negative_flag_{n}" for n, f in zip(("tri", "geodesic"), flags) if f)
+        click.echo(f"{label} dCor_tri={dcor_tri:.6f} dCor_geodesic={dcor_geo:.6f}{suffix}")
 
 
 @cli.command("experiment")

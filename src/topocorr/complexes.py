@@ -4,9 +4,9 @@ All builders produce a :class:`FilteredComplex` whose cells are totally
 ordered by (filtration value, dimension, construction key), so faces always
 precede cofaces and the order is deterministic for a given input.  A
 construction key is encoded as one integer per cell: the base-n digits of a
-vertex tuple, or ``r * 2 * (cols + 2) + 2 * c + orientation`` for the grid
-cell at lattice position (r, c).  The clique builders filter a clique skeleton
-by one weight matrix; flag complexes share a cached skeleton per (n, max_dim).
+vertex tuple, or a grid cell's place among those of its dimension in
+(r, c, orientation) order.  The clique builders filter a clique skeleton by
+one weight matrix; flag complexes share a cached skeleton per (n, max_dim).
 """
 
 from __future__ import annotations
@@ -291,33 +291,44 @@ def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredCompl
     return _clique_complex(dist, _clique_skeleton(np.triu(dist <= max_radius, 1), max_dim))
 
 
-def doubled_lattice(grid: HeightGrid):
-    """The cells of the grid's top-cell complex, flat in raster order over the
-    doubled lattice, where entry (r, c) is the square at (2r+1, 2c+1): each
-    cell's value, construction key, position i, j and dimension i % 2 + j % 2.
-    Every edge and vertex takes the minimum over its incident squares (of a
-    0.0/-0.0 tie, the last in row-major order); the cell at (i, j) has key
-    (i // 2, j // 2, 1 if only i is odd else 0)."""
-    size = (2 * grid.rows + 1, 2 * grid.cols + 1)
-    squares = np.full((size[0] + 2, size[1] + 2), np.inf)
-    squares[2:-2:2, 2:-2:2] = grid.values
-    lowest = np.min([squares[a:a + size[0], b:b + size[1]]
-                     for a in range(3) for b in range(3)], axis=0)
-    i, j = np.indices(size).reshape(2, -1)
-    keys = i // 2 * 2 * (grid.cols + 2) + j // 2 * 2 + i % 2 * (1 - j % 2)
-    return lowest.ravel(), keys, i, j, (i % 2 + j % 2).astype(np.int8)  # int8 sorts fastest
+@lru_cache(maxsize=1)
+def _lattice_edges(rows, cols):
+    """Per edge of a rows x cols grid in key order, read-only: its two vertices,
+    its two squares (rows * cols for the outside) and their places in the grid
+    framed by the outside, row-major.  Cached: a DEM run's chunks share a shape."""
+    r, c, down = np.indices((rows + 1, cols + 1, 2)).reshape(3, -1)
+    keep = np.where(down, r < rows, c < cols)
+    r, c, down = r[keep], c[keep], down[keep]
+    ids = np.pad(np.arange(rows * cols).reshape(rows, cols), 1, constant_values=rows * cols)
+    at = np.stack(((r + down) * (cols + 2) + c + 1 - down, (r + 1) * (cols + 2) + c + 1))
+    ends = np.column_stack((r * (cols + 1) + c, (r + down) * (cols + 1) + c + 1 - down))
+    cached = ends, ids.take(at.T), at
+    for array in cached:
+        array.flags.writeable = False
+    return cached
+
+
+def square_lattice(squares, outside=np.inf):
+    """The cells of a grid's top-cell complex, flat in raster order: vertex
+    and square values, then the edges in key order (r, c, right before down)
+    with their values, vertices and squares (rows * cols for the outside, which
+    holds ``outside``).  An edge or a vertex takes the minimum of its squares
+    by np.minimum in row-major order, which keeps the last of equal values (0.0, -0.0)."""
+    frame = np.full((squares.shape[0] + 2, squares.shape[1] + 2), outside, dtype=squares.dtype)
+    frame[1:-1, 1:-1] = squares
+    vertices = reduce(np.minimum, (frame[:-1, :-1], frame[:-1, 1:], frame[1:, :-1], frame[1:, 1:]))
+    ends, sides, at = _lattice_edges(*squares.shape)
+    return vertices.ravel(), squares.ravel(), np.minimum(*frame.take(at)), ends, sides
 
 
 def build_cubical_complex(grid: HeightGrid) -> FilteredComplex:
-    """Top-cell cubical complex of a height grid.
-
-    One 2-cell per grid entry at that height; every edge and vertex inherits
-    the minimum over its incident 2-cells.  A cell of :func:`doubled_lattice`
-    has as faces its neighbours along its odd axes.
+    """Top-cell cubical complex of a height grid: one 2-cell per grid entry at
+    that height; every edge and vertex at the lowest of its 2-cells.  Cells
+    are keyed by their place in :func:`square_lattice`'s listing, and a
+    square's faces are the four edges that list it.
     """
-    values, keys, i, j, dims = doubled_lattice(grid)
-    # In the raster listing, the next cell along an odd i is a row further on.
-    cell, down, right = np.arange(len(values)), i % 2 * (2 * grid.cols + 1), j % 2
-    faces = [np.column_stack([cell + a * down + b * right for a, b in steps])[dims == k]
-             for k, steps in ((1, [(-1, -1), (1, 1)]), (2, [(-1, 0), (1, 0), (0, -1), (0, 1)]))]
-    return _assemble(keys, dims, values, faces)
+    vertices, squares, edges, ends, sides = square_lattice(grid.values)
+    dims = np.repeat(np.arange(3), (len(vertices), len(edges), len(squares)))
+    faces = np.argsort(sides.ravel(), kind="stable")[:4 * len(squares)] // 2
+    return _assemble(np.arange(len(dims)), dims, np.concatenate((vertices, edges, squares)),
+                     [ends, len(vertices) + faces.reshape(-1, 4)])

@@ -339,7 +339,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
     centers = np.array([center for _, center in chunks])
     dx, dy = (centers[:, None, k] - centers[None, :, k] for k in (0, 1))
     geo_mat = DistanceMatrix(len(chunks), resolution * np.sqrt(dx ** 2 + dy ** 2), "geodesic")
-    dcors, _ = dcor_matrix(mats, [tri_mat, geo_mat])
+    dcors, flags = dcor_matrix(mats, [tri_mat, geo_mat])
     rows = [(mat.label, *row) for mat, row in zip(mats, dcors.tolist())]
     if out is not None:
         half = (chunk_size - 1) / 2
@@ -354,5 +354,5 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
                         chunk_size=chunk_size, stride=stride, max_chunks=max_chunks,
                         resolution=float(resolution), metrics=[m.label for m in metrics],
                         degree=1, chunks=len(chunks))
-    return {"rows": rows, "tri": tris, "matrices": mats,
+    return {"rows": rows, "flags": flags, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}

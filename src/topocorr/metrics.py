@@ -89,6 +89,7 @@ class DistanceMatrix:
 # blocks by 1 MiB, 8,192-entry ones by 0.3 MiB, at the same speed).
 _BLOCK_POINTS = 1 << 12
 _BLOCK_ENTRIES = 1 << 13
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _blocks(items, sizes, limit):
@@ -147,7 +148,7 @@ def wasserstein_row(prepared, others, p) -> np.ndarray:
             x_cost[rows[paired]], y_left[cols[paired]] = cost[rows, cols][paired], False
             powered = np.concatenate([x_cost, to_y[y_left]]).sum()
             # The points of diagrams of several degrees may match in another order.
-            if powered < np.finfo(float).tiny and not np.array_equal(
+            if powered < _TINY and not np.array_equal(
                     *(z[np.lexsort(z.T)] for z in (xs, ys))):
                 raise NumericalFailure("powered transport total underflows")
             out.append(float(powered ** (1.0 / p)))
@@ -283,7 +284,7 @@ def _landscape_block(lan, others, ps):
         same = grid[1:] // R == grid[:-1] // R  # segments inside one pair's level
         for p, pieces in zip(finite, _lp_pieces(grid_t, diff, finite)):
             totals = np.bincount(pair[1:][same], weights=pieces[same], minlength=n)
-            low = np.flatnonzero(totals < np.finfo(float).tiny)
+            low = np.flatnonzero(totals < _TINY)
             if len(low) and np.isin(pair[diff != 0], low).any():  # landscapes that differ
                 raise NumericalFailure("powered landscape integral underflows")
             rows[p] = totals ** (1.0 / p)

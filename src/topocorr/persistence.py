@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topocorr.complexes import FilteredComplex, HeightGrid, doubled_lattice
+from topocorr.complexes import FilteredComplex, HeightGrid, square_lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,25 +167,26 @@ def _persistence_pairs(cx: FilteredComplex):
 
 def _grid_pairs(grid: HeightGrid):
     """The pairing of ``build_cubical_complex(grid)``, without building it:
-    the cell values and dimensions, sorted by (dim, value, key), so vertices,
-    edges and squares each in filtration order, and the birth, death and
-    unpaired cells as indices into them.  The H1 pass ages the squares in
-    reverse, under one outside node older than all; an edge that joins two
-    pairs with the younger root.  The H0 loop skips the H1 pass's apparent
-    pairs, and the H1 loop every H0 merge: each edge merges in one pass only.
+    the cell values and dimensions, sorted by (dim, value, key), and the
+    birth, death and unpaired cells as indices into them.  A vertex or an edge
+    ranks as its lowest square, so only the squares need a float sort; stable
+    sorts of the ranks in their narrowest type (radix sorts up to 16 bits) keep
+    equal ranks in key order.  The H1 pass ages the squares in reverse, under
+    one outside node older than all; an edge that joins two pairs with the
+    younger root.  The H0 loop skips the H1 pass's apparent pairs, and the H1
+    loop every H0 merge.
     """
-    values, keys, i, j, dims = doubled_lattice(grid)
-    n, (nv, ne, _) = len(values), np.bincount(dims)
-    cells = np.lexsort((keys, values, dims))
-    # Each cell's index in that order, in a frame whose outside is n.
-    index = np.empty_like(cells)
-    index[cells] = np.arange(n)
-    index = np.pad(index.reshape(2 * grid.rows + 1, -1), 1, constant_values=n)
-    # An edge's vertices lie along its odd axis, its squares along the other.
-    edges = cells[nv:nv + ne]
-    a, b, ii, jj = i[edges] % 2, j[edges] % 2, i[edges] + 1, j[edges] + 1
-    ends = np.column_stack((index[ii - a, jj - b], index[ii + a, jj + b]))
-    dual = n - np.column_stack((index[ii - b, jj - a], index[ii + b, jj + a]))[::-1]
+    vertices, squares, edges, ends, sides = square_lattice(grid.values)
+    nv, ne, ns = len(vertices), len(edges), len(squares)
+    order = np.argsort(squares, kind="stable")
+    rising, rank = squares.take(order), np.empty(ns, dtype=np.min_scalar_type(ns))
+    rank[order] = np.concatenate(([0], np.cumsum(rising[1:] != rising[:-1])))
+    lowest, _, edge_rank = square_lattice(rank.reshape(grid.rows, grid.cols), ns)[:3]
+    first, path = np.argsort(lowest, kind="stable"), np.argsort(edge_rank, kind="stable")
+    # Vertex places in filtration order; square ages in the dual, the outside's 0.
+    place, age = np.empty(nv, dtype=np.int64), np.zeros(ns + 1, dtype=np.int64)
+    place[first], age[order] = np.arange(nv), np.arange(ns, 0, -1)
+    ends, dual = place.take(ends.take(path, axis=0)), age.take(sides.take(path[::-1], axis=0))
     apparent, dual_apparent = _apparent(ends), _apparent(dual)
     # Each edge merges in exactly one pass: a merge of one is a cycle of the other.
     kills = _elder_merges(ends, apparent, dual_apparent[::-1])
@@ -194,9 +195,10 @@ def _grid_pairs(grid: HeightGrid):
     # finds them.  It finds apparent pairs first, but here those have length
     # 0: an edge enters with its earliest square.
     merges, steps = np.flatnonzero(kills >= 0), np.flatnonzero(killed >= 0)
-    return values[cells], dims[cells], (
+    return (np.concatenate((vertices.take(first), edges.take(path), rising)),
+            np.repeat(np.arange(3), (nv, ne, ns)), (
         np.concatenate((kills[merges], nv + ne - 1 - steps)),
-        np.concatenate((nv + merges, n - killed[steps])), np.zeros(1, dtype=np.int64))
+        np.concatenate((nv + merges, nv + ne + ns - killed[steps])), np.zeros(1, dtype=np.int64)))
 
 
 def compute_persistence(source: FilteredComplex | HeightGrid) -> PersistenceDiagram:

@@ -3,6 +3,7 @@ import pytest
 
 from topocorr.cli import main
 from topocorr.serialize import matrix_from_csv
+from tests.test_dem import k23_terrain
 
 
 def run(*argv):
@@ -132,6 +133,19 @@ class TestPipelineCommands:
         assert run("dem", "--input", str(write_grid(tmp_path)), "--chunk-size", "8",
                    "--stride", "4", "--out", str(out)) == 0
         assert (out / "tri.csv").exists()
+
+    def test_dem_marks_negative_dcov(self, tmp_path, capsys):
+        # The line of a flagged metric names the reference its dcov is negative with.
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(",".join(map(repr, row)) + "\n"
+                                for row in k23_terrain().values.tolist()))
+        assert run("dem", "--input", str(grid), "--chunk-size", "7", "--stride", "7",
+                   "--metric", "bottleneck", "--metric", "wasserstein:p=1",
+                   "--out", str(tmp_path / "dem")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("bottleneck dCor_tri=0.000000 ")
+        assert lines[0].endswith(" negative_flag_tri")
+        assert "negative_flag" not in lines[1]
 
     def test_dem_grid_formats_agree(self, tmp_path, monkeypatch):
         # One grid as a headerless CSV and as an ESRI grid whose body wraps

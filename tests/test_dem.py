@@ -129,8 +129,38 @@ class TestTri:
             tri(HeightGrid.from_array(np.zeros((2, 5))))
 
 
+def k23_terrain():
+    """Five 7x7 chunks in a row whose H1 bottleneck distances are those of the
+    graph K_{2,3}, a metric not of negative type: 2 within each side, 1 across.
+
+    Chunk i holds three loops, each a ring of four squares at a base height
+    around a square 10 + x_i higher; the x_i are the distances to a1, b1 and
+    b2 (the chunks go a1, b1, a2, b2, b3).  The bases lie 20 apart, so every
+    loop matches its own kind.  A pit in the a-chunks raises their TRI, so the
+    TRI distances cut the two sides apart and dcov with them is negative.
+    """
+    chunks = []
+    for x, side in (((0, 1, 1), "a"), ((1, 0, 2), "b"), ((2, 1, 1), "a"),
+                    ((1, 2, 0), "b"), ((1, 2, 2), "b")):
+        v = np.full((7, 7), 100.0)
+        for (r, c), base, dx in zip(((0, 0), (0, 4), (4, 0)), (0, 20, 40), x):
+            v[r + 1, c + 1] = base + 10 + dx
+            for dr, dc in ((0, 1), (1, 0), (1, 2), (2, 1)):
+                v[r + dr, c + dc] = base
+        v[5, 5] = 0.0 if side == "a" else 100.0
+        chunks.append(v)
+    return HeightGrid.from_array(np.hstack(chunks))
+
+
 class TestDemFromGrid:
     METRICS = [parse_metric_spec("wasserstein:p=1")]
+
+    def test_returns_negative_dcov_flags(self):
+        result = dem_from_grid(k23_terrain(), 7, 7, [parse_metric_spec("bottleneck")])
+        assert result["matrices"][0].entries.tolist() == [
+            [0, 1, 2, 1, 1], [1, 0, 1, 2, 2], [2, 1, 0, 1, 1], [1, 2, 1, 0, 2], [1, 2, 1, 2, 0]]
+        assert result["flags"] == [[True, False]]
+        assert result["rows"][0][1] == 0.0  # a negative dcov reads as dCor 0
 
     def grid(self, rows, cols):
         return HeightGrid.from_array(np.random.default_rng(5).random((rows, cols)))

@@ -1,6 +1,6 @@
 """Property tests of the distances, the diagrams and the diagram CSV on float
 inputs, of the persistence pairing against the boundary-matrix reduction, and
-of grid diagrams against those of the cubical complex."""
+of grid diagrams against those of the cubical complex and of the reference one."""
 
 import math
 
@@ -18,6 +18,7 @@ from topocorr.complexes import (
     build_flag_complex,
     build_rips_complex,
 )
+from topocorr.dem import synth_terrain
 from topocorr.experiment import DEFAULT_METRICS, summary_for
 from topocorr.metrics import landscape_row, pairwise_matrix, parse_metric_spec, pss_kernel
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
@@ -31,6 +32,7 @@ from tests.oracles import (
     brute_wasserstein,
     euler_from_betti,
     reduce_columns,
+    reference_cubical_text,
     sup_landscape_distance,
 )
 from tests.test_complexes import digraph_from_edges
@@ -376,4 +378,24 @@ tied_grids = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
 @example(values=np.array([[1.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 1.0, 1.0]]))
 def test_grid_diagram_matches_cubical_complex(values):
     grid = HeightGrid.from_array(values)
+    assert_same_bytes(compute_persistence(grid), compute_persistence(build_cubical_complex(grid)))
+
+
+@settings(checked, max_examples=240)
+@given(values=tied_grids)
+@example(values=np.array([[-1.0, 0.0, -0.0]]))
+@example(values=np.array([[1.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 1.0, 1.0]]))
+def test_grid_diagram_matches_reference_complex(values):
+    # The reference lists every cell of the lattice one by one, apart from the
+    # walk that both the grid pairing and build_cubical_complex read.
+    reference = FilteredComplex.from_text(reference_cubical_text(values.tolist()))
+    assert_same_bytes(compute_persistence(HeightGrid.from_array(values)),
+                      compute_persistence(reference))
+
+
+def test_wide_ranks_match_cubical_complex():
+    # 257 x 257 squares: their ranks need more than 16 bits, so the rank
+    # sorts are not radix sorts.
+    grid = synth_terrain(257, 0.4, 0)
+    assert grid.rows * grid.cols > np.iinfo(np.uint16).max
     assert_same_bytes(compute_persistence(grid), compute_persistence(build_cubical_complex(grid)))
