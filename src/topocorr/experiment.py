@@ -14,15 +14,13 @@ import numpy as np
 
 from topocorr import __version__
 from topocorr.complexes import (
-    HeightGrid,
-    build_cubical_complex,
     build_directed_flag_complex,
     build_flag_complex,
     build_rips_complex,
 )
 from topocorr.dcor import dcor_matrix
 from topocorr.dem import chunk_grid, synth_terrain, tri
-from topocorr.errors import ConfigurationError
+from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.metrics import DistanceMatrix, MetricSpec, pairwise_matrix, parse_metric_spec
 from topocorr.models import ModelSpec, generate
 from topocorr.persistence import compute_persistence
@@ -184,9 +182,9 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
     """All summaries a metric list needs, computed once per sample and keyed
     by :attr:`MetricSpec.summary_kind`.
 
-    ``cx`` is a filtered complex or a height grid, whose cubical complex only
-    a cell count needs.  ``max_dim`` is the top cell dimension of ``cx``; no
-    summary needs it, since the diagram holds no degree above it.
+    ``cx`` is a filtered complex or a height grid; persistence and cell
+    counts both read either as it is.  ``max_dim`` is the top cell dimension
+    of ``cx``; no summary needs it, since the diagram holds no degree above it.
     """
     diagram = compute_persistence(cx)
     bundle = {"diagram": diagram.restrict(degree)}
@@ -196,7 +194,6 @@ def compute_bundle(cx, degree, metrics, max_dim=2):
         if m.cell_dim is None:
             bundle[m.summary_kind] = summary_for(m.summary_kind, diagram, degree)
         else:
-            cx = build_cubical_complex(cx) if isinstance(cx, HeightGrid) else cx
             bundle[m.summary_kind] = simplex_count_curve(cx, m.cell_dim)
     return bundle
 
@@ -325,20 +322,25 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
     ``source`` says where the grid came from (the terrain's size, roughness
     and seed, or the input path); the manifest records it with the grid."""
     check_metrics(metrics, 2)
-    if not resolution > 0:
-        raise ConfigurationError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise ConfigurationError("resolution must be positive and finite")
     chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
     _make_out(out)
     blocks = [block for block, _ in chunks]
     _, mats = _matrices(partial(compute_bundle, degree=1, metrics=metrics), blocks, metrics)
-    tris = [tri(block) for block in blocks]
-    tri_mat = parameter_matrix(tris, label="tri")
     # Centre differences are whole multiples of the stride: equal to math.hypot.
     centers = np.array([center for _, center in chunks])
     dx, dy = (centers[:, None, k] - centers[None, :, k] for k in (0, 1))
-    geo_mat = DistanceMatrix(len(chunks), resolution * np.sqrt(dx ** 2 + dy ** 2), "geodesic")
+    with np.errstate(over="ignore"):
+        tris = [tri(block) for block in blocks]
+        geo = resolution * np.sqrt(dx ** 2 + dy ** 2)
+    for label, values in (("tri", tris), ("geodesic", geo)):
+        if not np.isfinite(values).all():
+            raise NumericalFailure(f"{label}: a value is not finite")
+    tri_mat = parameter_matrix(tris, label="tri")
+    geo_mat = DistanceMatrix(len(chunks), geo, "geodesic")
     dcors, flags = dcor_matrix(mats, [tri_mat, geo_mat])
     rows = [(mat.label, *row) for mat, row in zip(mats, dcors.tolist())]
     if out is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topocorr.complexes import FilteredComplex
+from topocorr.complexes import FilteredComplex, HeightGrid, square_lattice
 from topocorr.persistence import PersistenceDiagram
 
 
@@ -118,14 +118,17 @@ def euler_curve(d: PersistenceDiagram) -> StepCurve:
     return _curve_from_events(d.pairs().ravel(), np.outer(sign, [1, -1]).ravel())
 
 
-def simplex_count_curve(cx: FilteredComplex, dim: int) -> StepCurve:
-    """Cumulative count of ``dim``-cells entering the filtration.
+def simplex_count_curve(source: FilteredComplex | HeightGrid, dim: int) -> StepCurve:
+    """Cumulative count of ``dim``-cells entering a complex's filtration, or a grid's,
+    read from the vertices, squares and edges that :func:`square_lattice` lists.
 
     The count never returns to zero on its own, so the support is closed by a
-    terminal breakpoint one unit past the last jump.
+    terminal breakpoint one unit past the last jump (one float, where a unit rounds off).
     """
-    times = cx.values[cx.dims == dim]
+    times = (dict(zip((0, 2, 1), square_lattice(source.values))).get(dim, np.empty(0))
+             if isinstance(source, HeightGrid) else source.values[source.dims == dim])
     if not len(times):
         return StepCurve((), ())
-    return _curve_from_events(np.append(times, times.max() + 1.0),
+    end = max(times.max() + 1.0, np.nextafter(times.max(), np.inf))
+    return _curve_from_events(np.append(times, end),
                               np.append(np.ones(len(times), dtype=np.int64), -len(times)))

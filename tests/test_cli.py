@@ -294,6 +294,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
     ({"cfg": ER_CONFIG.replace("kind = er", "kind = torus") + "max_radius = nan\n"},
      ["experiment", "--config", "{cfg}"]),
     ({}, ["dem", "--resolution", "nan", "--out", "dem"]),
+    ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
+          "--resolution", "inf", "--out", "dem"]),
     ({"cfg": SWEEP_CONFIG.replace("interpolated", "er") + "\n[sweep]\ngamma_count = 3\n"},
      ["experiment", "--config", "{cfg}"]),
     ({"cfg": SWEEP_CONFIG + "\n[sweep]\ngamma = 0 1\ngamma_count = 3\n"},
@@ -341,7 +343,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "negative-dimension", "persist-not-utf8", "config-not-utf8", "dem-input-not-utf8",
         "config-no-section-header", "config-duplicate-section", "grid-ncols-inf",
         "dcor-one-sample", "permtest-one-sample", "negtype-tol-nan", "max-radius-nan",
-        "max-radius-nan-config", "dem-resolution-nan", "sweep-kind-er",
+        "max-radius-nan-config", "dem-resolution-nan", "dem-resolution-inf",
+        "sweep-kind-er",
         "sweep-gamma-and-gamma-count", "sweep-repetitions", "config-unknown-key",
         "config-unknown-section", "gamma-for-er-config", "sweep-model-gamma",
         "sweep-out-under-a-file", "dem-out-under-a-file", "dem-count-above-grid",
@@ -386,6 +389,9 @@ def test_bad_grid_exits_2_with_line(tmp_path, capsys, text, message):
 DEGREE_1_CSV = "degree,birth,death\n1,0.0,5.0\n1,1.0,3.0\n"
 WIDE_CSV = "degree,birth,death\n1,0.0,40.0\n1,1.0,30.0\n"
 LINE_3 = "x,x,x\n0.0,1.0,2.0\n1.0,0.0,1.5\n2.0,1.5,0.0\n"
+# A 9 x 9 checkerboard of ±1e200: its squared height differences overflow.
+HUGE_GRID = "".join(" ".join(("1e200", "-1e200")[(r + c) % 2] for c in range(9)) + "\n"
+                    for r in range(9))
 
 
 def csv_floats(points):
@@ -457,12 +463,17 @@ def one_far(n, distance):
     ({"a": "degree,birth,death\n1,0,0.01\n", "b": "degree,birth,death\n1,0,0.02\n"},
      ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=200"],
      "wasserstein:p=200: powered transport total underflows"),
+    # Chunk centres 1e308 apart per unit, and ruggedness of a grid of ±1e200.
+    ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
+          "--resolution", "1e308"], "geodesic: a value is not finite"),
+    ({"g": HUGE_GRID}, ["dem", "--input", "{g}", "--chunk-size", "4", "--stride", "4",
+                        "--metric", "betti:p=1"], "tri: a value is not finite"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",
         "landscape-integral-overflow", "betti-integral-overflow",
         "landscape-value-overflow", "dcor-dcov-overflow", "dcor-centering-overflow",
         "permtest-centering-overflow", "dcor-dvar-product-overflow",
         "negtype-centering-overflow", "sw-overflow", "pss-kernel-overflow",
-        "wasserstein-underflow"])
+        "wasserstein-underflow", "dem-geodesic-overflow", "dem-tri-overflow"])
 def test_bad_numerics_exit_3(tmp_path, capsys, files, argv, message):
     paths = {}
     for name, text in {"a": DEGREE_1_CSV, **files}.items():

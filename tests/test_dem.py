@@ -176,17 +176,30 @@ class TestDemFromGrid:
                                  for b in centers] for a in centers]
 
     def test_count_and_diagram_matrices_match_cubical_complex(self):
-        # The run takes each chunk's diagram from the grid and builds its
-        # cubical complex only for the count; both agree with the complex.
-        grid = self.grid(12, 11)
-        metrics = [parse_metric_spec(spec) for spec in ("count1:p=1", "wasserstein:p=2")]
+        # The run takes each chunk's diagram and cell counts from the grid;
+        # both agree with its cubical complex, ties of 0.0 and -0.0 included.
+        values = np.random.default_rng(5).choice([-0.0, 0.0, 0.5, 1.0], (12, 11))
+        grid = HeightGrid.from_array(values)
+        specs = ("count0:p=1", "count1:p=1", "count2:p=2", "wasserstein:p=2")
+        metrics = [parse_metric_spec(spec) for spec in specs]
         result = dem_from_grid(grid, 5, 3, metrics)
         complexes = [build_cubical_complex(block) for block, _ in chunk_grid(grid, 5, 3)]
         expected = [
-            pairwise_matrix([simplex_count_curve(cx, 1) for cx in complexes], metrics[0]),
-            pairwise_matrix([compute_persistence(cx).restrict(1) for cx in complexes], metrics[1])]
+            *(pairwise_matrix([simplex_count_curve(cx, dim) for cx in complexes], metrics[dim])
+              for dim in range(3)),
+            pairwise_matrix([compute_persistence(cx).restrict(1) for cx in complexes], metrics[3])]
         for got, want in zip(result["matrices"], expected, strict=True):
             assert got.entries.tobytes() == want.entries.tobytes()
+
+    def test_no_complex_is_built(self, monkeypatch):
+        # Persistence and every cell count read the grid's lattice walk.
+        def refuse(*args):
+            raise AssertionError("a cubical complex was built")
+
+        monkeypatch.setattr("topocorr.complexes._assemble", refuse)
+        metrics = [parse_metric_spec(f"count{dim}:p=1") for dim in range(3)]
+        result = dem_from_grid(self.grid(12, 11), 5, 3, metrics)
+        assert [mat.label for mat in result["matrices"]] == [m.label for m in metrics]
 
     def test_manifest_of_synthetic_terrain(self, tmp_path):
         for out in ("a", "b"):

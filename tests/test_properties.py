@@ -23,7 +23,12 @@ from topocorr.experiment import DEFAULT_METRICS, summary_for
 from topocorr.metrics import landscape_row, pairwise_matrix, parse_metric_spec, pss_kernel
 from topocorr.persistence import PersistenceDiagram, _persistence_pairs, compute_persistence
 from topocorr.serialize import diagram_from_csv, diagram_to_csv
-from topocorr.summaries import betti_curve, euler_curve, landscape_from_diagram
+from topocorr.summaries import (
+    betti_curve,
+    euler_curve,
+    landscape_from_diagram,
+    simplex_count_curve,
+)
 from tests.oracles import (
     bar_count_distance,
     bottleneck_binary_search,
@@ -391,6 +396,22 @@ def test_grid_diagram_matches_reference_complex(values):
     reference = FilteredComplex.from_text(reference_cubical_text(values.tolist()))
     assert_same_bytes(compute_persistence(HeightGrid.from_array(values)),
                       compute_persistence(reference))
+
+
+@settings(checked, max_examples=240)
+@given(values=tied_grids)
+@example(values=np.array([[-0.0]]))
+@example(values=np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(values=np.array([[-1.0, 0.0, -0.0]]))
+def test_grid_count_curves_match_cubical_complex(values):
+    # A grid's cells are read from its lattice walk, a complex's from its
+    # filtration order: equal curves, the sign of a zero breakpoint aside.
+    grid = HeightGrid.from_array(values)
+    for dim in range(4):
+        got, want = (simplex_count_curve(source, dim)
+                     for source in (grid, build_cubical_complex(grid)))
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+        assert np.array_equal(got.values, want.values)
 
 
 def test_wide_ranks_match_cubical_complex():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topocorr.complexes import HeightGrid, build_cubical_complex
 from topocorr.metrics import parse_metric_spec
 from topocorr.persistence import PersistenceDiagram, compute_persistence
 from topocorr.summaries import (
@@ -177,3 +178,14 @@ class TestSimplexCountCurve:
         c = simplex_count_curve(four_cycle(), 0)
         assert c.breakpoints[-1] == 1.0
         assert curve_value(c, 0.5) == 4
+
+    @pytest.mark.parametrize("scale", [1.0, 1e16, 1e17])
+    def test_last_cell_counts_at_any_scale(self, scale):
+        # From 2^53 up, max + 1.0 rounds back to max: the curve closes at the
+        # next float instead, so the last square still counts.
+        grid = HeightGrid.from_array(np.array([[1.0, 2.0], [3.0, 4.0]]) * scale)
+        for source in (grid, build_cubical_complex(grid)):
+            c = simplex_count_curve(source, 2)
+            assert c.values.tolist() == [1, 2, 3, 4]
+            assert np.all(np.diff(c.breakpoints) > 0)
+            assert c.breakpoints[-1] == (5.0 if scale == 1.0 else np.nextafter(4 * scale, np.inf))
