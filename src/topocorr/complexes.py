@@ -6,11 +6,13 @@ precede cofaces and the order is deterministic for a given input.  A
 construction key is encoded as one integer per cell: the base-n digits of a
 vertex tuple, or a grid cell's place among those of its dimension in
 (r, c, orientation) order.  The clique builders filter a clique skeleton by
-one weight matrix; flag complexes share a cached skeleton per (n, max_dim).
+one weight matrix; flag complexes share a cached skeleton per (n, max_dim), as
+directed flag complexes do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -19,73 +21,63 @@ import numpy as np
 from topocorr.errors import ConfigurationError, ParseError
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Complete undirected graph with symmetric edge weights (diagonal unused)."""
-
-    n: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if self.n < 1 or w.shape != (self.n, self.n):
-            raise ValueError(f"weights must be {self.n}x{self.n}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if not np.array_equal(w, w.T):
-            raise ValueError("weights must be symmetric")
+def _finite_matrix(values, name, square=True):
+    """``values`` as a non-empty 2-D float array, square unless ``square`` is
+    false, whose entries are finite; else a ValueError naming ``name``."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 2 or not a.size or (square and a.shape[0] != a.shape[1]):
+        raise ValueError(f"{name} must be a non-empty {'square' if square else '2-D'} array")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
 class DirectedWeightedGraph:
-    """Directed graph, both orientations independent; ``present`` masks edges.
+    """Complete digraph: the two orientations of a pair carry independent
+    weights (diagonal unused)."""
 
-    The diagonal is ignored.  When ``present`` is omitted every off-diagonal
-    edge exists (the complete directed graph).
-    """
-
-    n: int
     weights: np.ndarray
-    present: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if self.n < 1 or w.shape != (self.n, self.n):
-            raise ValueError(f"weights must be {self.n}x{self.n}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if self.present is None:
-            mask = ~np.eye(self.n, dtype=bool)
-        else:
-            mask = np.asarray(self.present, dtype=bool).copy()
-            if mask.shape != (self.n, self.n):
-                raise ValueError("present mask has wrong shape")
-            np.fill_diagonal(mask, False)
-        object.__setattr__(self, "present", mask)
+        object.__setattr__(self, "weights", _finite_matrix(self.weights, "weights"))
+
+    @property
+    def n(self):
+        return len(self.weights)
+
+
+@dataclass(frozen=True)
+class WeightedGraph(DirectedWeightedGraph):
+    """Complete undirected graph: a digraph whose two orientations of a pair
+    carry one weight."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.array_equal(self.weights, self.weights.T):
+            raise ValueError("weights must be symmetric")
 
 
 @dataclass(frozen=True)
 class HeightGrid:
     """Rectangular elevation grid; values in arbitrary (finite) height units."""
 
-    rows: int
-    cols: int
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if self.rows < 1 or self.cols < 1 or v.shape != (self.rows, self.cols):
-            raise ValueError(f"values must be {self.rows}x{self.cols}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
+        object.__setattr__(self, "values", _finite_matrix(self.values, "grid values", False))
+
+    @property
+    def rows(self):
+        return self.values.shape[0]
+
+    @property
+    def cols(self):
+        return self.values.shape[1]
 
     @classmethod
     def from_array(cls, values):
-        v = np.asarray(values, dtype=float)
-        return cls(v.shape[0], v.shape[1], v)
+        return cls(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +107,10 @@ class FilteredComplex:
     def validate(self):
         """Check that the cells form a filtered chain complex over GF(2).
 
-        Faces precede their cofaces, one dimension down and entering no
-        later; cells are in (value, dim) order; no cell lists a face twice;
-        every edge has two vertices; every boundary's boundary is zero.
+        Values are finite; faces precede their cofaces, one dimension down
+        and entering no later; cells are in (value, dim) order; no cell lists
+        a face twice; every edge has two vertices; every boundary's boundary
+        is zero.
         """
         dims, values = self.dims.tolist(), self.values.tolist()
         ptr, faces = self.indptr.tolist(), self.indices.tolist()
@@ -125,6 +118,8 @@ class FilteredComplex:
             own = faces[ptr[i]:ptr[i + 1]]
             if dims[i] < 0:
                 raise ValueError(f"cell {i}: negative dimension")
+            if not math.isfinite(values[i]):
+                raise ValueError(f"cell {i}: value {values[i]} is not finite")
             for f in own:
                 if not 0 <= f < i:
                     raise ValueError(f"cell {i}: face {f} does not precede it")
@@ -236,10 +231,12 @@ def _clique_skeleton(present, max_dim):
 
 
 @lru_cache(maxsize=1)
-def _flag_skeleton(n, max_dim):
-    """The clique skeleton of the complete graph on n vertices, read-only:
-    every flag complex on n vertices shares it."""
-    codes, dims, levels = _clique_skeleton(np.triu(np.ones((n, n), dtype=bool), 1), max_dim)
+def _flag_skeleton(n, max_dim, directed=False):
+    """The clique skeleton of the complete graph on n vertices or, when
+    ``directed``, of the complete digraph, read-only: every flag complex of
+    that kind on n vertices shares it."""
+    edges = ~np.eye(n, dtype=bool)
+    codes, dims, levels = _clique_skeleton(edges if directed else np.triu(edges), max_dim)
     for array in (codes, dims, *sum(levels, ())):
         array.flags.writeable = False
     return codes, dims, levels
@@ -267,12 +264,14 @@ def build_flag_complex(g: WeightedGraph, max_dim: int) -> FilteredComplex:
 
 
 def build_directed_flag_complex(g: DirectedWeightedGraph, max_dim: int) -> FilteredComplex:
-    """Directed flag complex: ordered tuples (v0..vk) with all edges vi->vj, i<j.
+    """Directed flag complex of a complete weighted digraph: every ordered
+    tuple (v0..vk) of distinct vertices, k <= max_dim.
 
     Reciprocal edge pairs yield two distinct 1-simplices; a simplex enters at
-    the maximum of its constituent edge weights.
+    the maximum of its edge weights vi->vj, i<j.  Calls with one (n, max_dim)
+    share a cached skeleton.
     """
-    return _clique_complex(g.weights, _clique_skeleton(g.present, max_dim))
+    return _clique_complex(g.weights, _flag_skeleton(g.n, max_dim, True))
 
 
 def build_rips_complex(points, max_dim: int, max_radius: float) -> FilteredComplex:

@@ -9,7 +9,8 @@ from topocorr.errors import ConfigurationError, ParseError
 from topocorr.models import _rng, derive_seed
 
 
-_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "xllcenter", "yllcenter",
+                "cellsize", "nodata_value")
 
 
 def load_grid(text: str) -> HeightGrid:

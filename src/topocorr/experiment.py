@@ -280,7 +280,7 @@ def run_experiment(cfg: RunConfig, progress=None, threads: int = 1) -> dict:
 def parameter_matrix(values, label="parameter") -> DistanceMatrix:
     """Absolute-difference distance matrix of a real parameter."""
     v = np.asarray(values, dtype=float)
-    return DistanceMatrix(len(v), np.abs(v[:, None] - v[None, :]), label)
+    return DistanceMatrix(np.abs(v[:, None] - v[None, :]), label)
 
 
 def run_parameter_correlation(cfg: RunConfig, progress=None,
@@ -340,7 +340,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
         if not np.isfinite(values).all():
             raise NumericalFailure(f"{label}: a value is not finite")
     tri_mat = parameter_matrix(tris, label="tri")
-    geo_mat = DistanceMatrix(len(chunks), geo, "geodesic")
+    geo_mat = DistanceMatrix(geo, "geodesic")
     dcors, flags = dcor_matrix(mats, [tri_mat, geo_mat])
     rows = [(mat.label, *row) for mat, row in zip(mats, dcors.tolist())]
     if out is not None:

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from topocorr.complexes import _finite_matrix
 from topocorr.errors import ConfigurationError, NumericalFailure
 from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import PersistenceLandscape, StepCurve
@@ -63,23 +64,22 @@ from topocorr.summaries import PersistenceLandscape, StepCurve
 class DistanceMatrix:
     """Symmetric non-negative matrix of pairwise distances with a metric label."""
 
-    n: int
     entries: np.ndarray
     label: str
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = _finite_matrix(self.entries, "entries")
         object.__setattr__(self, "entries", e)
-        if e.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entries must be finite")
         if np.any(e < 0):
             raise ValueError("entries must be non-negative")
         if np.any(np.diag(e) != 0):
             raise ValueError("diagonal must be zero")
         if not np.array_equal(e, e.T):
             raise ValueError("entries must be symmetric")
+
+    @property
+    def n(self):
+        return len(self.entries)
 
 
 # Bounds on one block of a row: the breakpoints a landscape block merges
@@ -520,7 +520,7 @@ def pairwise_matrix(samples, first: MetricSpec, others=(), found=None) -> Distan
             for spec in specs:
                 pairwise_matrix(samples, spec)
         raise
-    mat, *rest = (DistanceMatrix(n, e, spec.label) for spec, e in zip(specs, entries))
+    mat, *rest = (DistanceMatrix(e, spec.label) for spec, e in zip(specs, entries))
     for other in rest:
         found[other.label] = other
     return mat

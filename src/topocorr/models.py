@@ -60,7 +60,7 @@ def gen_er(n: int, seed: int):
     iu = np.triu_indices(n, k=1)
     w[iu] = rng.random(len(iu[0]))
     w = w + w.T
-    return WeightedGraph(n, w)
+    return WeightedGraph(w)
 
 
 def gen_directed_er(n: int, seed: int):
@@ -68,7 +68,7 @@ def gen_directed_er(n: int, seed: int):
     rng = _rng(seed)
     w = rng.random((n, n))
     np.fill_diagonal(w, 0.0)
-    return DirectedWeightedGraph(n, w)
+    return DirectedWeightedGraph(w)
 
 
 def sample_torus(n: int, seed: int) -> np.ndarray:
@@ -104,7 +104,7 @@ def gen_interpolated(n: int, gamma: float, seed: int):
     w = np.where(pick, noise, geom)
     w = np.triu(w, k=1)
     w = w + w.T
-    return WeightedGraph(n, w)
+    return WeightedGraph(w)
 
 
 def generate(spec: ModelSpec, index: int = 0):

@@ -40,8 +40,10 @@ def parse_file(path, parse):
 
 
 def _csv_rows(text):
-    """The rows of CSV ``text`` that hold a non-blank field."""
-    return [r for r in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in r)]
+    """The rows of CSV ``text`` that hold a non-blank field, as (file line,
+    row) pairs."""
+    reader = csv.reader(io.StringIO(text))
+    return [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
 
 
 def diagram_to_csv(d: PersistenceDiagram) -> str:
@@ -57,12 +59,12 @@ def diagram_from_csv(text: str) -> PersistenceDiagram:
     rows = _csv_rows(text)
     if not rows:
         raise ParseError("empty diagram CSV", line=1)
-    header = [c.strip().lower() for c in rows[0]]
+    header = [c.strip().lower() for c in rows[0][1]]
     if header[:3] != ["degree", "birth", "death"]:
-        raise ParseError("expected header degree,birth,death", line=1)
+        raise ParseError("expected header degree,birth,death", line=rows[0][0])
     has_flags = header[3:4] == ["essential"]
     points, flags = [], []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in rows[1:]:
         try:
             birth, death, degree = float(row[1]), float(row[2]), int(row[0])
             essential = int(row[3]) if has_flags else 0
@@ -102,17 +104,16 @@ def matrix_from_csv(text: str) -> DistanceMatrix:
     rows = _csv_rows(text)
     if len(rows) < 2:
         raise ParseError("matrix CSV needs a label header and entries", line=1)
-    label = rows[0][0]
+    label = rows[0][1][0]
     entries = []
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in rows[1:]:
         try:
             entries.append([float(x) for x in row])
         except ValueError:
             raise ParseError("malformed matrix row", line=ln) from None
-    arr = np.array(entries)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParseError("matrix is not square", line=2)
-    return DistanceMatrix(arr.shape[0], arr, label)
+        if len(row) != len(rows) - 1:
+            raise ParseError("matrix is not square", line=ln)
+    return DistanceMatrix(np.array(entries), label)
 
 
 def labeled_matrix_to_csv(matrix: np.ndarray, labels) -> str:

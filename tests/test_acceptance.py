@@ -88,11 +88,11 @@ def test_criterion_02_large_p_counterexample():
                     + 4.0 ** (1.0 / p))
         for i in range(16):
             assert mat[i, :16].sum() == pytest.approx(expected, abs=1e-9)
-        form = quadratic_form(DistanceMatrix(32, mat, "w"), weights)
+        form = quadratic_form(DistanceMatrix(mat, "w"), weights)
         assert form > 0.0
     bmat = diagram_matrix(diagrams, math.inf).entries
     assert np.max(np.abs(bmat[:16, 16:] - 0.5)) <= 1e-9
-    bform = quadratic_form(DistanceMatrix(32, bmat, "b"), weights)
+    bform = quadratic_form(DistanceMatrix(bmat, "b"), weights)
     assert bform > 0.0
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -184,8 +184,8 @@ def test_criterion_07_dcov_hand_value():
     assert report.dcor == 1.0
     other = parameter_matrix([0.3, 2.0, 0.9], label="y")
     base = sample_dcor(line, other).dcor
-    assert sample_dcor(DistanceMatrix(3, 4.0 * line.entries, "x"), other).dcor == base
-    assert sample_dcor(line, DistanceMatrix(3, 0.5 * other.entries, "y")).dcor == base
+    assert sample_dcor(DistanceMatrix(4.0 * line.entries, "x"), other).dcor == base
+    assert sample_dcor(line, DistanceMatrix(0.5 * other.entries, "y")).dcor == base
     print("\nPASS criterion 7: dvar = 40/81, dcor(X,X) = 1, rescaling exact")
 
 
@@ -206,7 +206,7 @@ def test_criterion_08_independence_behavior():
     for seed in range(20):
         rng = np.random.default_rng(derive_seed(809, seed))
         x = parameter_matrix(rng.random(n), label="x")
-        y = DistanceMatrix(n, x.entries, "y")
+        y = DistanceMatrix(x.entries, "y")
         assert permutation_test(x, y, permutations, seed=seed) == \
             pytest.approx(1.0 / (permutations + 1))
     print(f"\nPASS criterion 8: dCor < 0.15 in {low_dcor}/20, p > 0.05 in "
@@ -220,7 +220,7 @@ def test_criterion_09_negtype_sanity():
         dim = int(rng.integers(1, 6))
         pts = rng.normal(size=(n, dim))
         d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-        verdict = negtype_check(DistanceMatrix(n, d, "euclid"), tol=1e-9)
+        verdict = negtype_check(DistanceMatrix(d, "euclid"), tol=1e-9)
         assert verdict.negative_type
     diagrams, _ = fixture_small_p()
     verdict = negtype_check(diagram_matrix(diagrams, 1.0))

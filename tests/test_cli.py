@@ -331,6 +331,9 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
      ["experiment", "--config", "{cfg}"]),
     ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
           "--metric", "sw", "--metric", "sw:lines=10", "--out", "dem"]),
+    ({"cx": "0 0\n0 0\n1 nan 0 1\n"}, ["persist", "{cx}"]),
+    ({"cx": "0 0\n0 0\n1 inf 0 1\n"}, ["persist", "{cx}"]),
+    ({"cx": "0 -inf\n0 0\n1 0 0 1\n"}, ["persist", "{cx}"]),
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
@@ -351,7 +354,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "config-duplicate-metric", "dem-duplicate-metric", "config-metric-spelled-twice",
         "dem-metric-spelled-twice", "distmat-count",
         "metric-parameter-twice", "threads-0", "permutations-0",
-        "config-default-spelled-out", "dem-default-spelled-out"])
+        "config-default-spelled-out", "dem-default-spelled-out", "complex-value-nan",
+        "complex-value-inf", "complex-value-minus-inf"])
 def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     monkeypatch.chdir(tmp_path)  # a config without ``out`` writes to ./out
     paths = {}

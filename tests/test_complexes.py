@@ -16,7 +16,8 @@ from topocorr.complexes import (
     _flag_skeleton,
 )
 from topocorr.errors import ParseError
-from topocorr.models import gen_er, sample_cube
+from topocorr.metrics import DistanceMatrix
+from topocorr.models import gen_directed_er, gen_er, sample_cube
 from tests.oracles import reference_cubical_text, reference_flag_text
 
 
@@ -24,29 +25,52 @@ def weights_from_edges(n, edges):
     w = np.zeros((n, n))
     for u, v, weight in edges:
         w[u, v] = w[v, u] = weight
-    return WeightedGraph(n, w)
-
-
-def digraph_from_edges(n, edges):
-    """The directed graph with exactly the ``(u, v, weight)`` edges."""
-    w, present = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-    for u, v, weight in edges:
-        w[u, v], present[u, v] = weight, True
-    return DirectedWeightedGraph(n, w, present)
+    return WeightedGraph(w)
 
 
 class TestWeightedGraph:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            WeightedGraph(2, np.array([[0.0, 1.0], [2.0, 0.0]]))
+            WeightedGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            WeightedGraph(3, np.zeros((2, 2)))
+            WeightedGraph(np.zeros((3, 2)))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            WeightedGraph(2, np.array([[0.0, np.nan], [np.nan, 0.0]]))
+            WeightedGraph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+# Each input type holds only its array, and reads its size from the shape.
+square_types = {"graph": WeightedGraph, "digraph": DirectedWeightedGraph,
+                "distance-matrix": lambda e: DistanceMatrix(e, "d")}
+array_types = {**square_types, "grid": HeightGrid}
+
+
+@pytest.mark.parametrize("make", array_types.values(), ids=array_types)
+@pytest.mark.parametrize("values", [np.zeros(3), np.zeros((0, 0)), np.zeros((2, 0))],
+                         ids=["1-d", "empty", "no-columns"])
+def test_rejects_arrays_that_are_not_2d_and_nonempty(make, values):
+    with pytest.raises(ValueError):
+        make(values)
+
+
+@pytest.mark.parametrize("make", square_types.values(), ids=square_types)
+def test_square_types_reject_non_square(make):
+    with pytest.raises(ValueError):
+        make(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("make", square_types.values(), ids=square_types)
+def test_n_is_the_shape(make):
+    assert make(np.zeros((4, 4))).n == 4
+
+
+def test_grid_sizes_are_the_shape():
+    grid = HeightGrid(np.zeros((2, 5)))
+    assert (grid.rows, grid.cols) == (2, 5)
+    assert HeightGrid.from_array(grid.values).values.shape == (2, 5)
 
 
 class TestFlagComplex:
@@ -78,12 +102,13 @@ def signed_zero_graph(n, seed, weights=(2.0, 1.0, 0.0, -0.0)):
     upper = np.random.default_rng(seed).choice(weights, n * (n - 1) // 2)
     w, (a, b) = np.zeros((n, n)), np.triu_indices(n, 1)
     w[a, b] = w[b, a] = upper
-    return WeightedGraph(n, w)
+    return WeightedGraph(w)
 
 
 class TestFlagSkeleton:
-    """``build_flag_complex`` filters one cached skeleton per (n, max_dim);
-    the directed flag and Rips builders build theirs on every call."""
+    """``build_flag_complex`` and ``build_directed_flag_complex`` filter one
+    cached skeleton per (n, max_dim); the Rips builder builds its own on every
+    call."""
 
     @pytest.mark.parametrize("max_dim", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 10))
@@ -111,12 +136,14 @@ class TestFlagSkeleton:
                 reference_flag_text(g.weights, ~np.eye(10, dtype=bool), 9)
 
     def test_cached_arrays_are_read_only(self):
-        codes, dims, levels = _flag_skeleton(6, 2)
-        arrays = [codes, dims, *(array for level in levels for array in level)]
-        assert len(arrays) == 8 and not any(array.flags.writeable for array in arrays)
-        with pytest.raises(ValueError):
-            codes[0] = 1
+        for directed in (False, True):
+            codes, dims, levels = _flag_skeleton(6, 2, directed)
+            arrays = [codes, dims, *(array for level in levels for array in level)]
+            assert len(arrays) == 8 and not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                codes[0] = 1
         assert build_flag_complex(gen_er(6, 1), 2).values.flags.writeable
+        assert build_directed_flag_complex(gen_directed_er(6, 1), 2).values.flags.writeable
 
     def test_alternating_keys(self):
         graphs = {n: gen_er(n, n) for n in (5, 7)}
@@ -128,7 +155,7 @@ class TestFlagSkeleton:
 
 class TestDirectedFlagComplex:
     def test_reciprocal_edges_are_distinct_cells(self):
-        g = digraph_from_edges(2, [(0, 1, 0.3), (1, 0, 0.7)])
+        g = DirectedWeightedGraph([[0.0, 0.3], [0.7, 0.0]])
         cx = build_directed_flag_complex(g, 2).validate()
         edges = sorted(cx.values[cx.dims == 1].tolist())
         assert edges == [0.3, 0.7]
@@ -136,15 +163,8 @@ class TestDirectedFlagComplex:
     def test_complete_digraph_triangle_count(self):
         # Every ordering of 3 vertices has all forward edges present.
         w = np.ones((3, 3))
-        cx = build_directed_flag_complex(DirectedWeightedGraph(3, w), 2)
+        cx = build_directed_flag_complex(DirectedWeightedGraph(w), 2)
         assert np.count_nonzero(cx.dims == 2) == 6
-
-    def test_acyclic_orientation_single_triangle(self):
-        g = digraph_from_edges(
-            3, [(0, 1, 0.1), (0, 2, 0.2), (1, 2, 0.3)])
-        cx = build_directed_flag_complex(g, 2).validate()
-        two = cx.values[cx.dims == 2]
-        assert len(two) == 1 and two[0] == 0.3
 
 
 class TestRipsComplex:
@@ -198,6 +218,11 @@ class TestSerialization:
             FilteredComplex.from_text("0 0.0\nbogus line here\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_cell(self, value):
+        with pytest.raises(ValueError, match=f"cell 1: value {value} is not finite"):
+            FilteredComplex.from_text(f"0 0\n0 {value}\n")
+
     def test_face_ordering_enforced(self):
         bad = FilteredComplex(dims=[0, 1], values=[0.0, 0.5], indptr=[0, 0, 2], indices=[0, 5])
         with pytest.raises(ValueError):
@@ -224,37 +249,37 @@ def square(draw, n, elements):
 
 @st.composite
 def digraphs(draw):
+    """The weights of a complete digraph: its orientations of a pair differ."""
     n = draw(st.integers(1, 6))
-    return n, square(draw, n, ties), square(draw, n, st.booleans())
+    return n, square(draw, n, ties)
 
 
 # Zero weights but edge (1, 2)'s -0.0, which the triangle (0, 1, 2) keeps.
-signed_zero_triangle = (3, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]),
-                        np.ones((3, 3), dtype=bool))
+signed_zero_triangle = (3, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]))
 
 
 class TestAgainstReference:
     @checked
     @given(graph=digraphs(), max_dim=max_dims)
-    @example(graph=(1, np.zeros((1, 1)), np.ones((1, 1), dtype=bool)), max_dim=1)
+    @example(graph=(1, np.zeros((1, 1))), max_dim=1)
     @example(graph=signed_zero_triangle, max_dim=2)
     def test_flag(self, graph, max_dim):
-        n, w, _ = graph
+        n, w = graph
         # Mirrored bit for bit: adding the zeros of np.triu would turn -0.0 into 0.0.
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
         w = np.where(upper, w, np.where(upper.T, w.T, 0.0))
-        cx = build_flag_complex(WeightedGraph(n, w), max_dim)
+        cx = build_flag_complex(WeightedGraph(w), max_dim)
         assert cx.to_text() == reference_flag_text(w, ~np.eye(n, dtype=bool), max_dim)
 
     @checked
     @given(graph=digraphs(), max_dim=max_dims)
-    @example(graph=(1, np.zeros((1, 1)), np.ones((1, 1), dtype=bool)), max_dim=1)
+    @example(graph=(1, np.zeros((1, 1))), max_dim=1)
     @example(graph=signed_zero_triangle, max_dim=2)
     def test_directed_flag(self, graph, max_dim):
-        n, w, present = graph
-        cx = build_directed_flag_complex(DirectedWeightedGraph(n, w, present), max_dim)
-        present = present & ~np.eye(n, dtype=bool)
-        assert cx.to_text() == reference_flag_text(w, present, max_dim, ordered=True)
+        n, w = graph
+        cx = build_directed_flag_complex(DirectedWeightedGraph(w), max_dim)
+        assert cx.to_text() == reference_flag_text(w, ~np.eye(n, dtype=bool), max_dim,
+                                                   ordered=True)
 
     @checked
     @given(points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,

@@ -17,14 +17,14 @@ from tests.oracles import permutation_p_value
 
 def abs_matrix(values, label="x"):
     v = np.asarray(values, dtype=float)
-    return DistanceMatrix(len(v), np.abs(v[:, None] - v[None, :]), label)
+    return DistanceMatrix(np.abs(v[:, None] - v[None, :]), label)
 
 
 def random_matrix(rng, n, label):
     """Symmetric, zero on the diagonal, cubes of entries in [0, 1): off
     negative type, so some dcov come out negative."""
     upper = np.triu(rng.random((n, n)) ** 3, 1)
-    return DistanceMatrix(n, upper + upper.T, label)
+    return DistanceMatrix(upper + upper.T, label)
 
 
 LINE3 = abs_matrix([0.0, 1.0, 2.0])
@@ -61,13 +61,13 @@ class TestSampleDcor:
         other = abs_matrix([0.0, 0.5, 3.0], label="y")
         base = sample_dcor(LINE3, other)
         # Power-of-two factors keep every float operation exact.
-        scaled_x = DistanceMatrix(3, 4.0 * LINE3.entries, "x")
-        scaled_y = DistanceMatrix(3, 0.25 * other.entries, "y")
+        scaled_x = DistanceMatrix(4.0 * LINE3.entries, "x")
+        scaled_y = DistanceMatrix(0.25 * other.entries, "y")
         assert sample_dcor(scaled_x, other).dcor == base.dcor
         assert sample_dcor(LINE3, scaled_y).dcor == base.dcor
 
     def test_degenerate_input(self):
-        flat = DistanceMatrix(3, np.zeros((3, 3)), "flat")
+        flat = DistanceMatrix(np.zeros((3, 3)), "flat")
         report = sample_dcor(flat, LINE3)
         assert report.dcor == 0.0 and report.dCor == 0.0
         assert not report.negative_flag
@@ -117,7 +117,7 @@ class TestDcorMatrix:
     def test_reference_list_skips_pairs_within_xs(self):
         # The dvar of each matrix squares past the float range, but not its
         # product with the reference's dvar.
-        huge = [DistanceMatrix(3, 1e150 * m.entries, m.label)
+        huge = [DistanceMatrix(1e150 * m.entries, m.label)
                 for m in (LINE3, abs_matrix([0.0, 0.5, 3.0], "y"))]
         with pytest.raises(NumericalFailure, match="dvar_x \\* dvar_y overflows"):
             dcor_matrix(huge)

@@ -37,6 +37,12 @@ class TestLoadGrid:
         g = load_grid(text)
         assert (g.rows, g.cols) == (2, 3)
 
+    def test_esri_header_with_centre_keys(self):
+        body = "nrows 2\ncellsize 10\n1 2 3\n4 5 6\n"
+        corner = load_grid("ncols 3\nxllcorner 5\nyllcorner 5\n" + body)
+        centre = load_grid("ncols 3\nXLLCENTER 10\nYLLCENTER 10\n" + body)
+        assert centre.values.tobytes() == corner.values.tobytes()
+
     def test_ragged_rows_rejected_with_line(self):
         with pytest.raises(ParseError) as err:
             load_grid("1 2 3\n4 5\n")

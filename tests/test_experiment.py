@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topocorr import __version__, dcor, experiment
+from topocorr import __version__, complexes, dcor, experiment
 from topocorr.errors import ConfigurationError
 from topocorr.experiment import (
     DEFAULT_METRICS,
@@ -191,6 +191,19 @@ class TestRunExperiment:
     def test_threads_capped_at_sample_count(self, tmp_path, pool_sizes):
         run_experiment(small_config(tmp_path, reps=3), threads=5000)
         assert pool_sizes == [3]
+
+    def test_directed_samples_share_one_skeleton(self, tmp_path, monkeypatch):
+        calls, clique_skeleton = [], complexes._clique_skeleton
+
+        def counting(*args):
+            calls.append(args)
+            return clique_skeleton(*args)
+
+        monkeypatch.setattr(complexes, "_clique_skeleton", counting)
+        complexes._flag_skeleton.cache_clear()
+        run_experiment(replace(small_config(tmp_path, reps=6),
+                               model=ModelSpec("directed_er", 8, seed=1)))
+        assert len(calls) == 1
 
     def test_progress_per_sample(self, tmp_path):
         messages = []

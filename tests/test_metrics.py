@@ -286,15 +286,15 @@ class TestFamilyPass:
 
 class TestDistanceMatrix:
     def test_validates(self):
-        DistanceMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]), "d")
+        DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "d")
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
-            DistanceMatrix(2, np.array([[0.1, 1.0], [1.0, 0.0]]), "d")
+            DistanceMatrix(np.array([[0.1, 1.0], [1.0, 0.0]]), "d")
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            DistanceMatrix(2, np.array([[0.0, -1.0], [-1.0, 0.0]]), "d")
+            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), "d")
 
 
 class TestDiagonalDistance:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topocorr.complexes import build_directed_flag_complex
 from topocorr.models import (
     ModelSpec,
     derive_seed,
@@ -50,7 +51,8 @@ class TestGenerators:
     def test_directed_er_orientations_independent(self):
         g = gen_directed_er(10, 2)
         assert not np.allclose(g.weights, g.weights.T)
-        assert g.present.sum() == 90
+        # Complete: each of the 90 ordered pairs is an edge of its flag complex.
+        assert np.count_nonzero(build_directed_flag_complex(g, 1).dims == 1) == 90
 
     def test_torus_points_on_unit_circles(self):
         pts = sample_torus(50, 3)

@@ -25,7 +25,7 @@ from topocorr.negtype import (
 def euclidean_matrix(points, label="euclid"):
     pts = np.asarray(points, dtype=float)
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
-    return DistanceMatrix(len(pts), d, label)
+    return DistanceMatrix(d, label)
 
 
 def diagram_matrix(diagrams, p):
@@ -35,7 +35,7 @@ def diagram_matrix(diagrams, p):
     for i in range(n):
         for j in range(i + 1, n):
             entries[i, j] = entries[j, i] = metric.distance(diagrams[i], diagrams[j])
-    return DistanceMatrix(n, entries, f"p={p}")
+    return DistanceMatrix(entries, f"p={p}")
 
 
 class TestQuadraticForm:
@@ -85,7 +85,7 @@ class TestNegtypeCheck:
         # -d J is finite, and its rounding (a top eigenvalue near 1e292) is
         # far below tol times d.
         e = np.full((5, 5), 1.7e308) - np.diag(np.full(5, 1.7e308))
-        assert negtype_check(DistanceMatrix(5, e, "equal")).negative_type
+        assert negtype_check(DistanceMatrix(e, "equal")).negative_type
 
     def test_violation_reports_witness(self):
         diagrams, _ = fixture_small_p()
@@ -99,13 +99,13 @@ class TestNegtypeCheck:
         e = np.zeros((5, 5))
         e[0, 1:] = e[1:, 0] = 1.7e308
         with pytest.raises(NumericalFailure, match="centered distances overflow"):
-            negtype_check(DistanceMatrix(5, e, "big"))
+            negtype_check(DistanceMatrix(e, "big"))
 
     def test_equal_huge_distances_center_finitely(self):
         # Equal off-diagonal distances d center to -d J (J the centering
         # projector), which is finite and negative semidefinite.
         e = np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308))
-        verdict = negtype_check(DistanceMatrix(3, e, "equal"))
+        verdict = negtype_check(DistanceMatrix(e, "equal"))
         assert verdict.negative_type and verdict.worst_value <= 1e-9
 
 
@@ -170,7 +170,7 @@ class TestLandscapeFixtures:
         for i in range(n):
             for j in range(i + 1, n):
                 entries[i, j] = entries[j, i] = metric.distance(lans[i], lans[j])
-        form = quadratic_form(DistanceMatrix(n, entries, "l1"), weights)
+        form = quadratic_form(DistanceMatrix(entries, "l1"), weights)
         assert abs(form) < 1e-12
 
     def test_l1_fixture_uses_only_first_level(self):
@@ -193,7 +193,7 @@ class TestLandscapeFixtures:
         assert np.allclose(entries[:3, :3] + np.eye(3), np.ones((3, 3)))
         assert np.allclose(entries[3:, 3:] + np.eye(3), np.ones((3, 3)))
         assert np.allclose(entries[:3, 3:], 0.5)
-        form = quadratic_form(DistanceMatrix(n, entries, "linf"), weights)
+        form = quadratic_form(DistanceMatrix(entries, "linf"), weights)
         assert form == pytest.approx(3.0)
 
 

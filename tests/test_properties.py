@@ -40,7 +40,6 @@ from tests.oracles import (
     reference_cubical_text,
     sup_landscape_distance,
 )
-from tests.test_complexes import digraph_from_edges
 from tests.test_metrics import (
     FAMILY_PASSES,
     PAIR_BODIES,
@@ -291,8 +290,8 @@ def assert_bottleneck_stable(cx_f, cx_g, sup_distance):
 @given(pair=st.integers(1, 6).flatmap(lambda n: perturbed_pair((n, n))))
 def test_bottleneck_stability_flag(pair):
     f, g = (np.triu(w, 1) + np.triu(w, 1).T for w in pair)
-    assert_bottleneck_stable(build_flag_complex(WeightedGraph(len(f), f), 2),
-                             build_flag_complex(WeightedGraph(len(g), g), 2),
+    assert_bottleneck_stable(build_flag_complex(WeightedGraph(f), 2),
+                             build_flag_complex(WeightedGraph(g), 2),
                              np.abs(f - g).max())
 
 
@@ -328,12 +327,11 @@ def arrays(shape, elements=levels):
 
 
 flag_complexes = st.integers(1, 6).flatmap(lambda n: st.builds(
-    lambda w, k: build_flag_complex(WeightedGraph(n, np.maximum(w, w.T)), k),
+    lambda w, k: build_flag_complex(WeightedGraph(np.maximum(w, w.T)), k),
     arrays((n, n)), max_dims))
-# Random edge masks leave several components.
 directed_flag_complexes = st.integers(1, 5).flatmap(lambda n: st.builds(
-    lambda w, present, k: build_directed_flag_complex(DirectedWeightedGraph(n, w, present), k),
-    arrays((n, n)), arrays((n, n), st.booleans()), max_dims))
+    lambda w, k: build_directed_flag_complex(DirectedWeightedGraph(w), k),
+    arrays((n, n)), max_dims))
 rips_complexes = st.integers(1, 6).flatmap(lambda n: st.builds(
     build_rips_complex, arrays((n, 2)), max_dims, st.sampled_from([1.0, 1.5, 2.5, 5.0])))
 cubical_complexes = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
@@ -342,12 +340,9 @@ cubical_complexes = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 
 @settings(checked, max_examples=240)
 @given(cx=st.one_of(flag_complexes, directed_flag_complexes, rips_complexes, cubical_complexes))
-# A single vertex; three vertices and no edges; two components, each with an
-# essential H0 bar.
-@example(cx=build_flag_complex(WeightedGraph(1, [[0.0]]), 1))
+# A single vertex; three vertices and no edges, each with an essential H0 bar.
+@example(cx=build_flag_complex(WeightedGraph([[0.0]]), 1))
 @example(cx=build_rips_complex([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 2, 1.0))
-@example(cx=build_directed_flag_complex(digraph_from_edges(
-    4, [(0, 1, 1.0), (2, 3, 1.0)]), 2))
 # A triangle whose faces the file lists out of order.
 @example(cx=FilteredComplex.from_text(
     "0 0\n0 0\n0 0\n0 0\n1 0 0 3\n1 0 1 3\n1 0 2 3\n1 1 0 1\n1 2 1 2\n1 3 0 2\n2 4 8 9 7\n"))

@@ -51,6 +51,16 @@ class TestDiagramCsv:
         with pytest.raises(ParseError):
             diagram_from_csv("degree,birth,death\n1,0.0,oops\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("degree,birth,death\n\n\n1,abc,2\n", 4),
+        ("\n\ndegree,birth\n", 3),
+        ("degree,birth,death\n1,0,1\n\n1,2,inf\n", 4),
+    ], ids=["row-after-blank-lines", "header-after-blank-lines", "non-finite-after-blank-line"])
+    def test_error_names_the_file_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            diagram_from_csv(text)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("row", ["1,0.0,inf", "1,nan,2.0", "1,-inf,2.0"])
     def test_rejects_non_finite(self, row):
         with pytest.raises(ParseError):
@@ -79,7 +89,7 @@ class TestCurveCsv:
 
 class TestMatrixCsv:
     def test_roundtrip(self):
-        m = DistanceMatrix(3, np.array([[0.0, 1.0, 2.0],
+        m = DistanceMatrix(np.array([[0.0, 1.0, 2.0],
                                         [1.0, 0.0, 0.5],
                                         [2.0, 0.5, 0.0]]), "wasserstein:p=1")
         back = matrix_from_csv(matrix_to_csv(m))
@@ -93,6 +103,15 @@ class TestMatrixCsv:
     def test_nonsquare_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_csv("d,d,d\n0.0,1.0,2.0\n1.0,0.0,0.5\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("d,d\n\n0.0,1.0\nx,0.0\n", 4),
+        ("d,d\n0.0,1.0\n\n\n1.0\n", 5),
+    ], ids=["malformed-after-blank-line", "ragged-after-blank-lines"])
+    def test_error_names_the_file_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            matrix_from_csv(text)
+        assert err.value.line == line
 
 
 class TestRenderHeatmap:
