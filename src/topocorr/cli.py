@@ -180,16 +180,13 @@ def negtype_cmd(matrix_file, tol, out):
 @click.option("--chunk-size", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--stride", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--max-chunks", type=click.IntRange(min=1), default=None)
-@click.option("--resolution", type=click.FloatRange(min=0, min_open=True), default=10.0,
-              show_default=True)
 @click.option("--metric", "metric_names", multiple=True,
               help="Metric spec (repeatable); default wasserstein:p=2.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks,
-            resolution, metric_names, out):
+def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks, metric_names, out):
     """Chunked elevation-grid pipeline: cubical persistence vs ruggedness."""
     metrics = [parse_metric_spec(m) for m in (metric_names or ("wasserstein:p=2",))]
-    settings = dict(out=Path(out), resolution=resolution, max_chunks=max_chunks)
+    settings = dict(out=Path(out), max_chunks=max_chunks)
     result = (run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics, **settings)
               if input_path is None else
               dem_from_grid(parse_file(input_path, load_grid), chunk_size, stride, metrics,

@@ -32,7 +32,7 @@ def _finite_matrix(values, name, square=True):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedWeightedGraph:
     """Complete digraph: the two orientations of a pair carry independent
     weights (diagonal unused)."""
@@ -47,7 +47,7 @@ class DirectedWeightedGraph:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph(DirectedWeightedGraph):
     """Complete undirected graph: a digraph whose two orientations of a pair
     carry one weight."""
@@ -58,14 +58,17 @@ class WeightedGraph(DirectedWeightedGraph):
             raise ValueError("weights must be symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightGrid:
-    """Rectangular elevation grid; values in arbitrary (finite) height units."""
+    """Rectangular elevation grid of finite heights; cells ``cellsize`` wide."""
 
     values: np.ndarray
+    cellsize: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", _finite_matrix(self.values, "grid values", False))
+        if not 0 < self.cellsize < np.inf:
+            raise ValueError("cellsize must be positive and finite")
 
     @property
     def rows(self):

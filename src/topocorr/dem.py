@@ -19,6 +19,7 @@ def load_grid(text: str) -> HeightGrid:
     Header lines come first; the body is rows of comma- or space-separated
     numbers.  An ESRI body may wrap its nrows x ncols values across lines;
     headerless rows must all have the same width.  NODATA cells are rejected.
+    The header's ``cellsize`` becomes the grid's; other grids take 10.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
@@ -30,6 +31,8 @@ def load_grid(text: str) -> HeightGrid:
         key = parts[0].lower()
         if len(parts) != 2 or key not in _HEADER_KEYS:
             break
+        if key in header:
+            raise ParseError(f"repeated header key {key}", line=ln)
         try:
             header[key] = float(parts[1])
         except ValueError:
@@ -64,7 +67,7 @@ def load_grid(text: str) -> HeightGrid:
         values = np.array([row for _, row in rows])
     if "nodata_value" in header and np.any(values == header["nodata_value"]):
         raise ParseError("NODATA values present", line=body_line)
-    return HeightGrid.from_array(values)
+    return HeightGrid(values, header.get("cellsize", HeightGrid.cellsize))
 
 
 def chunk_grid(g: HeightGrid, chunk_size: int, stride: int, max_chunks: int | None = None):
@@ -81,7 +84,7 @@ def chunk_grid(g: HeightGrid, chunk_size: int, stride: int, max_chunks: int | No
     if s > min(g.rows, g.cols):
         raise ConfigurationError("chunk_size exceeds grid extent")
     origins = [(r, c) for r in range(0, g.rows - s + 1, t) for c in range(0, g.cols - s + 1, t)]
-    return [(HeightGrid.from_array(g.values[r:r + s, c:c + s]),
+    return [(HeightGrid(g.values[r:r + s, c:c + s], g.cellsize),
              (r + (s - 1) / 2.0, c + (s - 1) / 2.0)) for r, c in origins[:max_chunks]]
 
 
@@ -139,4 +142,4 @@ def synth_terrain(size: int, roughness: float, seed: int) -> HeightGrid:
             / counts + paired[:, k:])
         amplitude *= roughness
         step = half
-    return HeightGrid.from_array(grid)
+    return HeightGrid(grid)

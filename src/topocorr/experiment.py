@@ -306,24 +306,21 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
 
 
 def run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics,
-                     out: Path | None = None, resolution=10.0, max_chunks=None) -> dict:
+                     out: Path | None = None, max_chunks=None) -> dict:
     """Synthetic-terrain end-to-end run; see :func:`dem_from_grid`."""
     grid = synth_terrain(size, roughness, seed)
-    return dem_from_grid(grid, chunk_size, stride, metrics, out=out, resolution=resolution,
-                         max_chunks=max_chunks,
+    return dem_from_grid(grid, chunk_size, stride, metrics, out=out, max_chunks=max_chunks,
                          source={"size": size, "roughness": roughness, "seed": seed})
 
 
 def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
-                  resolution=10.0, max_chunks=None, source=None) -> dict:
+                  max_chunks=None, source=None) -> dict:
     """Elevation-grid run: chunks -> cubical persistence -> summaries ->
-    dCor against per-chunk ruggedness (TRI) and center distance.
+    dCor against per-chunk ruggedness (TRI) and center distance (``cellsize`` units).
 
     ``source`` says where the grid came from (the terrain's size, roughness
     and seed, or the input path); the manifest records it with the grid."""
     check_metrics(metrics, 2)
-    if not 0 < resolution < np.inf:
-        raise ConfigurationError("resolution must be positive and finite")
     chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
@@ -335,7 +332,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
     dx, dy = (centers[:, None, k] - centers[None, :, k] for k in (0, 1))
     with np.errstate(over="ignore"):
         tris = [tri(block) for block in blocks]
-        geo = resolution * np.sqrt(dx ** 2 + dy ** 2)
+        geo = grid.cellsize * np.sqrt(dx ** 2 + dy ** 2)
     for label, values in (("tri", tris), ("geodesic", geo)):
         if not np.isfinite(values).all():
             raise NumericalFailure(f"{label}: a value is not finite")
@@ -354,7 +351,7 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
             rows_to_csv(("metric", "dCor_tri", "dCor_geodesic"), rows))
         _write_manifest(out, grid={"rows": grid.rows, "cols": grid.cols, **(source or {})},
                         chunk_size=chunk_size, stride=stride, max_chunks=max_chunks,
-                        resolution=float(resolution), metrics=[m.label for m in metrics],
+                        resolution=float(grid.cellsize), metrics=[m.label for m in metrics],
                         degree=1, chunks=len(chunks))
     return {"rows": rows, "flags": flags, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}

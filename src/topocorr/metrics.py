@@ -60,7 +60,7 @@ from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import PersistenceLandscape, StepCurve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric non-negative matrix of pairwise distances with a metric label."""
 

@@ -33,7 +33,7 @@ def quadratic_form(d: DistanceMatrix, weights) -> float:
     return float(w @ d.entries @ w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegTypeVerdict:
     negative_type: bool
     witness: np.ndarray | None

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,13 @@ def write_grid(tmp_path):
     rows = np.random.default_rng(3).random((20, 20))
     grid.write_text("\n".join(" ".join(repr(float(x)) for x in row) for row in rows))
     return grid
+
+
+def esri_grid(cellsize):
+    """A 9 x 9 ESRI grid whose header gives ``cellsize``."""
+    return (f"ncols 9\nnrows 9\ncellsize {cellsize}\n"
+            + "".join(" ".join(str((r * 7 + c * 3) % 11) for c in range(9)) + "\n"
+                      for r in range(9)))
 
 
 def tree_bytes(root):
@@ -165,6 +175,24 @@ class TestPipelineCommands:
                        "--metric", "landscape:p=inf", "--out", str(tmp_path / name / "out")) == 0
         assert tree_bytes(tmp_path / "csv" / "out") == tree_bytes(tmp_path / "asc" / "out")
 
+    def test_dem_geodesic_in_grid_cellsize(self, tmp_path):
+        # One body at cell sizes 10 and 30: centre distances scale by 3, and
+        # dCor, which no scale factor changes, reads the same.
+        out = {}
+        for cellsize in (10, 30):
+            grid = tmp_path / f"grid{cellsize}.asc"
+            grid.write_text(esri_grid(cellsize))
+            out[cellsize] = tmp_path / f"out{cellsize}"
+            assert run("dem", "--input", str(grid), "--chunk-size", "4", "--stride", "4",
+                       "--metric", "betti:p=1", "--out", str(out[cellsize])) == 0
+        ten, thirty = (matrix_from_csv((out[c] / "geodesic.csv").read_text()).entries
+                       for c in (10, 30))
+        assert ten[0].tolist() == [0.0, 40.0, 40.0, 10 * math.sqrt(32)]
+        assert thirty.tolist() == (3 * ten).tolist()
+        assert json.loads((out[30] / "manifest.json").read_text())["resolution"] == 30.0
+        assert ((out[10] / "dem_dcor.csv").read_bytes()
+                == (out[30] / "dem_dcor.csv").read_bytes())
+
     @pytest.mark.parametrize("source", ["synth", "input"])
     def test_dem_idempotent(self, tmp_path, source):
         argv = ["--size", "33", "--chunk-size", "12", "--stride", "10"]
@@ -256,7 +284,7 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
     ({}, ["summarize", "{a}", "--degree", "-1"]),
     ({}, ["dem", "--size", "10", "--out", "dem"]),
     ({}, ["dem", "--chunk-size", "0", "--out", "dem"]),
-    ({}, ["dem", "--resolution", "0", "--out", "dem"]),
+    ({}, ["dem", "--resolution", "10", "--out", "dem"]),
     ({}, ["dem", "--roughness", "2", "--out", "dem"]),
     ({}, ["dem", "--max-chunks", "0", "--out", "dem"]),
     ({}, ["dem", "--stride", "30", "--out", "dem"]),
@@ -293,9 +321,9 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
     ({}, ["generate", "--kind", "torus", "--n", "5", "--max-radius", "nan"]),
     ({"cfg": ER_CONFIG.replace("kind = er", "kind = torus") + "max_radius = nan\n"},
      ["experiment", "--config", "{cfg}"]),
-    ({}, ["dem", "--resolution", "nan", "--out", "dem"]),
-    ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
-          "--resolution", "inf", "--out", "dem"]),
+    *(({"grid": esri_grid(cellsize)},
+       ["dem", "--input", "{grid}", "--chunk-size", "4", "--stride", "4", "--out", "dem"])
+      for cellsize in ("0", "-5", "nan", "inf")),
     ({"cfg": SWEEP_CONFIG.replace("interpolated", "er") + "\n[sweep]\ngamma_count = 3\n"},
      ["experiment", "--config", "{cfg}"]),
     ({"cfg": SWEEP_CONFIG + "\n[sweep]\ngamma = 0 1\ngamma_count = 3\n"},
@@ -337,7 +365,7 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
 ], ids=["p-not-a-number", "lines-not-an-integer", "unknown-model-kind", "one-gamma",
         "negative-degree-config", "max-dim-0", "infinite-death", "negative-degree-distmat",
         "negative-degree-summarize", "dem-size-not-2k+1", "dem-chunk-size-0",
-        "dem-resolution-0", "dem-roughness-2", "dem-max-chunks-0", "dem-stride-above-chunk",
+        "dem-resolution-option", "dem-roughness-2", "dem-max-chunks-0", "dem-stride-above-chunk",
         "dem-chunk-above-grid", "max-radius-0", "gamma-2", "max-dim-0-config",
         "max-radius-negative-config", "gamma-2-config", "sweep-gamma-2", "negtype-tol-negative",
         "simplex-code-overflow", "simplex-code-overflow-config", "dem-chunk-size-2",
@@ -346,7 +374,8 @@ SWEEP_CONFIG = "[model]\nkind = interpolated\nn = 6\n\n[run]\nmetrics = bottlene
         "negative-dimension", "persist-not-utf8", "config-not-utf8", "dem-input-not-utf8",
         "config-no-section-header", "config-duplicate-section", "grid-ncols-inf",
         "dcor-one-sample", "permtest-one-sample", "negtype-tol-nan", "max-radius-nan",
-        "max-radius-nan-config", "dem-resolution-nan", "dem-resolution-inf",
+        "max-radius-nan-config", "grid-cellsize-0", "grid-cellsize-negative",
+        "grid-cellsize-nan", "grid-cellsize-inf",
         "sweep-kind-er",
         "sweep-gamma-and-gamma-count", "sweep-repetitions", "config-unknown-key",
         "config-unknown-section", "gamma-for-er-config", "sweep-model-gamma",
@@ -380,9 +409,15 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, files, argv):
     ("ncols -2\nnrows -3\n1 2 3\n4 5 6\n", "line 1: ncols must be a positive whole number"),
     ("ncols 0\nnrows 0\n", "line 1: ncols must be a positive whole number"),
     ("ncols 2\nnrows 1.5\n1 2\n", "line 2: nrows must be a positive whole number"),
+    ("ncols 3\nnrows 3\nncols 4\nnrows 2\n1 2 3 4\n5 6 7 8\n",
+     "line 3: repeated header key ncols"),
+    ("ncols 2\nnrows 1\ncellsize 10\nCELLSIZE 30\n1 2\n", "line 4: repeated header key cellsize"),
+    *((esri_grid(cellsize), "cellsize must be positive and finite")
+      for cellsize in ("0", "-5", "nan", "inf")),
 ], ids=["empty", "ragged", "wrong-count", "wrong-count-no-body", "bad-header-value",
         "missing-nrows", "nodata", "nan", "bad-token", "bad-token-esri", "fractional-counts",
-        "negative-counts", "zero-counts", "fractional-nrows"])
+        "negative-counts", "zero-counts", "fractional-nrows", "repeated-ncols",
+        "repeated-cellsize", "cellsize-0", "cellsize-negative", "cellsize-nan", "cellsize-inf"])
 def test_bad_grid_exits_2_with_line(tmp_path, capsys, text, message):
     grid = tmp_path / "grid.txt"
     grid.write_text(text)
@@ -467,9 +502,9 @@ def one_far(n, distance):
     ({"a": "degree,birth,death\n1,0,0.01\n", "b": "degree,birth,death\n1,0,0.02\n"},
      ["distmat", "{a}", "{b}", "--metric", "wasserstein:p=200"],
      "wasserstein:p=200: powered transport total underflows"),
-    # Chunk centres 1e308 apart per unit, and ruggedness of a grid of ±1e200.
-    ({}, ["dem", "--size", "17", "--chunk-size", "4", "--stride", "4",
-          "--resolution", "1e308"], "geodesic: a value is not finite"),
+    # Chunk centres 4 cells of 1e308 apart, and ruggedness of a grid of ±1e200.
+    ({"g": esri_grid("1e308")}, ["dem", "--input", "{g}", "--chunk-size", "4", "--stride", "4"],
+     "geodesic: a value is not finite"),
     ({"g": HUGE_GRID}, ["dem", "--input", "{g}", "--chunk-size", "4", "--stride", "4",
                         "--metric", "betti:p=1"], "tri: a value is not finite"),
 ], ids=["wasserstein-cost-overflow", "wasserstein-diagonal-cost-overflow",

@@ -18,6 +18,7 @@ from topocorr.complexes import (
 from topocorr.errors import ParseError
 from topocorr.metrics import DistanceMatrix
 from topocorr.models import gen_directed_er, gen_er, sample_cube
+from topocorr.negtype import NegTypeVerdict
 from tests.oracles import reference_cubical_text, reference_flag_text
 
 
@@ -71,6 +72,18 @@ def test_grid_sizes_are_the_shape():
     grid = HeightGrid(np.zeros((2, 5)))
     assert (grid.rows, grid.cols) == (2, 5)
     assert HeightGrid.from_array(grid.values).values.shape == (2, 5)
+
+
+# Array-holding types compare and hash by identity, not by their arrays.
+identity_types = {**array_types, "negtype-verdict": lambda w: NegTypeVerdict(False, w[0], 1.0)}
+
+
+@pytest.mark.parametrize("make", identity_types.values(), ids=identity_types)
+def test_equality_is_identity(make):
+    a, b = make(np.zeros((3, 3))), make(np.zeros((3, 3)))
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 class TestFlagComplex:

@@ -32,10 +32,12 @@ class TestLoadGrid:
         assert g.values[1, 0] == 3.0
 
     def test_esri_header(self):
-        text = ("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\n"
+        text = ("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
                 "1 2 3\n4 5 6\n")
         g = load_grid(text)
-        assert (g.rows, g.cols) == (2, 3)
+        assert (g.rows, g.cols, g.cellsize) == (2, 3, 30.0)
+        assert load_grid("ncols 3\nnrows 2\n1 2 3\n4 5 6\n").cellsize == 10.0
+        assert load_grid("1 2 3\n4 5 6\n").cellsize == 10.0
 
     def test_esri_header_with_centre_keys(self):
         body = "nrows 2\ncellsize 10\n1 2 3\n4 5 6\n"
@@ -71,6 +73,11 @@ class TestChunkGrid:
         block, center = chunks[0]
         assert (block.rows, block.cols) == (16, 16)
         assert center == (7.5, 7.5)
+
+    def test_chunks_keep_the_cellsize(self):
+        assert HeightGrid.from_array(np.zeros((6, 6))).cellsize == 10.0
+        chunks = chunk_grid(HeightGrid(np.zeros((6, 6)), 2.5), 3, 3)
+        assert [block.cellsize for block, _ in chunks] == [2.5] * 4
 
     def test_row_major_order(self):
         g = HeightGrid.from_array(np.arange(36.0).reshape(6, 6))
@@ -168,17 +175,17 @@ class TestDemFromGrid:
         assert result["flags"] == [[True, False]]
         assert result["rows"][0][1] == 0.0  # a negative dcov reads as dCor 0
 
-    def grid(self, rows, cols):
-        return HeightGrid.from_array(np.random.default_rng(5).random((rows, cols)))
+    def grid(self, rows, cols, cellsize=10.0):
+        return HeightGrid(np.random.default_rng(5).random((rows, cols)), cellsize)
 
     def test_planar_euclidean(self):
         # 3x3 chunks at stride 1 on a 7x6 grid: centres (1, 1) to (5, 4), a
         # 4-3-5 triangle between the first and the last chunk.
-        result = dem_from_grid(self.grid(7, 6), 3, 1, self.METRICS, resolution=10.0)
+        result = dem_from_grid(self.grid(7, 6, 2.5), 3, 1, self.METRICS)
         _, centers = zip(*chunk_grid(self.grid(7, 6), 3, 1))
         geo = result["geo_matrix"].entries
-        assert geo[0, -1] == geo[-1, 0] == 50.0
-        assert geo.tolist() == [[10.0 * math.hypot(a[0] - b[0], a[1] - b[1])
+        assert geo[0, -1] == geo[-1, 0] == 12.5
+        assert geo.tolist() == [[2.5 * math.hypot(a[0] - b[0], a[1] - b[1])
                                  for b in centers] for a in centers]
 
     def test_count_and_diagram_matrices_match_cubical_complex(self):
@@ -209,15 +216,21 @@ class TestDemFromGrid:
 
     def test_manifest_of_synthetic_terrain(self, tmp_path):
         for out in ("a", "b"):
-            run_dem_pipeline(17, 0.5, 3, 8, 4, self.METRICS, out=tmp_path / out,
-                             resolution=2, max_chunks=5)
+            run_dem_pipeline(17, 0.5, 3, 8, 4, self.METRICS, out=tmp_path / out, max_chunks=5)
         data = (tmp_path / "a" / "manifest.json").read_bytes()
-        assert json.loads(data) == {
+        expected = {
             "version": __version__,
             "grid": {"rows": 17, "cols": 17, "size": 17, "roughness": 0.5, "seed": 3},
-            "chunk_size": 8, "stride": 4, "max_chunks": 5, "resolution": 2.0,
+            "chunk_size": 8, "stride": 4, "max_chunks": 5, "resolution": 10.0,
             "metrics": ["wasserstein:p=1"], "degree": 1, "chunks": 5}
+        assert json.loads(data) == expected
         assert data == (tmp_path / "b" / "manifest.json").read_bytes()
+        # The manifest's resolution is the grid's cell size.
+        grid = HeightGrid(synth_terrain(17, 0.5, 3).values, 2)
+        dem_from_grid(grid, 8, 4, self.METRICS, out=tmp_path / "c", max_chunks=5,
+                      source={"size": 17, "roughness": 0.5, "seed": 3})
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert manifest == {**expected, "resolution": 2.0}
 
     def test_manifest_of_loaded_grid(self, tmp_path):
         dem_from_grid(self.grid(7, 6), 3, 2, self.METRICS, out=tmp_path,
@@ -227,9 +240,9 @@ class TestDemFromGrid:
         assert (manifest["max_chunks"], manifest["chunks"]) == (None, 6)
 
     def test_rejects_bad_resolution(self):
-        for resolution in (0.0, -1.0):
-            with pytest.raises(ConfigurationError):
-                dem_from_grid(self.grid(6, 6), 3, 3, self.METRICS, resolution=resolution)
+        for cellsize in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cellsize must be positive and finite"):
+                self.grid(6, 6, cellsize)
 
 
 class TestSynthTerrain:
