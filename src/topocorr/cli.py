@@ -151,17 +151,14 @@ def permtest_cmd(matrix_x, matrix_y, permutations, seed, out):
 @cli.command("negtype")
 @click.argument("matrix_file", required=False,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True,
-              help="Relative tolerance: a violation needs a centered eigenvalue above "
-                   "tol times the largest |eigenvalue|.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def negtype_cmd(matrix_file, tol, out):
+def negtype_cmd(matrix_file, out):
     """Check a distance matrix for negative type, or run the fixture suite."""
     if matrix_file is None:
         results = run_negtype_suite()
         _write(out, format_negtype_report(results))
         return 0 if all(r["pass"] for r in results) else 1
-    verdict = negtype_check(parse_file(matrix_file, matrix_from_csv), tol=tol)
+    verdict = negtype_check(parse_file(matrix_file, matrix_from_csv))
     if verdict.negative_type:
         _write(out, "negative_type\n")
     else:
@@ -179,18 +176,16 @@ def negtype_cmd(matrix_file, tol, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--chunk-size", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--stride", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--max-chunks", type=click.IntRange(min=1), default=None)
 @click.option("--metric", "metric_names", multiple=True,
               help="Metric spec (repeatable); default wasserstein:p=2.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, max_chunks, metric_names, out):
+def dem_cmd(input_path, size, roughness, seed, chunk_size, stride, metric_names, out):
     """Chunked elevation-grid pipeline: cubical persistence vs ruggedness."""
     metrics = [parse_metric_spec(m) for m in (metric_names or ("wasserstein:p=2",))]
-    settings = dict(out=Path(out), max_chunks=max_chunks)
-    result = (run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics, **settings)
+    result = (run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics, Path(out))
               if input_path is None else
               dem_from_grid(parse_file(input_path, load_grid), chunk_size, stride, metrics,
-                            source={"input": input_path}, **settings))
+                            Path(out), source={"input": input_path}))
     for (label, dcor_tri, dcor_geo), flags in zip(result["rows"], result["flags"]):
         suffix = "".join(f" negative_flag_{n}" for n, f in zip(("tri", "geodesic"), flags) if f)
         click.echo(f"{label} dCor_tri={dcor_tri:.6f} dCor_geodesic={dcor_geo:.6f}{suffix}")

@@ -70,22 +70,19 @@ def load_grid(text: str) -> HeightGrid:
     return HeightGrid(values, header.get("cellsize", HeightGrid.cellsize))
 
 
-def chunk_grid(g: HeightGrid, chunk_size: int, stride: int, max_chunks: int | None = None):
-    """Row-major sliding blocks, at most ``max_chunks`` of them; returns
-    (HeightGrid, (center_row, center_col)) pairs.  stride = chunk_size/2
-    gives 50% overlap."""
+def chunk_grid(g: HeightGrid, chunk_size: int, stride: int):
+    """Row-major sliding blocks at every origin of the stride lattice; returns
+    (HeightGrid, (row, col)) pairs, (row, col) the block's top-left cell.
+    stride = chunk_size/2 gives 50% overlap."""
     s, t = chunk_size, stride
     if s < 3:
         raise ConfigurationError("chunk_size must be >= 3: tri needs an interior pixel")
     if not 1 <= t <= s:
         raise ConfigurationError("need 1 <= stride <= chunk_size")
-    if max_chunks is not None and max_chunks < 1:
-        raise ConfigurationError("max_chunks must be positive when set")
     if s > min(g.rows, g.cols):
         raise ConfigurationError("chunk_size exceeds grid extent")
-    origins = [(r, c) for r in range(0, g.rows - s + 1, t) for c in range(0, g.cols - s + 1, t)]
-    return [(HeightGrid(g.values[r:r + s, c:c + s], g.cellsize),
-             (r + (s - 1) / 2.0, c + (s - 1) / 2.0)) for r, c in origins[:max_chunks]]
+    return [(HeightGrid(g.values[r:r + s, c:c + s], g.cellsize), (r, c))
+            for r in range(0, g.rows - s + 1, t) for c in range(0, g.cols - s + 1, t)]
 
 
 def tri(g: HeightGrid) -> float:

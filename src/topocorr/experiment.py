@@ -306,30 +306,30 @@ def run_parameter_correlation(cfg: RunConfig, progress=None,
 
 
 def run_dem_pipeline(size, roughness, seed, chunk_size, stride, metrics,
-                     out: Path | None = None, max_chunks=None) -> dict:
+                     out: Path | None = None) -> dict:
     """Synthetic-terrain end-to-end run; see :func:`dem_from_grid`."""
     grid = synth_terrain(size, roughness, seed)
-    return dem_from_grid(grid, chunk_size, stride, metrics, out=out, max_chunks=max_chunks,
+    return dem_from_grid(grid, chunk_size, stride, metrics, out=out,
                          source={"size": size, "roughness": roughness, "seed": seed})
 
 
 def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
-                  max_chunks=None, source=None) -> dict:
+                  source=None) -> dict:
     """Elevation-grid run: chunks -> cubical persistence -> summaries ->
     dCor against per-chunk ruggedness (TRI) and center distance (``cellsize`` units).
 
     ``source`` says where the grid came from (the terrain's size, roughness
     and seed, or the input path); the manifest records it with the grid."""
     check_metrics(metrics, 2)
-    chunks = chunk_grid(grid, chunk_size, stride, max_chunks)
+    chunks = chunk_grid(grid, chunk_size, stride)
     if len(chunks) < 2:
         raise ConfigurationError("need at least 2 chunks; shrink chunk_size or stride")
     _make_out(out)
     blocks = [block for block, _ in chunks]
     _, mats = _matrices(partial(compute_bundle, degree=1, metrics=metrics), blocks, metrics)
-    # Centre differences are whole multiples of the stride: equal to math.hypot.
-    centers = np.array([center for _, center in chunks])
-    dx, dy = (centers[:, None, k] - centers[None, :, k] for k in (0, 1))
+    # Centre differences are origin differences, whole strides: equal to math.hypot.
+    origins = np.array([origin for _, origin in chunks])
+    dx, dy = (origins[:, None, k] - origins[None, :, k] for k in (0, 1))
     with np.errstate(over="ignore"):
         tris = [tri(block) for block in blocks]
         geo = grid.cellsize * np.sqrt(dx ** 2 + dy ** 2)
@@ -344,14 +344,13 @@ def dem_from_grid(grid, chunk_size, stride, metrics, out: Path | None = None,
         half = (chunk_size - 1) / 2
         (out / "chunks.csv").write_text(rows_to_csv(
             ("row", "col", "center_x", "center_y", "tri"),
-            [(int(r - half), int(c - half), c, r, t) for (_, (r, c)), t in zip(chunks, tris)]))
+            [(r, c, c + half, r + half, t) for (_, (r, c)), t in zip(chunks, tris)]))
         for mat in (*mats, tri_mat, geo_mat):
             (out / f"{_safe_label(mat.label)}.csv").write_text(matrix_to_csv(mat))
         (out / "dem_dcor.csv").write_text(
             rows_to_csv(("metric", "dCor_tri", "dCor_geodesic"), rows))
         _write_manifest(out, grid={"rows": grid.rows, "cols": grid.cols, **(source or {})},
-                        chunk_size=chunk_size, stride=stride, max_chunks=max_chunks,
-                        resolution=float(grid.cellsize), metrics=[m.label for m in metrics],
-                        degree=1, chunks=len(chunks))
+                        chunk_size=chunk_size, stride=stride, resolution=float(grid.cellsize),
+                        metrics=[m.label for m in metrics], degree=1, chunks=len(chunks))
     return {"rows": rows, "flags": flags, "tri": tris, "matrices": mats,
             "tri_matrix": tri_mat, "geo_matrix": geo_mat}

@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from topocorr.complexes import _finite_matrix
 from topocorr.errors import ConfigurationError, NumericalFailure
@@ -131,6 +130,8 @@ def diagram_prepare(d: PersistenceDiagram, p=math.inf):
 def wasserstein_row(prepared, others, p) -> np.ndarray:
     """Exact p-Wasserstein distances (L^p ground metric, q = p) from one
     prepared diagram to each of ``others``."""
+    from scipy.optimize import linear_sum_assignment  # here: most commands never load it
+
     (xs, to_x, x_total), out = prepared, []
     for block, to_ys, starts, db, dd in _cross(xs, others):
         costs = db ** p + dd ** p
@@ -161,12 +162,16 @@ _WEIGHTS = np.append(0.0, 2.0 ** (0.9 * np.arange(1, 1001)))  # by rank: 0 at lb
 def _within(rank, r):
     """Whether the square ``rank`` holds a perfect matching of entries at
     most r: an assignment of the 0/1 costs rank > r that totals 0."""
+    from scipy.optimize import linear_sum_assignment
+
     over = rank > r
     return not over[linear_sum_assignment(over)].any()
 
 
 def bottleneck_row(prepared, others) -> np.ndarray:
     """Exact bottleneck distances from one prepared diagram to each of ``others``."""
+    from scipy.optimize import linear_sum_assignment
+
     (xs, dx, x_max), m, out = prepared, len(prepared[0]), []
     for block, _, starts, db, dd in _cross(xs, others):
         whole = np.maximum(db, dd)

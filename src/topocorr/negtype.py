@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topocorr.errors import ConfigurationError, NumericalFailure
+from topocorr.errors import NumericalFailure
 from topocorr.metrics import DistanceMatrix, pairwise_matrix, parse_metric_spec
 from topocorr.persistence import PersistenceDiagram
 from topocorr.summaries import landscape_from_diagram
@@ -40,17 +40,15 @@ class NegTypeVerdict:
     worst_value: float  # largest eigenvalue of the centered matrix
 
 
-def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
+def negtype_check(d: DistanceMatrix) -> NegTypeVerdict:
     """Finite-sample negative-type check via the centered spectrum.
 
     The matrix is of negative type iff J D J is negative semidefinite on
     centered vectors (J the centering projector).  The top eigenvalue yields
-    a violation when it exceeds ``tol`` times the largest |eigenvalue|, so
+    a violation when it exceeds 1e-9 times the largest |eigenvalue|, so
     the verdict does not change when the distances are scaled; its
     eigenvector is the witness weights.
     """
-    if not tol >= 0:
-        raise ConfigurationError("tol must be non-negative")
     n = d.n
     j = np.eye(n) - np.ones((n, n)) / n
     with np.errstate(over="ignore", invalid="ignore"):
@@ -63,7 +61,7 @@ def negtype_check(d: DistanceMatrix, tol: float = 1e-9) -> NegTypeVerdict:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolver failed to converge") from exc
     worst = float(eigenvalues[-1])
-    if worst > tol * np.abs(eigenvalues).max():
+    if worst > 1e-9 * np.abs(eigenvalues).max():
         return NegTypeVerdict(False, j @ eigenvectors[:, -1], worst)
     return NegTypeVerdict(True, None, worst)
 

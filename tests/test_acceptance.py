@@ -220,7 +220,7 @@ def test_criterion_09_negtype_sanity():
         dim = int(rng.integers(1, 6))
         pts = rng.normal(size=(n, dim))
         d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
-        verdict = negtype_check(DistanceMatrix(d, "euclid"), tol=1e-9)
+        verdict = negtype_check(DistanceMatrix(d, "euclid"))
         assert verdict.negative_type
     diagrams, _ = fixture_small_p()
     verdict = negtype_check(diagram_matrix(diagrams, 1.0))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -70,9 +71,9 @@ class TestChunkGrid:
         g = HeightGrid.from_array(np.zeros((65, 65)))
         chunks = chunk_grid(g, 16, 8)
         assert len(chunks) == 49
-        block, center = chunks[0]
+        block, origin = chunks[0]
         assert (block.rows, block.cols) == (16, 16)
-        assert center == (7.5, 7.5)
+        assert origin == (0, 0)
 
     def test_chunks_keep_the_cellsize(self):
         assert HeightGrid.from_array(np.zeros((6, 6))).cellsize == 10.0
@@ -82,21 +83,17 @@ class TestChunkGrid:
     def test_row_major_order(self):
         g = HeightGrid.from_array(np.arange(36.0).reshape(6, 6))
         chunks = chunk_grid(g, 3, 3)
-        centers = [c for _, c in chunks]
-        assert centers == [(1.0, 1.0), (1.0, 4.0), (4.0, 1.0), (4.0, 4.0)]
+        origins = [o for _, o in chunks]
+        assert origins == [(0, 0), (0, 3), (3, 0), (3, 3)]
+        for block, (r, c) in chunks:
+            assert np.array_equal(block.values, g.values[r:r + 3, c:c + 3])
 
-    def test_max_chunks_truncates(self):
-        g = HeightGrid.from_array(np.zeros((8, 8)))
-        assert len(chunk_grid(g, 3, 2, max_chunks=3)) == 3
-
-    def test_max_chunks_takes_the_first(self):
-        g = HeightGrid.from_array(np.arange(63.0).reshape(7, 9))
-        full = chunk_grid(g, 3, 2)
-        for k in range(1, len(full) + 2):
-            chunks = chunk_grid(g, 3, 2, max_chunks=k)
-            assert [c for _, c in chunks] == [c for _, c in full[:k]]
-            for (block, _), (whole, _) in zip(chunks, full[:k], strict=True):
-                assert np.array_equal(block.values, whole.values)
+    def test_every_origin_of_the_lattice(self, tmp_path):
+        g = HeightGrid.from_array(np.random.default_rng(2).random((7, 9)))
+        origins = [o for _, o in chunk_grid(g, 3, 2)]
+        assert origins == [(r, c) for r in range(0, 5, 2) for c in range(0, 7, 2)]
+        dem_from_grid(g, 3, 2, [parse_metric_spec("betti:p=1")], out=tmp_path)
+        assert json.loads((tmp_path / "manifest.json").read_text())["chunks"] == 12
 
     def test_oversized_chunk_rejected(self):
         g = HeightGrid.from_array(np.zeros((4, 4)))
@@ -108,8 +105,7 @@ class TestChunkGrid:
         for args, message in (((0, 1), "chunk_size must be >= 3"),
                               ((2, 1), "chunk_size must be >= 3"),
                               ((3, 0), "need 1 <= stride <= chunk_size"),
-                              ((3, 4), "need 1 <= stride <= chunk_size"),
-                              ((3, 1, 0), "max_chunks must be positive")):
+                              ((3, 4), "need 1 <= stride <= chunk_size")):
             with pytest.raises(ConfigurationError, match=message):
                 chunk_grid(g, *args)
 
@@ -179,14 +175,14 @@ class TestDemFromGrid:
         return HeightGrid(np.random.default_rng(5).random((rows, cols)), cellsize)
 
     def test_planar_euclidean(self):
-        # 3x3 chunks at stride 1 on a 7x6 grid: centres (1, 1) to (5, 4), a
+        # 3x3 chunks at stride 1 on a 7x6 grid: origins (0, 0) to (4, 3), a
         # 4-3-5 triangle between the first and the last chunk.
         result = dem_from_grid(self.grid(7, 6, 2.5), 3, 1, self.METRICS)
-        _, centers = zip(*chunk_grid(self.grid(7, 6), 3, 1))
+        _, origins = zip(*chunk_grid(self.grid(7, 6), 3, 1))
         geo = result["geo_matrix"].entries
         assert geo[0, -1] == geo[-1, 0] == 12.5
         assert geo.tolist() == [[2.5 * math.hypot(a[0] - b[0], a[1] - b[1])
-                                 for b in centers] for a in centers]
+                                 for b in origins] for a in origins]
 
     def test_count_and_diagram_matrices_match_cubical_complex(self):
         # The run takes each chunk's diagram and cell counts from the grid;
@@ -216,28 +212,42 @@ class TestDemFromGrid:
 
     def test_manifest_of_synthetic_terrain(self, tmp_path):
         for out in ("a", "b"):
-            run_dem_pipeline(17, 0.5, 3, 8, 4, self.METRICS, out=tmp_path / out, max_chunks=5)
+            run_dem_pipeline(17, 0.5, 3, 8, 4, self.METRICS, out=tmp_path / out)
         data = (tmp_path / "a" / "manifest.json").read_bytes()
         expected = {
             "version": __version__,
             "grid": {"rows": 17, "cols": 17, "size": 17, "roughness": 0.5, "seed": 3},
-            "chunk_size": 8, "stride": 4, "max_chunks": 5, "resolution": 10.0,
-            "metrics": ["wasserstein:p=1"], "degree": 1, "chunks": 5}
+            "chunk_size": 8, "stride": 4, "resolution": 10.0,
+            "metrics": ["wasserstein:p=1"], "degree": 1, "chunks": 9}
         assert json.loads(data) == expected
         assert data == (tmp_path / "b" / "manifest.json").read_bytes()
         # The manifest's resolution is the grid's cell size.
         grid = HeightGrid(synth_terrain(17, 0.5, 3).values, 2)
-        dem_from_grid(grid, 8, 4, self.METRICS, out=tmp_path / "c", max_chunks=5,
+        dem_from_grid(grid, 8, 4, self.METRICS, out=tmp_path / "c",
                       source={"size": 17, "roughness": 0.5, "seed": 3})
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest == {**expected, "resolution": 2.0}
+
+    def test_chunks_csv_fields(self, tmp_path):
+        # Each row: the block's origin, its centre (x the column) and the
+        # ruggedness of the block sliced here, as str gives them.
+        grid = self.grid(9, 11)
+        for s, t in ((3, 2), (4, 3)):
+            dem_from_grid(grid, s, t, self.METRICS, out=tmp_path / str(s))
+            with open(tmp_path / str(s) / "chunks.csv", newline="") as f:
+                header, *rows = csv.reader(f)
+            expected = [[str(r), str(c), str(c + (s - 1) / 2), str(r + (s - 1) / 2),
+                         str(tri(HeightGrid(grid.values[r:r + s, c:c + s])))]
+                        for r in range(0, 9 - s + 1, t) for c in range(0, 11 - s + 1, t)]
+            assert header == ["row", "col", "center_x", "center_y", "tri"]
+            assert rows == expected
 
     def test_manifest_of_loaded_grid(self, tmp_path):
         dem_from_grid(self.grid(7, 6), 3, 2, self.METRICS, out=tmp_path,
                       source={"input": "data/dem.asc"})
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["grid"] == {"rows": 7, "cols": 6, "input": "data/dem.asc"}
-        assert (manifest["max_chunks"], manifest["chunks"]) == (None, 6)
+        assert manifest["chunks"] == 6 and "max_chunks" not in manifest
 
     def test_rejects_bad_resolution(self):
         for cellsize in (0.0, -1.0, math.nan, math.inf):
